@@ -5,8 +5,7 @@ evaluation harnesses.
 """
 
 from .errors import DataError, UsageError, VerificationError, VtfError
-from .fusion import (ClassificationHeads, FusedSequence, FusionConfig,
-                     FusionStack, TokenProjector, classify)
+from .fusion import ClassificationHeads, FusionConfig, FusionStack, TokenProjector
 from .metrics import (GroupMetrics, MetricReport, decide, group_metrics,
                       macro_report)
 from .model import ModelConfig, VideoAttributeModel, paper_scale_config
@@ -16,26 +15,24 @@ from .data import Dataset, SyntheticSpec, Tracklet, generate, load_dataset
 from .tensor import (ContractError, DimensionError, Tape, Tensor, backward,
                      finite_diff_grad, no_grad)
 from .text import (PromptTemplate, TextConfig, TextEncoder, TokenizerVocab,
-                   apply_template, attribute_sentences, build_vocab,
-                   embed_attributes, split_expand, tokenize)
+                   attribute_sentences, build_vocab, split_expand, tokenize)
 from .train import Adam, EpochLog, TrainConfig, bce_loss, evaluate, train
-from .vision import VisionEncoder, VitConfig, pad_to_square, temporal_average
+from .vision import VisionEncoder, VitConfig, pad_to_square
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "AttributeGroup", "AttributeSchema", "ClassificationHeads",
     "ContractError", "DataError", "Dataset", "DimensionError", "EpochLog",
-    "FusedSequence", "FusionConfig", "FusionStack", "GroupMetrics",
-    "MetricReport", "ModelConfig", "Parameter", "ParameterSet",
-    "PromptTemplate", "SyntheticSpec", "Tape", "Tensor", "TextConfig",
-    "TextEncoder", "TokenProjector", "TokenizerVocab", "Tracklet",
-    "TrainConfig", "UsageError", "VerificationError", "VideoAttributeModel",
-    "VisionEncoder", "VitConfig", "VtfError", "apply_template",
-    "attribute_sentences", "backward", "bce_loss", "build_vocab", "classify",
-    "decide", "default_schema", "embed_attributes", "evaluate",
-    "finite_diff_grad", "generate", "group_metrics", "load_checkpoint",
-    "load_dataset", "load_schema", "macro_report", "no_grad",
-    "pad_to_square", "paper_scale_config", "save_checkpoint", "save_schema",
-    "split_expand", "temporal_average", "tokenize", "train",
+    "FusionConfig", "FusionStack", "GroupMetrics", "MetricReport",
+    "ModelConfig", "Parameter", "ParameterSet", "PromptTemplate",
+    "SyntheticSpec", "Tape", "Tensor", "TextConfig", "TextEncoder",
+    "TokenProjector", "TokenizerVocab", "Tracklet", "TrainConfig",
+    "UsageError", "VerificationError", "VideoAttributeModel", "VisionEncoder",
+    "VitConfig", "VtfError", "attribute_sentences", "backward", "bce_loss",
+    "build_vocab", "decide", "default_schema", "evaluate", "finite_diff_grad",
+    "generate", "group_metrics", "load_checkpoint", "load_dataset",
+    "load_schema", "macro_report", "no_grad", "pad_to_square",
+    "paper_scale_config", "save_checkpoint", "save_schema", "split_expand",
+    "tokenize", "train",
 ]

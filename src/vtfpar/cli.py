@@ -9,6 +9,7 @@ dump-prompts. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -20,7 +21,14 @@ from .model import (ModelConfig, VideoAttributeModel, checkpoint_uses_fusion,
                     load_model_config)
 from .schema import default_schema, load_schema
 from .text import PromptTemplate, split_expand
+from .tensor import ContractError, DimensionError
 from .train import TrainConfig, evaluate, train, write_log
+
+# Flag defaults come from the dataclasses and functions they feed.
+_SPEC = SyntheticSpec()
+_TRAIN = TrainConfig()
+_GRADCHECK = {name: p.default for name, p in
+              inspect.signature(gradcheck_mod.run_all).parameters.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,27 +46,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic tracklet dataset")
     p.add_argument("--out", default="data", help="output directory")
     p.add_argument("--schema", default=None, help="schema file (default: built-in)")
-    p.add_argument("--tracklets", type=int, default=700)
-    p.add_argument("--frames", type=int, default=6)
-    p.add_argument("--height", type=int, default=24)
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--occlusion", type=float, default=0.3)
-    p.add_argument("--split-fraction", type=float, default=5.0 / 7.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tracklets", type=int, default=_SPEC.n_tracklets)
+    p.add_argument("--frames", type=int, default=_SPEC.frames_per_tracklet)
+    p.add_argument("--height", type=int, default=_SPEC.height)
+    p.add_argument("--width", type=int, default=_SPEC.width)
+    p.add_argument("--noise", type=float, default=_SPEC.noise_sigma)
+    p.add_argument("--occlusion", type=float, default=_SPEC.occlusion_p)
+    p.add_argument("--split-fraction", type=float, default=_SPEC.split_fraction)
+    p.add_argument("--seed", type=int, default=_SPEC.seed)
 
     p = sub.add_parser("train", help="train a model")
     _add_model_flags(p)
     p.add_argument("--data", required=True, help="dataset manifest or its directory")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--frames", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=_TRAIN.epochs)
+    p.add_argument("--lr", type=float, default=_TRAIN.lr)
+    p.add_argument("--weight-decay", type=float, default=_TRAIN.weight_decay)
+    p.add_argument("--batch-size", type=int, default=_TRAIN.batch_size)
+    p.add_argument("--frames", type=int, default=_TRAIN.frames)
+    p.add_argument("--seed", type=int, default=_TRAIN.seed)
     p.add_argument("--no-freeze", action="store_true",
                    help="also train the encoder parameters")
-    p.add_argument("--save-every", type=int, default=0)
+    p.add_argument("--save-every", type=int, default=_TRAIN.save_every)
     p.add_argument("--checkpoint", default="model.ckpt")
     p.add_argument("--log", default="train_log.tsv")
 
@@ -67,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--frames", type=int, default=6)
+    p.add_argument("--frames", type=int, default=_TRAIN.frames)
     p.add_argument("--out", default=None, help="TSV report path (optional)")
 
     p = sub.add_parser("ablate-frames",
@@ -76,15 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--frames", default="1,2,4,6",
                    help="comma-separated frame counts")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=_TRAIN.epochs)
+    p.add_argument("--seed", type=int, default=_TRAIN.seed)
     p.add_argument("--out", default=None, help="summary TSV path (optional)")
 
     p = sub.add_parser("gradcheck",
                        help="verify every backward rule against finite differences")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--model-coords", type=int, default=520)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=_GRADCHECK["op_trials"])
+    p.add_argument("--model-coords", type=int, default=_GRADCHECK["model_coords"])
+    p.add_argument("--seed", type=int, default=_GRADCHECK["seed"])
 
     p = sub.add_parser("dump-prompts",
                        help="print raw -> phrase -> sentence for every class")
@@ -105,9 +113,17 @@ def _load_schema_arg(arg):
 
 
 def _model_config(args, use_fusion: bool = True) -> ModelConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_model_config(args.config, use_fusion=use_fusion)
     return ModelConfig(use_fusion=use_fusion)
+
+
+def _check_output_dirs(*paths) -> None:
+    """Fail before any work starts if an output file's directory is missing."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {parent}")
 
 
 def _find_manifest(data_arg: str) -> Path:
@@ -135,30 +151,17 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_once(dataset: Dataset, args, use_fusion: bool, frames: int,
-                epochs: int, checkpoint=None):
-    config = _model_config(args, use_fusion=use_fusion)
-    model = VideoAttributeModel(config, dataset.schema, seed=args.seed)
-    cfg = TrainConfig(
-        lr=getattr(args, "lr", 0.001),
-        weight_decay=getattr(args, "weight_decay", 1e-4),
-        epochs=epochs,
-        batch_size=getattr(args, "batch_size", 8),
-        seed=args.seed,
-        frames=frames,
-        freeze_encoders=not getattr(args, "no_freeze", False),
-        save_every=getattr(args, "save_every", 0),
-    )
-    logs = train(model, dataset.split("train"), dataset.split("test"), cfg,
-                 checkpoint_path=checkpoint)
-    return model, logs
-
-
 def cmd_train(args) -> int:
+    _check_output_dirs(args.checkpoint, args.log)
+    config = _model_config(args, use_fusion=not args.no_fusion)
+    cfg = TrainConfig(
+        lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
+        batch_size=args.batch_size, seed=args.seed, frames=args.frames,
+        freeze_encoders=not args.no_freeze, save_every=args.save_every)
     dataset = _load_data(args.data)
-    use_fusion = not args.no_fusion
-    model, logs = _train_once(dataset, args, use_fusion, args.frames,
-                              args.epochs, checkpoint=args.checkpoint)
+    model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
+    logs = train(model, dataset.split("train"), dataset.split("test"), cfg,
+                 checkpoint_path=args.checkpoint)
     write_log(logs, args.log)
     for row in logs:
         print(f"epoch {row.epoch}\tloss {row.mean_loss:.4f}\tf1 {row.heldout_f1:.4f}")
@@ -168,6 +171,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output_dirs(args.out)
     dataset = _load_data(args.data)
     use_fusion = checkpoint_uses_fusion(args.checkpoint)
     config = _model_config(args, use_fusion=use_fusion)
@@ -190,11 +194,14 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}") from None
     if not counts or any(c < 1 for c in counts):
         raise UsageError(f"bad --frames list {args.frames!r}")
+    _check_output_dirs(args.out)
+    config = _model_config(args, use_fusion=not args.no_fusion)
     dataset = _load_data(args.data)
-    use_fusion = not args.no_fusion
     lines = ["frames\tprecision\trecall\tf1"]
     for k in counts:
-        model, _ = _train_once(dataset, args, use_fusion, k, args.epochs)
+        model = VideoAttributeModel(config, dataset.schema, seed=args.seed)
+        train(model, dataset.split("train"), dataset.split("test"),
+              TrainConfig(epochs=args.epochs, seed=args.seed, frames=k))
         report = evaluate(model, dataset.split("test"), k)
         lines.append(f"{k}\t{report.macro_precision:.4f}"
                      f"\t{report.macro_recall:.4f}\t{report.macro_f1:.4f}")
@@ -252,6 +259,12 @@ def main(argv=None) -> int:
     except VerificationError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 3
+    except (ContractError, DimensionError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"I/O error: {e}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -1,7 +1,8 @@
 """Fusion of visual and text tokens, and per-attribute classification heads.
 
-The fused sequence is [visual tokens, text tokens]; after the fusion
-blocks, head m reads the enhanced text token m and produces one logit.
+The fused sequence is (batch, n_visual + n_text, dim), visual tokens
+first; after the fusion blocks, head m reads the enhanced text token m
+and produces one logit.
 The no-fusion ablation replaces the transformer stack with one shared
 linear layer applied to every token.
 """
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import DataError
 from .layers import Linear, TransformerBlock
 from .params import ParameterSet
-from .tensor import ContractError, Tensor, add, mul, reshape, slice_axis, tensor_sum
+from .tensor import ContractError, Tensor, add, mul, tensor_sum
 
 
 @dataclass(frozen=True)
@@ -31,18 +32,6 @@ class FusionConfig:
             raise ContractError(f"fusion dim {self.dim} not divisible by heads {self.heads}")
         if self.blocks < 0 or self.mlp_ratio < 1:
             raise ContractError(f"bad fusion config {self}")
-
-
-@dataclass
-class FusedSequence:
-    """Token matrix (..., n_visual + n_text, dim) with the visual/text boundary."""
-
-    tokens: Tensor
-    boundary: int
-
-    @property
-    def n_text(self) -> int:
-        return self.tokens.shape[-2] - self.boundary
 
 
 class FusionStack:
@@ -94,17 +83,3 @@ class ClassificationHeads:
                 "schema and model disagree")
         per_class = tensor_sum(mul(text_tokens, self.weight.tensor), axis=-1)
         return add(per_class, self.bias.tensor)
-
-
-def classify(fused: FusedSequence, heads: ClassificationHeads) -> Tensor:
-    """Logits from the enhanced text-token rows of a fused sequence."""
-    tokens = fused.tokens
-    squeeze = tokens.ndim == 2
-    if squeeze:
-        tokens = reshape(tokens, (1,) + tokens.shape)
-    n_total = tokens.shape[1]
-    text_rows = slice_axis(tokens, 1, fused.boundary, n_total)
-    logits = heads(text_rows)
-    if squeeze:
-        logits = reshape(logits, (heads.n_classes,))
-    return logits

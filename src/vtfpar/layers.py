@@ -1,7 +1,7 @@
 """Transformer building blocks shared by the vision, text and fusion stacks.
 
 All blocks are pre-norm residual: x + Attn(LN(x)), then + MLP(LN(.)).
-Inputs may be (n, dim) or batched (batch, n, dim).
+Inputs are batched: (batch, n, dim).
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .params import ParameterSet
-from .tensor import (Tensor, add, gelu, layer_norm, matmul, reshape, scale,
-                     softmax, transpose)
+from .tensor import (DimensionError, Tensor, add, gelu, layer_norm, matmul,
+                     reshape, scale, softmax, transpose)
 
 
 def _linear_params(params: ParameterSet, name: str, fan_in: int, fan_out: int,
@@ -59,9 +59,8 @@ class MultiHeadAttention:
         self.out = Linear(params, f"{prefix}.out", dim, dim, rng, dtype)
 
     def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = reshape(x, (1,) + x.shape)
+        if x.ndim != 3:
+            raise DimensionError(f"attention expects (batch, n, dim), got {x.shape}")
         b, n, d = x.shape
         h, hd = self.heads, self.head_dim
 
@@ -79,10 +78,7 @@ class MultiHeadAttention:
         if collect is not None:
             collect.append(probs.data)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
-        out = self.out(ctx)
-        if squeeze:
-            out = reshape(out, (n, d))
-        return out
+        return self.out(ctx)
 
 
 class FeedForward:

@@ -39,11 +39,10 @@ class MetricReport:
 
 
 def decide(logits: np.ndarray, schema: AttributeSchema) -> np.ndarray:
-    """Logits (c,) or (n, c) -> binary predictions of the same shape."""
+    """Logits (n, c) -> binary predictions of the same shape."""
     logits = np.asarray(logits)
-    squeeze = logits.ndim == 1
-    if squeeze:
-        logits = logits[None]
+    if logits.ndim != 2:
+        raise UsageError(f"decide: need (n, c) logits, got shape {logits.shape}")
     if logits.shape[1] != schema.n_classes:
         raise UsageError(
             f"decide: {logits.shape[1]} logits for {schema.n_classes} classes")
@@ -55,7 +54,7 @@ def decide(logits: np.ndarray, schema: AttributeSchema) -> np.ndarray:
             preds[np.arange(len(block)), start + winners] = 1
         else:
             preds[:, start:stop] = (block > 0).astype(np.int8)
-    return preds[0] if squeeze else preds
+    return preds
 
 
 def group_metrics(preds: np.ndarray, truths: np.ndarray) -> tuple[float, float, float]:

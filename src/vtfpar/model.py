@@ -1,26 +1,27 @@
 """End-to-end model: frozen-capable dual encoders, fusion stack, heads.
 
-The forward pipeline for one tracklet is
+The forward pipeline takes a batch of clips (batch, t, h, w, 3) in one
+tape pass:
 
     pad -> per-frame encode -> temporal average -> [F_v, F_t] ->
-    fusion blocks -> per-attribute heads -> logits
+    fusion blocks -> per-attribute heads -> logits (batch, n_classes)
 
-Batched variants process (batch, t, h, w, 3) clips in one tape pass.
+A single tracklet is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .fusion import (ClassificationHeads, FusedSequence, FusionConfig,
-                     FusionStack, TokenProjector, classify)
+from .fusion import ClassificationHeads, FusionConfig, FusionStack, TokenProjector
 from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from .schema import AttributeSchema
-from .tensor import Tensor, concat, expand_leading, reshape, tensor_mean
+from .tensor import (DimensionError, Tensor, concat, expand_leading, reshape,
+                     slice_axis, tensor_mean)
 from .text import TextConfig, TextEncoder, build_vocab, attribute_sentences, token_matrix
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
@@ -94,23 +95,12 @@ class VideoAttributeModel:
 
     # -- forward paths ------------------------------------------------------
 
-    def pad_clip(self, frames: np.ndarray) -> np.ndarray:
-        """Raw frames (t, h, w, 3) -> padded (t, s, s, 3) in model dtype."""
-        s = self.config.vit.image_size
-        frames = np.asarray(frames, dtype=self.dtype)
-        return np.stack([pad_to_square(f, s) for f in frames])
-
-    def visual_features(self, frames: np.ndarray) -> Tensor:
-        """One tracklet's raw frames (t, h, w, 3) -> averaged tokens (n_v, d)."""
-        tokens = self.vision.encode(self.pad_clip(frames))
-        return tensor_mean(tokens, axis=0)
-
     def visual_features_batch(self, clips: np.ndarray) -> Tensor:
-        """Clips (b, t, h, w, 3) -> averaged tokens (b, n_v, d)."""
+        """Raw clips (b, t, h, w, 3) -> time-averaged tokens (b, n_v, d)."""
         b, t = clips.shape[:2]
-        padded = np.stack([self.pad_clip(c) for c in clips])
         s = self.config.vit.image_size
-        tokens = self.vision.encode(padded.reshape(b * t, s, s, 3))
+        frames = np.asarray(clips, dtype=self.dtype).reshape((b * t,) + clips.shape[2:])
+        tokens = self.vision.encode(np.stack([pad_to_square(f, s) for f in frames]))
         tokens = reshape(tokens, (b, t) + tokens.shape[1:])
         return tensor_mean(tokens, axis=1)
 
@@ -120,25 +110,18 @@ class VideoAttributeModel:
 
     def fuse_classify(self, visual: Tensor, text: Tensor,
                       collect_attn: list | None = None) -> Tensor:
-        """visual (b, n_v, d) or (n_v, d) + text (m, d) -> logits (b, m) or (m,)."""
-        squeeze = visual.ndim == 2
-        if squeeze:
-            visual = reshape(visual, (1,) + visual.shape)
-        b = visual.shape[0]
-        text_b = expand_leading(text, b)
-        fused_tokens = concat([visual, text_b], axis=1)
-        fused_tokens = self.fusion(fused_tokens, collect_attn)
-        fused = FusedSequence(fused_tokens, self.n_visual_tokens)
-        logits = classify(fused, self.heads)
-        if squeeze:
-            logits = reshape(logits, (self.n_classes,))
-        return logits
-
-    def logits_for_clip(self, frames: np.ndarray) -> Tensor:
-        """Full pipeline for one tracklet's raw frames -> logits (n_classes,)."""
-        return self.fuse_classify(self.visual_features(frames), self.text_features())
+        """visual (b, n_v, d) + text (m, d) -> logits (b, m)."""
+        if visual.ndim != 3:
+            raise DimensionError(
+                f"fuse_classify expects visual tokens (b, n_v, d), got {visual.shape}")
+        b, n_v = visual.shape[:2]
+        m = text.shape[0]
+        tokens = self.fusion(concat([visual, expand_leading(text, b)], axis=1),
+                             collect_attn)
+        return self.heads(slice_axis(tokens, 1, n_v, n_v + m))
 
     def logits_batch(self, clips: np.ndarray) -> Tensor:
+        """Clips (b, t, h, w, 3) -> logits (b, n_classes)."""
         return self.fuse_classify(self.visual_features_batch(clips), self.text_features())
 
     # -- parameter policy ---------------------------------------------------
@@ -171,57 +154,45 @@ def checkpoint_uses_fusion(path) -> bool:
 # -- model config file ----------------------------------------------------
 
 
-def _parse_kv_sections(path) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line or current is None:
-            raise DataError(f"{path}:{lineno}: expected [section] or 'key = value'")
-        key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
-    return sections
+# [section] -> config class; every field is an int key except n_classes,
+# which is checked against the schema instead.
+_CONFIG_SECTIONS = {"vision": VitConfig, "text": TextConfig, "fusion": FusionConfig}
+
+
+def _config_keys(cls) -> set[str]:
+    return {f.name for f in fields(cls) if f.name != "n_classes"}
 
 
 def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
     """Read architecture settings from a sectioned key=value file.
 
-    Missing sections or keys fall back to the built-in desk-scale
-    defaults.
+    Missing sections or keys take the config dataclasses' defaults; the
+    text and fusion ``dim`` follow the vision ``dim`` when absent.
+    Unknown sections and keys are rejected.
     """
-    sections = _parse_kv_sections(path)
-
-    def get(section, key, default):
+    given: dict[str, dict[str, int]] = {name: {} for name in _CONFIG_SECTIONS}
+    section = None
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in given:
+                raise DataError(f"{where}: unknown section [{section}]")
+            continue
+        if "=" not in line or section is None:
+            raise DataError(f"{where}: expected [section] or 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _config_keys(_CONFIG_SECTIONS[section]):
+            raise DataError(f"{where}: unknown key {key!r} in [{section}]")
         try:
-            return type(default)(sections.get(section, {}).get(key, default))
+            given[section][key] = int(value)
         except ValueError:
-            raise DataError(f"{path}: bad value for {section}.{key}") from None
-
-    vit = VitConfig(
-        image_size=get("vision", "image_size", 32),
-        patch_size=get("vision", "patch_size", 8),
-        dim=get("vision", "dim", 64),
-        depth=get("vision", "depth", 2),
-        heads=get("vision", "heads", 4),
-        mlp_ratio=get("vision", "mlp_ratio", 4),
-    )
-    text = TextConfig(
-        dim=get("text", "dim", vit.dim),
-        blocks=get("text", "blocks", 2),
-        heads=get("text", "heads", 4),
-        max_len=get("text", "max_len", 16),
-        mlp_ratio=get("text", "mlp_ratio", 4),
-    )
-    fusion = FusionConfig(
-        dim=get("fusion", "dim", vit.dim),
-        heads=get("fusion", "heads", 4),
-        blocks=get("fusion", "blocks", 2),
-        mlp_ratio=get("fusion", "mlp_ratio", 4),
-    )
-    return ModelConfig(vit=vit, text=text, fusion=fusion, use_fusion=use_fusion)
+            raise DataError(f"{where}: bad value for {section}.{key}") from None
+    vit = VitConfig(**given["vision"])
+    given["text"].setdefault("dim", vit.dim)
+    given["fusion"].setdefault("dim", vit.dim)
+    return ModelConfig(vit=vit, text=TextConfig(**given["text"]),
+                       fusion=FusionConfig(**given["fusion"]), use_fusion=use_fusion)

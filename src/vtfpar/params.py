@@ -93,9 +93,6 @@ class ParameterSet:
     def trainable(self) -> list[Parameter]:
         return [p for p in self if p.trainable]
 
-    def frozen(self) -> list[Parameter]:
-        return [p for p in self if not p.trainable]
-
     def zero_grad(self) -> None:
         for p in self:
             p.tensor.zero_grad()

@@ -59,12 +59,8 @@ class PromptTemplate:
 
     def apply(self, phrase: str) -> str:
         if not phrase:
-            raise ContractError("apply_template: empty phrase")
+            raise ContractError("prompt template: empty phrase")
         return self.text.replace("{}", phrase, 1)
-
-
-def apply_template(phrase: str, template: PromptTemplate) -> str:
-    return template.apply(phrase)
 
 
 def attribute_sentences(schema: AttributeSchema) -> list[str]:
@@ -172,9 +168,3 @@ class TextEncoder:
         ends = np.argmax(ids == END_ID, axis=1)
         flat = reshape(x, (m * length, self.cfg.dim))
         return take_rows(flat, np.arange(m) * length + ends)
-
-
-def embed_attributes(encoder: TextEncoder, schema: AttributeSchema,
-                     vocab: TokenizerVocab) -> Tensor:
-    """Text tokens for all attribute classes, rows in schema order."""
-    return encoder.encode(token_matrix(schema, vocab))

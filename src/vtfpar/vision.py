@@ -1,5 +1,5 @@
-"""Vision side: square padding, patch embedding, ViT-style encoder,
-temporal averaging of per-frame tokens.
+"""Vision side: square padding, patch embedding and a ViT-style encoder
+over a batch of frames. The model averages the per-frame tokens over time.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 from .layers import TransformerBlock
 from .params import ParameterSet
 from .tensor import (ContractError, DimensionError, Tensor, add, concat,
-                     expand_leading, matmul, tensor_mean)
+                     expand_leading, matmul)
 
 
 @dataclass(frozen=True)
@@ -145,20 +145,3 @@ class VisionEncoder:
         for blk in self.blocks:
             x = blk(x)
         return x
-
-    def encode_frame(self, frame: np.ndarray) -> Tensor:
-        """Single padded frame (s, s, 3) -> tokens (n_tokens, dim)."""
-        out = self.encode(frame[None])
-        from .tensor import reshape
-        return reshape(out, out.shape[1:])
-
-
-def temporal_average(per_frame: Tensor) -> Tensor:
-    """Mean over the leading frame axis: (t, n, d) -> (n, d).
-
-    Summation order is the fixed sequential order of the input, so any
-    frame permutation changes the result only at float rounding level.
-    """
-    if per_frame.ndim < 2 or per_frame.shape[0] < 1:
-        raise ContractError(f"temporal_average needs (t, ...), got {per_frame.shape}")
-    return tensor_mean(per_frame, axis=0)

@@ -161,8 +161,8 @@ def test_criterion_05_temporal_invariance(capsys):
     with no_grad():
         for _ in range(100):
             frames = rng.random((6, 12, 9, 3)).astype(np.float32)
-            base = model.logits_for_clip(frames).data
-            shuffled = model.logits_for_clip(frames[rng.permutation(6)]).data
+            base = model.logits_batch(frames[None]).data
+            shuffled = model.logits_batch(frames[rng.permutation(6)][None]).data
             worst = max(worst, float(np.abs(shuffled - base).max()))
     with capsys.disabled():
         report(5, "temporal invariance", worst < 1e-5,
@@ -249,11 +249,12 @@ def test_criterion_11_paper_scale_shapes(capsys):
     model = VideoAttributeModel(config, schema, seed=0)
     rng = np.random.default_rng(11)
     with no_grad():
-        tokens = model.visual_features(rng.random((1, 112, 56, 3)).astype(np.float32))
-        logits = model.logits_for_clip(rng.random((1, 112, 56, 3)).astype(np.float32))
+        tokens = model.visual_features_batch(
+            rng.random((1, 1, 112, 56, 3)).astype(np.float32))
+        logits = model.logits_batch(rng.random((1, 1, 112, 56, 3)).astype(np.float32))
     elapsed = time.monotonic() - start
-    ok = (config.vit.n_tokens == 197 and tokens.shape == (197, 512)
-          and logits.shape == (43,) and np.isfinite(logits.data).all())
+    ok = (config.vit.n_tokens == 197 and tokens.shape == (1, 197, 512)
+          and logits.shape == (1, 43) and np.isfinite(logits.data).all())
     with capsys.disabled():
         report(11, "full-scale shape contract", ok,
                f"tokens {tokens.shape}, logits {logits.shape}, {elapsed:.1f}s")

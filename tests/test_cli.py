@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
-from vtfpar.cli import main
+from vtfpar.cli import build_parser, main
+from vtfpar.data import SyntheticSpec
 from vtfpar.params import read_checkpoint_arrays
 from vtfpar.schema import default_schema, save_schema
 from tests.test_data import small_schema
@@ -54,6 +56,39 @@ def test_gen_data_seed_repeat_identical(tmp_path):
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "absent")])
     assert rc == 2
+
+
+def test_gen_data_defaults_follow_synthetic_spec():
+    args = build_parser().parse_args(["gen-data"])
+    spec = SyntheticSpec()
+    assert (args.tracklets, args.height, args.width) == (
+        spec.n_tracklets, spec.height, spec.width)
+
+
+def test_train_bad_config_exits_1(tiny_dataset, tmp_path, capsys):
+    config = tmp_path / "model.txt"
+    config.write_text("[vision]\nheads = 5\n", encoding="utf-8")
+    rc = main(["train", "--data", str(tiny_dataset), "--config", str(config),
+               "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--log", str(tmp_path / "l.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
+def test_train_missing_output_dir_exits_2_before_training(
+        flag, tiny_dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "train",
+                        lambda *a, **k: pytest.fail("training ran"))
+    paths = {"--checkpoint": str(tmp_path / "m.ckpt"),
+             "--log": str(tmp_path / "l.tsv")}
+    paths[flag] = str(tmp_path / "nodir" / "out")
+    rc = main(["train", "--data", str(tiny_dataset), "--epochs", "1",
+               "--checkpoint", paths["--checkpoint"], "--log", paths["--log"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "nodir" in err and err.count("\n") == 1
 
 
 def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Gradient-check harness: coverage, thresholds, self-test via a
 deliberately corrupted backward rule."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import vtfpar.tensor as tensor_mod
-from vtfpar.gradcheck import check_model, check_op, op_case_names, run_all
+from vtfpar.gradcheck import check_model, check_op, run_all
 from vtfpar.tensor import OP_KINDS
 
 
 def test_every_op_kind_has_a_case():
-    assert set(op_case_names()) == set(OP_KINDS)
     # each case must actually build and run
     for name in OP_KINDS:
         result = check_op(name, trials=1, seed=1)
@@ -42,3 +46,19 @@ def test_run_all_reports_every_kind_plus_model():
     assert names == list(OP_KINDS) + ["full_model"]
     assert report.passed
     assert report.elapsed_s > 0
+
+
+def test_check_op_same_in_every_process():
+    # string hashing changes with PYTHONHASHSEED; the op seeds must not
+    code = "from vtfpar.gradcheck import check_op; print(check_op('mul', trials=2))"
+    path = [str(Path(tensor_mod.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert "CheckResult(name='mul'" in outs[0]

@@ -53,16 +53,16 @@ class TestDecide:
         ))
 
     def test_binary_zero_logit_is_negative(self):
-        preds = decide(np.array([0.0, 1.0, -1.0, 0.0]), self._schema())
-        assert preds[3] == 0
+        preds = decide(np.array([[0.0, 1.0, -1.0, 0.0]]), self._schema())
+        assert preds[0, 3] == 0
 
     def test_exclusive_tie_breaks_to_lowest_index(self):
-        preds = decide(np.array([1.0, 1.0, 0.0, 1.0]), self._schema())
-        npt.assert_array_equal(preds[:3], [1, 0, 0])
+        preds = decide(np.array([[1.0, 1.0, 0.0, 1.0]]), self._schema())
+        npt.assert_array_equal(preds[0, :3], [1, 0, 0])
 
     def test_exclusive_argmax(self):
-        preds = decide(np.array([-5.0, 2.0, 1.0, -1.0]), self._schema())
-        npt.assert_array_equal(preds[:3], [0, 1, 0])
+        preds = decide(np.array([[-5.0, 2.0, 1.0, -1.0]]), self._schema())
+        npt.assert_array_equal(preds[0, :3], [0, 1, 0])
 
     def test_batched(self):
         logits = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 2.0, -1.0]])
@@ -71,7 +71,7 @@ class TestDecide:
 
     def test_wrong_width_rejected(self):
         with pytest.raises(UsageError):
-            decide(np.zeros(3), self._schema())
+            decide(np.zeros((1, 3)), self._schema())
 
 
 class TestGroupMetrics:

@@ -42,7 +42,7 @@ def test_parameter_names_unique_and_partitioned():
     names = model.params.names()
     assert len(names) == len(set(names))
     model.set_freeze(True)
-    frozen = {p.name for p in model.params.frozen()}
+    frozen = {p.name for p in model.params if not p.trainable}
     assert all(n.startswith(("vision.", "text.")) for n in frozen)
     trainable = {p.name for p in model.params.trainable()}
     assert all(n.startswith(("fusion.", "heads.")) for n in trainable)
@@ -58,8 +58,8 @@ def test_save_load_roundtrip(tmp_path):
         npt.assert_array_equal(other.params[p.name].data, p.data)
     rng = np.random.default_rng(0)
     clip = rng.random((2, 12, 9, 3)).astype(np.float32)
-    npt.assert_array_equal(model.logits_for_clip(clip).data,
-                           other.logits_for_clip(clip).data)
+    npt.assert_array_equal(model.logits_batch(clip[None]).data,
+                           other.logits_batch(clip[None]).data)
 
 
 def test_checkpoint_variant_detection(tmp_path):
@@ -97,6 +97,20 @@ class TestModelConfigFile:
         config = load_model_config(path)
         assert config.vit.dim == 64
         assert config.fusion.dim == 64
+
+    def test_partial_file_takes_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("[vision]\nheads = 4\n", encoding="utf-8")
+        assert load_model_config(path) == ModelConfig()
+
+    def test_unknown_section_and_key_reported_with_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("[vision]\ndim = 32\n[decoder]\n", encoding="utf-8")
+        with pytest.raises(DataError, match="model.txt:3"):
+            load_model_config(path)
+        path.write_text("[fusion]\n\nwidth = 4\n", encoding="utf-8")
+        with pytest.raises(DataError, match="model.txt:3"):
+            load_model_config(path)
 
     def test_bad_value_reported(self, tmp_path):
         path = tmp_path / "model.txt"

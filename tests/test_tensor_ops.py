@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.tensor import (DimensionError, Tensor, concat,
+from vtfpar.tensor import (DimensionError, Tensor, add, concat,
                            expand_leading, gelu, layer_norm, matmul, mul,
                            sigmoid, slice_axis, softmax, softplus, stack,
                            take_rows, tensor_mean, tensor_sum, transpose)
@@ -119,8 +119,8 @@ class TestElementwiseAndShapeFamily:
     def test_add_suffix_broadcast_only(self):
         a = Tensor(np.ones((2, 3)))
         with pytest.raises(DimensionError):
-            a + Tensor(np.ones((2, 1)))  # inner size-1 broadcast is rejected
-        out = a + Tensor(np.ones(3))
+            add(a, Tensor(np.ones((2, 1))))  # inner size-1 broadcast is rejected
+        out = add(a, Tensor(np.ones(3)))
         npt.assert_array_equal(out.data, np.full((2, 3), 2.0))
 
     def test_mul_suffix_broadcast(self):

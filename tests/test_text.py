@@ -8,9 +8,8 @@ from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
 from vtfpar.tensor import ContractError
 from vtfpar.text import (END_ID, PAD_ID, START_ID, UNK_ID, PromptTemplate,
-                         TextConfig, TextEncoder, apply_template,
-                         attribute_sentences, build_vocab, split_expand,
-                         token_matrix, tokenize)
+                         TextConfig, TextEncoder, attribute_sentences,
+                         build_vocab, split_expand, token_matrix, tokenize)
 
 
 class TestSplitExpand:
@@ -58,7 +57,7 @@ class TestSplitExpand:
 class TestPromptTemplate:
     def test_paper_sentence_shape(self):
         tpl = PromptTemplate("the pedestrian has an attribute {}")
-        assert (apply_template("age less than 40", tpl)
+        assert (tpl.apply("age less than 40")
                 == "the pedestrian has an attribute age less than 40")
 
     def test_simple_application(self):

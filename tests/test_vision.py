@@ -1,13 +1,13 @@
-"""Padding, patch embedding, and temporal averaging."""
+"""Padding, patch embedding, the vision encoder and the time average."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from vtfpar.params import ParameterSet
-from vtfpar.tensor import ContractError, Tensor
+from vtfpar.tensor import ContractError, Tensor, tensor_mean
 from vtfpar.vision import (VisionEncoder, VitConfig, bilinear_resize,
-                           pad_to_square, patchify, temporal_average)
+                           pad_to_square, patchify)
 
 
 class TestPadToSquare:
@@ -93,8 +93,8 @@ class TestVisionEncoder:
         cfg = VitConfig(image_size=32, patch_size=8, dim=64, depth=2, heads=4)
         assert cfg.n_tokens == 17
         enc = self._encoder(cfg)
-        out = enc.encode_frame(np.zeros((32, 32, 3), dtype=np.float32))
-        assert out.shape == (17, 64)
+        out = enc.encode(np.zeros((1, 32, 32, 3), dtype=np.float32))
+        assert out.shape == (1, 17, 64)
 
     def test_identical_frames_identical_outputs(self):
         cfg = VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2)
@@ -107,8 +107,8 @@ class TestVisionEncoder:
     def test_output_depends_only_on_parameters_for_zero_frames(self):
         cfg = VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2)
         enc = self._encoder(cfg)
-        a = enc.encode_frame(np.zeros((16, 16, 3), dtype=np.float32)).data
-        b = enc.encode_frame(np.zeros((16, 16, 3), dtype=np.float32)).data
+        a = enc.encode(np.zeros((1, 16, 16, 3), dtype=np.float32)).data
+        b = enc.encode(np.zeros((1, 16, 16, 3), dtype=np.float32)).data
         npt.assert_array_equal(a, b)
 
     def test_config_validation(self):
@@ -119,19 +119,21 @@ class TestVisionEncoder:
 
 
 class TestTemporalAverage:
+    """The model's time average: mean over the frame axis of (b, t, n, d)."""
+
     def test_single_frame_identity(self):
-        x = Tensor(np.random.default_rng(5).random((1, 4, 3)).astype(np.float32))
-        npt.assert_array_equal(temporal_average(x).data, x.data[0])
+        x = Tensor(np.random.default_rng(5).random((1, 1, 4, 3)).astype(np.float32))
+        npt.assert_array_equal(tensor_mean(x, axis=1).data, x.data[:, 0])
 
     def test_two_frame_mean(self):
-        x = Tensor(np.stack([np.zeros((3, 2)), np.full((3, 2), 2.0)]))
-        npt.assert_array_equal(temporal_average(x).data, np.ones((3, 2)))
+        x = Tensor(np.stack([np.zeros((3, 2)), np.full((3, 2), 2.0)])[None])
+        npt.assert_array_equal(tensor_mean(x, axis=1).data, np.ones((1, 3, 2)))
 
     def test_permutation_invariance_within_tolerance(self):
         rng = np.random.default_rng(6)
-        frames = rng.random((6, 5, 4)).astype(np.float32)
-        base = temporal_average(Tensor(frames)).data
+        frames = rng.random((1, 6, 5, 4)).astype(np.float32)
+        base = tensor_mean(Tensor(frames), axis=1).data
         for _ in range(10):
             perm = rng.permutation(6)
-            shuffled = temporal_average(Tensor(frames[perm])).data
+            shuffled = tensor_mean(Tensor(frames[:, perm]), axis=1).data
             assert np.abs(shuffled - base).max() < 1e-6
