@@ -126,17 +126,10 @@ def _check_output_dirs(*paths) -> None:
             raise FileNotFoundError(f"output directory does not exist: {parent}")
 
 
-def _find_manifest(data_arg: str) -> Path:
-    path = Path(data_arg)
-    if path.is_dir():
-        path = path / "manifest.txt"
-    if not path.exists():
-        raise DataError(f"dataset manifest not found: {path}")
-    return path
-
-
 def _load_data(data_arg: str) -> Dataset:
-    return load_dataset(_find_manifest(data_arg))
+    """``--data`` is a manifest or the directory holding ``manifest.txt``."""
+    path = Path(data_arg)
+    return load_dataset(path / "manifest.txt" if path.is_dir() else path)
 
 
 def cmd_gen_data(args) -> int:
@@ -200,7 +193,7 @@ def cmd_ablate_frames(args) -> int:
     lines = ["frames\tprecision\trecall\tf1"]
     for k in counts:
         model = VideoAttributeModel(config, dataset.schema, seed=args.seed)
-        train(model, dataset.split("train"), dataset.split("test"),
+        train(model, dataset.split("train"), [],
               TrainConfig(epochs=args.epochs, seed=args.seed, frames=k))
         report = evaluate(model, dataset.split("test"), k)
         lines.append(f"{k}\t{report.macro_precision:.4f}"

@@ -5,7 +5,9 @@ row-major RGB float32 LE pixels in [0, 1].
 
 Dataset layout: ``<root>/<split>/<tracklet_id>/`` holding numbered frame
 files plus one ``labels.txt`` record; ``<root>/manifest.txt`` lists the
-schema file and every tracklet per split.
+schema file and every tracklet per split. Label records and manifests use
+the shared ``key = value`` line format of ``vtfpar.kvfile`` (grammar in
+the README's "File formats").
 
 The generator plants one fixed low-frequency spatial prototype per
 attribute class: a frame is the sum of its tracklet's active prototypes
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
+from .kvfile import keyed, read_sections
 from .parallel import map_indexed
 from .schema import AttributeSchema, load_schema, save_schema
 from .vision import bilinear_resize
@@ -129,32 +132,23 @@ def validate_labels(labels: np.ndarray, schema: AttributeSchema, where: str) -> 
 
 
 def read_labels(path, schema: AttributeSchema) -> tuple[str, np.ndarray]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read labels {path}: {e}") from None
-    tracklet_id = None
-    labels = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("group "):
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "tracklet":
-            tracklet_id = value
-        elif key == "labels":
-            try:
-                labels = np.array([int(v) for v in value.split()], dtype=np.int8)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer label value") from None
-        else:
+    preamble, *sections = read_sections(path, "labels")
+    if sections:
+        raise DataError(f"{path}:{sections[0].lineno}: unexpected section header")
+    entries = keyed(preamble, path)
+    for key, (lineno, _) in entries.items():
+        # ``group NAME = ...`` lines are a human-readable echo of the labels
+        if key not in ("tracklet", "labels") and not key.startswith("group "):
             raise DataError(f"{path}:{lineno}: unexpected key {key!r}")
-    if tracklet_id is None or labels is None:
+    if "tracklet" not in entries or "labels" not in entries:
         raise DataError(f"{path}: missing tracklet id or labels line")
+    lineno, value = entries["labels"]
+    try:
+        labels = np.array([int(v) for v in value.split()], dtype=np.int8)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-integer label value") from None
     validate_labels(labels, schema, str(path))
-    return tracklet_id, labels
+    return entries["tracklet"][1], labels
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -298,10 +292,7 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
 def _load_tracklet(tdir: Path, schema: AttributeSchema) -> Tracklet:
     if not tdir.is_dir():
         raise DataError(f"missing tracklet directory {tdir}")
-    labels_path = tdir / "labels.txt"
-    if not labels_path.exists():
-        raise DataError(f"missing labels file {labels_path}")
-    tracklet_id, labels = read_labels(labels_path, schema)
+    tracklet_id, labels = read_labels(tdir / "labels.txt", schema)
     frame_paths = sorted(tdir.glob("*.vtf"))
     if not frame_paths:
         raise DataError(f"tracklet {tdir} has no frame files")
@@ -315,38 +306,33 @@ def _load_tracklet(tdir: Path, schema: AttributeSchema) -> Tracklet:
 def load_dataset(manifest_path) -> Dataset:
     """Parse a manifest and load every tracklet, validating all invariants."""
     manifest_path = Path(manifest_path)
-    try:
-        text = manifest_path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read manifest {manifest_path}: {e}") from None
     root = manifest_path.parent
-    schema: AttributeSchema | None = None
-    splits: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            parts = line[1:-1].split()
-            if len(parts) != 2 or parts[0] != "split":
-                raise DataError(
-                    f"{manifest_path}:{lineno}: expected [split NAME], got {line!r}")
-            current = splits.setdefault(parts[1], [])
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "schema":
-            schema = load_schema(root / value)
-        elif key == "tracklet":
-            if current is None:
-                raise DataError(
-                    f"{manifest_path}:{lineno}: tracklet entry before any [split]")
-            current.append(value)
-        else:
-            raise DataError(f"{manifest_path}:{lineno}: unexpected key {key!r}")
-    if schema is None:
+    preamble, *sections = read_sections(manifest_path, "manifest")
+    entries = keyed(preamble, manifest_path)
+    for key, (lineno, _) in entries.items():
+        if key != "schema":
+            raise DataError(
+                f"{manifest_path}:{lineno}: unexpected key {key!r} before any [split]")
+    if "schema" not in entries:
         raise DataError(f"{manifest_path}: no schema entry")
+    schema = load_schema(root / entries["schema"][1])
+    splits: dict[str, list[str]] = {}
+    listed: dict[Path, int] = {}  # tracklet path -> its manifest line
+    for section in sections:
+        if len(section.header) != 2 or section.header[0] != "split":
+            raise DataError(f"{manifest_path}:{section.lineno}: expected [split NAME], "
+                            f"got [{' '.join(section.header)}]")
+        rels = splits.setdefault(section.header[1], [])
+        for lineno, key, value in section.entries:
+            where = f"{manifest_path}:{lineno}"
+            if key != "tracklet":
+                raise DataError(f"{where}: unexpected key {key!r}")
+            # a repeat would train on a tracklet twice or leak test data into training
+            if Path(value) in listed:
+                raise DataError(f"{where}: tracklet {value} is already listed "
+                                f"on line {listed[Path(value)]}")
+            listed[Path(value)] = lineno
+            rels.append(value)
     if not splits:
         raise DataError(f"{manifest_path}: no splits declared")
 

@@ -19,9 +19,9 @@ from .fusion import FusionConfig
 from .model import ModelConfig, VideoAttributeModel
 from .schema import AttributeGroup, AttributeSchema
 from .tensor import (OP_KINDS, Tape, Tensor, backward, concat, expand_leading,
-                     gelu, layer_norm, matmul, add, mul, no_grad, scale,
-                     sigmoid, slice_axis, softmax, softplus, stack, take_rows,
-                     tensor_mean, tensor_sum, transpose, reshape)
+                     finite_diff_grad, gelu, layer_norm, matmul, add, mul,
+                     no_grad, scale, sigmoid, slice_axis, softmax, softplus,
+                     stack, take_rows, tensor_mean, tensor_sum, transpose, reshape)
 from .text import TextConfig
 from .train import bce_loss
 from .vision import VitConfig
@@ -144,23 +144,13 @@ def check_op(name: str, trials: int = 100, seed: int = 0,
             loss = forward(*inputs)
             backward(loss)
         for pos, inp in enumerate(inputs):
-            analytic = inp.grad
-            flat = inp.data.reshape(-1)
-            for i in range(flat.size):
-                bump = np.zeros_like(flat)
-                bump[i] = delta
-                bumped = bump.reshape(inp.data.shape)
+            def at(x, pos=pos):
+                return forward(*inputs[:pos], x, *inputs[pos + 1:])
 
-                def eval_at(values):
-                    args = list(inputs)
-                    args[pos] = Tensor(values)
-                    with no_grad():
-                        return forward(*args).item()
-
-                numeric = (eval_at(inp.data + bumped)
-                           - eval_at(inp.data - bumped)) / (2 * delta)
-                worst = max(worst, _rel_err(float(analytic.reshape(-1)[i]), numeric))
-                checked += 1
+            numeric = finite_diff_grad(at, inp, delta).data.reshape(-1)
+            for a, n in zip(inp.grad.reshape(-1), numeric):
+                worst = max(worst, _rel_err(float(a), float(n)))
+            checked += numeric.size
     return CheckResult(name, worst, checked, worst < rtol)
 
 

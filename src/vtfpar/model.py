@@ -12,12 +12,12 @@ A single tracklet is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .fusion import ClassificationHeads, FusionConfig, FusionStack, TokenProjector
+from .kvfile import keyed, read_sections
 from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from .schema import AttributeSchema
 from .tensor import (DimensionError, Tensor, concat, expand_leading, reshape,
@@ -164,35 +164,33 @@ def _config_keys(cls) -> set[str]:
 
 
 def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
-    """Read architecture settings from a sectioned key=value file.
+    """Read architecture settings from ``[vision]``/``[text]``/``[fusion]``
+    sections of integer ``key = value`` entries (``vtfpar.kvfile``).
 
     Missing sections or keys take the config dataclasses' defaults; the
     text and fusion ``dim`` follow the vision ``dim`` when absent.
     Unknown sections and keys are rejected.
     """
-    given: dict[str, dict[str, int]] = {name: {} for name in _CONFIG_SECTIONS}
-    section = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{path}:{lineno}"
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in given:
-                raise DataError(f"{where}: unknown section [{section}]")
-            continue
-        if "=" not in line or section is None:
-            raise DataError(f"{where}: expected [section] or 'key = value'")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _config_keys(_CONFIG_SECTIONS[section]):
-            raise DataError(f"{where}: unknown key {key!r} in [{section}]")
-        try:
-            given[section][key] = int(value)
-        except ValueError:
-            raise DataError(f"{where}: bad value for {section}.{key}") from None
-    vit = VitConfig(**given["vision"])
-    given["text"].setdefault("dim", vit.dim)
-    given["fusion"].setdefault("dim", vit.dim)
-    return ModelConfig(vit=vit, text=TextConfig(**given["text"]),
-                       fusion=FusionConfig(**given["fusion"]), use_fusion=use_fusion)
+    preamble, *sections = read_sections(path, "model config")
+    if preamble.entries:
+        raise DataError(f"{path}:{preamble.entries[0][0]}: 'key = value' before any [section]")
+    given: dict[str, dict[str, int]] = {}
+    for section in sections:
+        name = " ".join(section.header)
+        if name not in _CONFIG_SECTIONS:
+            raise DataError(f"{path}:{section.lineno}: unknown section [{name}]")
+        if name in given:
+            raise DataError(f"{path}:{section.lineno}: duplicate section [{name}]")
+        values = given[name] = {}
+        for key, (lineno, value) in keyed(section, path).items():
+            where = f"{path}:{lineno}"
+            if key not in _config_keys(_CONFIG_SECTIONS[name]):
+                raise DataError(f"{where}: unknown key {key!r} in [{name}]")
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise DataError(f"{where}: bad value for {name}.{key}") from None
+    vit = VitConfig(**given.get("vision", {}))
+    text = TextConfig(**{"dim": vit.dim, **given.get("text", {})})
+    fusion = FusionConfig(**{"dim": vit.dim, **given.get("fusion", {})})
+    return ModelConfig(vit=vit, text=text, fusion=fusion, use_fusion=use_fusion)

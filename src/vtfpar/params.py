@@ -102,9 +102,6 @@ class ParameterSet:
             if p.name.startswith(prefix):
                 p.trainable = flag
 
-    def n_values(self) -> int:
-        return sum(p.tensor.size for p in self)
-
 
 def save_checkpoint(params: ParameterSet, path) -> None:
     """Write all parameters in sorted-name order with a trailing CRC32."""

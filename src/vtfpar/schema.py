@@ -1,7 +1,8 @@
 """Attribute schema: named groups partitioning the attribute classes.
 
-Schema files are a small line-oriented text format so that validation
-errors can point at an exact line:
+Schema files use the shared ``key = value`` line format of
+``vtfpar.kvfile`` (grammar in the README's "File formats"), so that
+validation errors can point at an exact line:
 
     template = the pedestrian has an attribute {}
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
+from .kvfile import keyed, read_sections
 
 GROUP_KINDS = ("exclusive", "binary")
 DEFAULT_TEMPLATE = "the pedestrian has an attribute {}"
@@ -77,10 +79,6 @@ class AttributeSchema:
     @property
     def n_classes(self) -> int:
         return sum(g.size for g in self.groups)
-
-    @property
-    def class_names(self) -> list[str]:
-        return [f"{g.name}.{c}" for g in self.groups for c in g.classes]
 
     @property
     def raw_strings(self) -> list[str]:
@@ -142,72 +140,38 @@ def save_schema(schema: AttributeSchema, path) -> None:
 
 
 def load_schema(path) -> AttributeSchema:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise SchemaError(f"cannot read schema {path}: {e}") from None
+    preamble, *sections = read_sections(path, "schema", SchemaError)
+    template, template_line = DEFAULT_TEMPLATE, None
+    for key, (lineno, value) in keyed(preamble, path, SchemaError).items():
+        if key != "template":
+            _fail(path, lineno, f"unexpected key {key!r} before first group")
+        if value.count("{}") != 1:
+            _fail(path, lineno, "template must contain exactly one {} placeholder")
+        template, template_line = value, lineno
 
-    template: str | None = None
-    template_line = 0
     groups: list[AttributeGroup] = []
-    current: tuple[str, str, int] | None = None  # (name, kind, lineno)
-    classes: list[str] = []
-    raws: list[str] = []
-    seen_groups: set[str] = set()
-
-    def close_group():
-        nonlocal current, classes, raws
-        if current is None:
-            return
-        name, kind, lineno = current
+    for section in sections:
+        if len(section.header) != 3 or section.header[0] != "group":
+            _fail(path, section.lineno, f"bad section header [{' '.join(section.header)}], "
+                  "expected [group NAME KIND]")
+        _, name, kind = section.header
+        if kind not in GROUP_KINDS:
+            _fail(path, section.lineno, f"unknown group kind {kind!r}")
+        if any(g.name == name for g in groups):
+            _fail(path, section.lineno, f"duplicate group name {name!r}")
+        classes = keyed(section, path, SchemaError)
+        for cls, (lineno, raw) in classes.items():
+            if not raw:
+                _fail(path, lineno, f"class {cls!r} has an empty raw attribute string")
         try:
-            groups.append(AttributeGroup(name, kind, tuple(classes), tuple(raws)))
+            groups.append(AttributeGroup(name, kind, tuple(classes),
+                                         tuple(raw for _, raw in classes.values())))
         except SchemaError as e:
-            _fail(path, lineno, str(e))
-        current, classes, raws = None, [], []
-
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            close_group()
-            parts = line[1:-1].split()
-            if len(parts) != 3 or parts[0] != "group":
-                _fail(path, lineno, f"bad section header {line!r}, expected [group NAME KIND]")
-            _, name, kind = parts
-            if kind not in GROUP_KINDS:
-                _fail(path, lineno, f"unknown group kind {kind!r}")
-            if name in seen_groups:
-                _fail(path, lineno, f"duplicate group name {name!r}")
-            seen_groups.add(name)
-            current = (name, kind, lineno)
-            continue
-        if "=" not in line:
-            _fail(path, lineno, f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if current is None:
-            if key != "template":
-                _fail(path, lineno, f"unexpected key {key!r} before first group")
-            if template is not None:
-                _fail(path, lineno, "duplicate template")
-            if value.count("{}") != 1:
-                _fail(path, lineno, "template must contain exactly one {} placeholder")
-            template, template_line = value, lineno
-            continue
-        if key in classes:
-            _fail(path, lineno, f"duplicate class {key!r} in group {current[0]}")
-        if not value:
-            _fail(path, lineno, f"class {key!r} has an empty raw attribute string")
-        classes.append(key)
-        raws.append(value)
-    close_group()
+            _fail(path, section.lineno, str(e))
 
     if not groups:
         _fail(path, None, "schema defines no groups")
     try:
-        return AttributeSchema(tuple(groups), template or DEFAULT_TEMPLATE)
+        return AttributeSchema(tuple(groups), template)
     except SchemaError as e:
-        _fail(path, template_line or None, str(e))
+        _fail(path, template_line, str(e))

@@ -1,15 +1,22 @@
 """CLI behaviour: exit codes, output formats, end-to-end subcommands."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
-from vtfpar.data import SyntheticSpec
+from vtfpar.data import SyntheticSpec, load_dataset
+from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import read_checkpoint_arrays
 from vtfpar.schema import default_schema, save_schema
+from vtfpar.train import TrainConfig, evaluate, train
 from tests.test_data import small_schema
+
+# the package's ``train`` attribute is the function, not the module
+train_mod = importlib.import_module("vtfpar.train")
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +175,33 @@ def test_ablate_frames_rows(tiny_dataset, tmp_path, capsys):
     assert lines[0] == "frames\tprecision\trecall\tf1"
     assert len(lines) == 3
     assert lines[1].startswith("1\t") and lines[2].startswith("2\t")
+
+
+def test_ablate_frames_evaluates_once_per_frame_count(tiny_dataset, monkeypatch, capsys):
+    # the table that training with per-epoch held-out evaluation gives
+    dataset = load_dataset(tiny_dataset / "manifest.txt")
+    seed = TrainConfig().seed
+    expected = ["frames\tprecision\trecall\tf1"]
+    for k in (1, 2):
+        model = VideoAttributeModel(ModelConfig(), dataset.schema, seed=seed)
+        train(model, dataset.split("train"), dataset.split("test"),
+              TrainConfig(epochs=2, seed=seed, frames=k))
+        r = evaluate(model, dataset.split("test"), k)
+        expected.append(f"{k}\t{r.macro_precision:.4f}\t{r.macro_recall:.4f}\t{r.macro_f1:.4f}")
+
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "evaluate", counted)
+    monkeypatch.setattr(train_mod, "evaluate", counted)
+    capsys.readouterr()
+    assert main(["ablate-frames", "--data", str(tiny_dataset), "--frames", "1,2",
+                 "--epochs", "2"]) == 0
+    assert passes == [1, 2]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_ablate_frames_bad_list(tiny_dataset):

@@ -232,6 +232,16 @@ class TestGenerateLoad:
         with pytest.raises(DataError, match="missing"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_tracklet_listed_twice_rejected(self, tmp_path, split):
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        lines = manifest.read_text().splitlines()
+        first = lines.index("tracklet = train/t00000") + 1
+        with manifest.open("a") as f:
+            f.write(f"[split {split}]\ntracklet = ./train//t00000\n")
+        with pytest.raises(DataError, match=rf"manifest\.txt:{len(lines) + 2}: .*line {first}"):
+            load_dataset(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "manifest.txt")
