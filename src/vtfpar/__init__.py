@@ -5,7 +5,7 @@ evaluation harnesses.
 """
 
 from .errors import DataError, UsageError, VerificationError, VtfError
-from .fusion import ClassificationHeads, FusionConfig, FusionStack, TokenProjector
+from .fusion import ClassificationHeads, FusionConfig, TokenProjector
 from .metrics import (GroupMetrics, MetricReport, decide, group_metrics,
                       macro_report)
 from .model import ModelConfig, VideoAttributeModel, paper_scale_config
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "AttributeGroup", "AttributeSchema", "ClassificationHeads",
     "ContractError", "DataError", "Dataset", "DimensionError", "EpochLog",
-    "FusionConfig", "FusionStack", "GroupMetrics", "MetricReport",
+    "FusionConfig", "GroupMetrics", "MetricReport",
     "ModelConfig", "Parameter", "ParameterSet", "PromptTemplate",
     "SyntheticSpec", "Tape", "Tensor", "TextConfig", "TextEncoder",
     "TokenProjector", "TokenizerVocab", "Tracklet", "TrainConfig",

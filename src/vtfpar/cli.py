@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_model_flags(p, allow_no_fusion: bool = True) -> None:
-    p.add_argument("--schema", default=None, help="schema file (default: built-in)")
     p.add_argument("--config", default=None, help="model architecture file")
     if allow_no_fusion:
         p.add_argument("--no-fusion", action="store_true",

@@ -102,19 +102,21 @@ def read_frame(path) -> np.ndarray:
 # -- label records ------------------------------------------------------------
 
 
-def _group_summary(schema: AttributeSchema, labels: np.ndarray) -> list[str]:
-    lines = []
+def _group_summary(schema: AttributeSchema, labels: np.ndarray) -> dict[str, str]:
+    """``group NAME`` key -> its echo text, one per schema group."""
+    echo, flags = {}, labels.tolist()
     for group, start, stop in schema.group_slices():
-        active = [group.classes[i] for i in range(group.size) if labels[start + i]]
-        lines.append(f"group {group.name} = {', '.join(active) if active else 'none'}")
-    return lines
+        active = [c for c, on in zip(group.classes, flags[start:stop]) if on]
+        echo[f"group {group.name}"] = ", ".join(active) if active else "none"
+    return echo
 
 
 def write_labels(path, tracklet_id: str, labels: np.ndarray,
                  schema: AttributeSchema) -> None:
     lines = [f"tracklet = {tracklet_id}",
              "labels = " + " ".join(str(int(v)) for v in labels)]
-    lines += _group_summary(schema, labels)  # human-diffable echo
+    # human-diffable echo
+    lines += [f"{key} = {text}" for key, text in _group_summary(schema, labels).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -136,10 +138,6 @@ def read_labels(path, schema: AttributeSchema) -> tuple[str, np.ndarray]:
     if sections:
         raise DataError(f"{path}:{sections[0].lineno}: unexpected section header")
     entries = keyed(preamble, path)
-    for key, (lineno, _) in entries.items():
-        # ``group NAME = ...`` lines are a human-readable echo of the labels
-        if key not in ("tracklet", "labels") and not key.startswith("group "):
-            raise DataError(f"{path}:{lineno}: unexpected key {key!r}")
     if "tracklet" not in entries or "labels" not in entries:
         raise DataError(f"{path}: missing tracklet id or labels line")
     lineno, value = entries["labels"]
@@ -148,6 +146,19 @@ def read_labels(path, schema: AttributeSchema) -> tuple[str, np.ndarray]:
     except ValueError:
         raise DataError(f"{path}:{lineno}: non-integer label value") from None
     validate_labels(labels, schema, str(path))
+    # ``group NAME = ...`` lines, where present, echo the labels vector
+    echo = _group_summary(schema, labels)
+    for key, (lineno, value) in entries.items():
+        if key in ("tracklet", "labels"):
+            continue
+        where = f"{path}:{lineno}"
+        if not key.startswith("group "):
+            raise DataError(f"{where}: unexpected key {key!r}")
+        if key not in echo:
+            raise DataError(f"{where}: {key!r} names no schema group")
+        if value != echo[key]:
+            raise DataError(f"{where}: {key} = {value!r} disagrees with the labels, "
+                            f"which give {echo[key]!r}")
     return entries["tracklet"][1], labels
 
 
@@ -293,6 +304,9 @@ def _load_tracklet(tdir: Path, schema: AttributeSchema) -> Tracklet:
     if not tdir.is_dir():
         raise DataError(f"missing tracklet directory {tdir}")
     tracklet_id, labels = read_labels(tdir / "labels.txt", schema)
+    if tracklet_id != tdir.name:
+        raise DataError(f"{tdir / 'labels.txt'}: tracklet id {tracklet_id!r} "
+                        f"does not match its directory {tdir.name!r}")
     frame_paths = sorted(tdir.glob("*.vtf"))
     if not frame_paths:
         raise DataError(f"tracklet {tdir} has no frame files")

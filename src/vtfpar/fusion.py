@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .layers import Linear, TransformerBlock
+from .layers import Linear
 from .params import ParameterSet
 from .tensor import ContractError, Tensor, add, mul, tensor_sum
 
@@ -25,32 +25,12 @@ class FusionConfig:
     heads: int = 4
     blocks: int = 2
     mlp_ratio: int = 4
-    n_classes: int | None = None  # validated against the schema at build time
 
     def __post_init__(self):
         if self.dim % self.heads:
             raise ContractError(f"fusion dim {self.dim} not divisible by heads {self.heads}")
         if self.blocks < 0 or self.mlp_ratio < 1:
             raise ContractError(f"bad fusion config {self}")
-
-
-class FusionStack:
-    def __init__(self, params: ParameterSet, cfg: FusionConfig,
-                 rng: np.random.Generator, dtype=np.float32, prefix: str = "fusion"):
-        self.blocks = [
-            TransformerBlock(params, f"{prefix}.block{i}", cfg.dim, cfg.heads,
-                             cfg.mlp_ratio, rng, dtype)
-            for i in range(cfg.blocks)
-        ]
-
-    def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
-        for blk in self.blocks:
-            x = blk(x, collect)
-        return x
-
-    def zero_residual_projections(self) -> None:
-        for blk in self.blocks:
-            blk.zero_residual_projections()
 
 
 class TokenProjector:

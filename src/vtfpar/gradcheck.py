@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,93 +43,43 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
 
 
-def _rand(rng, *shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True)
-
-
-def _weights(rng, shape):
-    # fixed random weighting makes the scalarization sensitive everywhere
-    return Tensor(rng.standard_normal(shape))
+# op kind -> (input shapes, rng -> op); the rng draws the op's own
+# constants, after the inputs
+_CASES = {
+    "matmul": (((2, 3, 4), (4, 2)), lambda rng: matmul),
+    "add": (((3, 4), (4,)), lambda rng: add),
+    "mul": (((2, 3, 4), (3, 4)), lambda rng: mul),
+    "scale": (((3, 3),), lambda rng: partial(scale, c=float(rng.standard_normal()))),
+    "transpose": (((2, 3, 4),), lambda rng: partial(transpose, axes=(1, 2, 0))),
+    "reshape": (((3, 4),), lambda rng: partial(reshape, shape=(2, 6))),
+    "softmax": (((3, 5),), lambda rng: partial(softmax, axis=-1)),
+    "layer_norm": (((3, 6), (6,), (6,)), lambda rng: layer_norm),
+    "gelu": (((4, 4),), lambda rng: gelu),
+    "sigmoid": (((4, 4),), lambda rng: sigmoid),
+    "softplus": (((4, 4),), lambda rng: softplus),
+    "mean": (((3, 4),), lambda rng: partial(tensor_mean, axis=0)),
+    "sum": (((3, 4),), lambda rng: partial(tensor_sum, axis=1)),
+    "concat": (((2, 3), (4, 3)), lambda rng: lambda a, b: concat([a, b], axis=0)),
+    "stack": (((3, 2), (3, 2)), lambda rng: lambda a, b: stack([a, b])),
+    "take_rows": (((5, 3),),
+                  lambda rng: partial(take_rows, indices=rng.integers(0, 5, size=(4,)))),
+    "slice_axis": (((4, 5),), lambda rng: partial(slice_axis, axis=1, start=1, stop=3)),
+    "expand_leading": (((2, 3),), lambda rng: partial(expand_leading, n=4)),
+}
 
 
 def _case(rng, name):
     """Random inputs plus a scalar-valued forward for one op kind."""
-    if name == "matmul":
-        a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 2)
-        w = _weights(rng, (2, 3, 2))
-        return [a, b], lambda a, b: tensor_sum(mul(matmul(a, b), w))
-    if name == "add":
-        a, b = _rand(rng, 3, 4), _rand(rng, 4)
-        w = _weights(rng, (3, 4))
-        return [a, b], lambda a, b: tensor_sum(mul(add(a, b), w))
-    if name == "mul":
-        a, b = _rand(rng, 2, 3, 4), _rand(rng, 3, 4)
-        w = _weights(rng, (2, 3, 4))
-        return [a, b], lambda a, b: tensor_sum(mul(mul(a, b), w))
-    if name == "scale":
-        a = _rand(rng, 3, 3)
-        c = float(rng.standard_normal())
-        w = _weights(rng, (3, 3))
-        return [a], lambda a: tensor_sum(mul(scale(a, c), w))
-    if name == "transpose":
-        a = _rand(rng, 2, 3, 4)
-        w = _weights(rng, (3, 4, 2))
-        return [a], lambda a: tensor_sum(mul(transpose(a, (1, 2, 0)), w))
-    if name == "reshape":
-        a = _rand(rng, 3, 4)
-        w = _weights(rng, (2, 6))
-        return [a], lambda a: tensor_sum(mul(reshape(a, (2, 6)), w))
-    if name == "softmax":
-        a = _rand(rng, 3, 5)
-        w = _weights(rng, (3, 5))
-        return [a], lambda a: tensor_sum(mul(softmax(a, axis=-1), w))
-    if name == "layer_norm":
-        x = _rand(rng, 3, 6)
-        gain, bias = _rand(rng, 6), _rand(rng, 6)
-        w = _weights(rng, (3, 6))
-        return [x, gain, bias], lambda x, g, b: tensor_sum(mul(layer_norm(x, g, b), w))
-    if name == "gelu":
-        a = _rand(rng, 4, 4)
-        w = _weights(rng, (4, 4))
-        return [a], lambda a: tensor_sum(mul(gelu(a), w))
-    if name == "sigmoid":
-        a = _rand(rng, 4, 4)
-        w = _weights(rng, (4, 4))
-        return [a], lambda a: tensor_sum(mul(sigmoid(a), w))
-    if name == "softplus":
-        a = _rand(rng, 4, 4)
-        w = _weights(rng, (4, 4))
-        return [a], lambda a: tensor_sum(mul(softplus(a), w))
-    if name == "mean":
-        a = _rand(rng, 3, 4)
-        w = _weights(rng, (4,))
-        return [a], lambda a: tensor_sum(mul(tensor_mean(a, axis=0), w))
-    if name == "sum":
-        a = _rand(rng, 3, 4)
-        w = _weights(rng, (3,))
-        return [a], lambda a: tensor_sum(mul(tensor_sum(a, axis=1), w))
-    if name == "concat":
-        a, b = _rand(rng, 2, 3), _rand(rng, 4, 3)
-        w = _weights(rng, (6, 3))
-        return [a, b], lambda a, b: tensor_sum(mul(concat([a, b], axis=0), w))
-    if name == "stack":
-        a, b = _rand(rng, 3, 2), _rand(rng, 3, 2)
-        w = _weights(rng, (2, 3, 2))
-        return [a, b], lambda a, b: tensor_sum(mul(stack([a, b]), w))
-    if name == "take_rows":
-        a = _rand(rng, 5, 3)
-        idx = rng.integers(0, 5, size=(4,))
-        w = _weights(rng, (4, 3))
-        return [a], lambda a: tensor_sum(mul(take_rows(a, idx), w))
-    if name == "slice_axis":
-        a = _rand(rng, 4, 5)
-        w = _weights(rng, (4, 2))
-        return [a], lambda a: tensor_sum(mul(slice_axis(a, 1, 1, 3), w))
-    if name == "expand_leading":
-        a = _rand(rng, 2, 3)
-        w = _weights(rng, (4, 2, 3))
-        return [a], lambda a: tensor_sum(mul(expand_leading(a, 4), w))
-    raise VerificationError(f"no gradcheck case for op kind {name!r}")
+    if name not in _CASES:
+        raise VerificationError(f"no gradcheck case for op kind {name!r}")
+    shapes, make_op = _CASES[name]
+    inputs = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    op = make_op(rng)
+    with no_grad():
+        out_shape = op(*inputs).shape
+    # fixed random weighting makes the scalarization sensitive everywhere
+    w = Tensor(rng.standard_normal(out_shape))
+    return inputs, lambda *xs: tensor_sum(mul(op(*xs), w))
 
 
 def check_op(name: str, trials: int = 100, seed: int = 0,

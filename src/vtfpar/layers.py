@@ -110,3 +110,25 @@ class TransformerBlock:
         reduces to the identity map."""
         for p in (self.attn.out.w, self.attn.out.b, self.mlp.fc2.w, self.mlp.fc2.b):
             p.set_value(np.zeros_like(p.data))
+
+
+class TransformerStack:
+    """``blocks`` transformer blocks named ``{prefix}.block{i}``, applied in
+    order; the vision, text and fusion stacks are all this class."""
+
+    def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
+                 blocks: int, mlp_ratio: int, rng: np.random.Generator, dtype):
+        self.blocks = [
+            TransformerBlock(params, f"{prefix}.block{i}", dim, heads,
+                             mlp_ratio, rng, dtype)
+            for i in range(blocks)
+        ]
+
+    def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
+        for blk in self.blocks:
+            x = blk(x, collect)
+        return x
+
+    def zero_residual_projections(self) -> None:
+        for blk in self.blocks:
+            blk.zero_residual_projections()

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError
-from .fusion import ClassificationHeads, FusionConfig, FusionStack, TokenProjector
+from .fusion import ClassificationHeads, FusionConfig, TokenProjector
 from .kvfile import keyed, read_sections
+from .layers import TransformerStack
 from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from .schema import AttributeSchema
 from .tensor import (DimensionError, Tensor, concat, expand_leading, reshape,
@@ -60,10 +61,6 @@ class VideoAttributeModel:
 
     def __init__(self, config: ModelConfig, schema: AttributeSchema,
                  seed: int = 0, dtype=np.float32):
-        if config.fusion.n_classes is not None and config.fusion.n_classes != schema.n_classes:
-            raise DataError(
-                f"fusion config declares {config.fusion.n_classes} classes, "
-                f"schema has {schema.n_classes}")
         self.config = config
         self.schema = schema
         self.dtype = dtype
@@ -77,7 +74,9 @@ class VideoAttributeModel:
         self.vision = VisionEncoder(self.params, config.vit, rng(1), dtype)
         self.text = TextEncoder(self.params, config.text, self.vocab.size, rng(2), dtype)
         if config.use_fusion:
-            self.fusion = FusionStack(self.params, config.fusion, rng(3), dtype)
+            cfg = config.fusion
+            self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,
+                                           cfg.blocks, cfg.mlp_ratio, rng(3), dtype)
         else:
             self.fusion = TokenProjector(self.params, config.fusion.dim, rng(3), dtype)
         self.heads = ClassificationHeads(self.params, schema.n_classes,
@@ -154,13 +153,8 @@ def checkpoint_uses_fusion(path) -> bool:
 # -- model config file ----------------------------------------------------
 
 
-# [section] -> config class; every field is an int key except n_classes,
-# which is checked against the schema instead.
+# [section] -> config class; every field is an int key.
 _CONFIG_SECTIONS = {"vision": VitConfig, "text": TextConfig, "fusion": FusionConfig}
-
-
-def _config_keys(cls) -> set[str]:
-    return {f.name for f in fields(cls) if f.name != "n_classes"}
 
 
 def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
@@ -184,7 +178,7 @@ def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
         values = given[name] = {}
         for key, (lineno, value) in keyed(section, path).items():
             where = f"{path}:{lineno}"
-            if key not in _config_keys(_CONFIG_SECTIONS[name]):
+            if key not in {f.name for f in fields(_CONFIG_SECTIONS[name])}:
                 raise DataError(f"{where}: unknown key {key!r} in [{name}]")
             try:
                 values[key] = int(value)

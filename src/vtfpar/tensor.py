@@ -456,37 +456,23 @@ def _norm_axis(axis: int, ndim: int) -> int:
 
 
 def tensor_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        n = a.data.size
-        shape = a.shape
-
-        def bw(g, needs):
-            return (np.broadcast_to(g / n, shape),)
-
-        return _apply("mean", a.data.mean(), (a,), bw)
-    ax = _norm_axis(axis, a.ndim)
-    n = a.shape[ax]
+    ax = None if axis is None else _norm_axis(axis, a.ndim)
+    n = a.data.size if ax is None else a.shape[ax]
     shape = a.shape
 
     def bw(g, needs):
-        return (np.broadcast_to(np.expand_dims(g / n, ax), shape),)
+        g = g / n
+        return (np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape),)
 
     return _apply("mean", a.data.mean(axis=ax), (a,), bw)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        shape = a.shape
-
-        def bw(g, needs):
-            return (np.broadcast_to(g, shape),)
-
-        return _apply("sum", a.data.sum(), (a,), bw)
-    ax = _norm_axis(axis, a.ndim)
+    ax = None if axis is None else _norm_axis(axis, a.ndim)
     shape = a.shape
 
     def bw(g, needs):
-        return (np.broadcast_to(np.expand_dims(g, ax), shape),)
+        return (np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape),)
 
     return _apply("sum", a.data.sum(axis=ax), (a,), bw)
 

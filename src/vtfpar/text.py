@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import TransformerBlock
+from .layers import TransformerStack
 from .params import ParameterSet
 from .schema import AttributeSchema
 from .tensor import ContractError, Tensor, add, reshape, take_rows
@@ -149,11 +149,8 @@ class TextEncoder:
         self.pos = params.add(
             f"{prefix}.pos",
             0.02 * rng.standard_normal((cfg.max_len, d)).astype(dtype))
-        self.blocks = [
-            TransformerBlock(params, f"{prefix}.block{i}", d, cfg.heads,
-                             cfg.mlp_ratio, rng, dtype)
-            for i in range(cfg.blocks)
-        ]
+        self.blocks = TransformerStack(params, prefix, d, cfg.heads, cfg.blocks,
+                                       cfg.mlp_ratio, rng, dtype)
 
     def encode(self, ids: np.ndarray) -> Tensor:
         """ids (M, L) -> text tokens (M, D)."""
@@ -161,10 +158,7 @@ class TextEncoder:
         if length != self.cfg.max_len:
             raise ContractError(
                 f"token matrix length {length} != configured max_len {self.cfg.max_len}")
-        x = take_rows(self.table.tensor, ids)
-        x = add(x, self.pos.tensor)
-        for blk in self.blocks:
-            x = blk(x)
+        x = self.blocks(add(take_rows(self.table.tensor, ids), self.pos.tensor))
         ends = np.argmax(ids == END_ID, axis=1)
         flat = reshape(x, (m * length, self.cfg.dim))
         return take_rows(flat, np.arange(m) * length + ends)

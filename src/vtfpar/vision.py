@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import TransformerBlock
+from .layers import Linear, TransformerStack
 from .params import ParameterSet
-from .tensor import (ContractError, DimensionError, Tensor, add, concat,
-                     expand_leading, matmul)
+from .tensor import ContractError, DimensionError, Tensor, add, concat, expand_leading
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,8 @@ class VisionEncoder:
         self.cfg = cfg
         self.dtype = dtype
         d = cfg.dim
-        fan_in = cfg.patch_size * cfg.patch_size * 3
-        self.patch_w = params.add(
-            f"{prefix}.patch.weight",
-            (fan_in ** -0.5) * rng.standard_normal((fan_in, d)).astype(dtype))
-        self.patch_b = params.add(f"{prefix}.patch.bias", np.zeros(d, dtype=dtype))
+        self.patch = Linear(params, f"{prefix}.patch", cfg.patch_size * cfg.patch_size * 3,
+                            d, rng, dtype)
         self.cls = params.add(
             f"{prefix}.cls", 0.02 * rng.standard_normal((1, d)).astype(dtype))
         # unit-scale positional code: the frozen random blocks then act as a
@@ -123,11 +119,8 @@ class VisionEncoder:
         self.pos = params.add(
             f"{prefix}.pos",
             rng.standard_normal((cfg.n_tokens, d)).astype(dtype))
-        self.blocks = [
-            TransformerBlock(params, f"{prefix}.block{i}", d, cfg.heads,
-                             cfg.mlp_ratio, rng, dtype)
-            for i in range(cfg.depth)
-        ]
+        self.blocks = TransformerStack(params, prefix, d, cfg.heads, cfg.depth,
+                                       cfg.mlp_ratio, rng, dtype)
 
     def encode(self, frames: np.ndarray) -> Tensor:
         """Padded frames (b, s, s, 3) -> tokens (b, n_tokens, dim)."""
@@ -136,12 +129,7 @@ class VisionEncoder:
             raise DimensionError(
                 f"encode expects (b, {s}, {s}, 3), got {frames.shape}")
         b = frames.shape[0]
-        patches = Tensor(patchify(frames.astype(self.dtype, copy=False),
-                                  self.cfg.patch_size))
-        x = add(matmul(patches, self.patch_w.tensor), self.patch_b.tensor)
-        cls = expand_leading(self.cls.tensor, b)
-        x = concat([cls, x], axis=1)
-        x = add(x, self.pos.tensor)
-        for blk in self.blocks:
-            x = blk(x)
-        return x
+        x = self.patch(Tensor(patchify(frames.astype(self.dtype, copy=False),
+                                       self.cfg.patch_size)))
+        x = concat([expand_leading(self.cls.tensor, b), x], axis=1)
+        return self.blocks(add(x, self.pos.tensor))

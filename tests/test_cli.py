@@ -65,6 +65,17 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "d"],
+    ["eval", "--data", "d", "--checkpoint", "m.ckpt"],
+    ["ablate-frames", "--data", "d"],
+])
+def test_schema_flag_rejected_where_manifest_names_schema(command, capsys):
+    # these commands read the schema from the dataset manifest
+    assert main(command + ["--schema", "/no/such/schema.txt"]) == 1
+    assert "--schema" in capsys.readouterr().err
+
+
 def test_gen_data_defaults_follow_synthetic_spec():
     args = build_parser().parse_args(["gen-data"])
     spec = SyntheticSpec()

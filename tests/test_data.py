@@ -106,6 +106,22 @@ class TestLabels:
         with pytest.raises(DataError, match="shape"):
             read_labels(path, schema)
 
+    def test_group_echo_disagreeing_with_labels_rejected(self, tmp_path):
+        schema = small_schema()
+        path = tmp_path / "labels.txt"
+        write_labels(path, "t001", np.array([0, 1, 0], dtype=np.int8), schema)
+        path.write_text(path.read_text().replace("group shape = square",
+                                                 "group shape = WRONG"))
+        with pytest.raises(DataError, match=r"labels\.txt:3: group shape = 'WRONG'"):
+            read_labels(path, schema)
+
+    def test_group_echo_naming_no_schema_group_rejected(self, tmp_path):
+        schema = small_schema()
+        path = tmp_path / "labels.txt"
+        path.write_text("tracklet = t\nlabels = 1 0 1\ngroup colour = red\n")
+        with pytest.raises(DataError, match=r"labels\.txt:3: 'group colour' names no"):
+            read_labels(path, schema)
+
 
 class TestSyntheticSpec:
     def test_validation(self):
@@ -222,6 +238,14 @@ class TestGenerateLoad:
         ))
         save_schema(bigger, tmp_path / "data" / "schema.txt")
         with pytest.raises(DataError, match="labels"):
+            load_dataset(manifest)
+
+    def test_tracklet_id_must_match_directory(self, tmp_path):
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        path = tmp_path / "data" / "train" / "t00000" / "labels.txt"
+        path.write_text(path.read_text().replace("tracklet = t00000",
+                                                 "tracklet = t00001"))
+        with pytest.raises(DataError, match="'t00001' does not match its directory 't00000'"):
             load_dataset(manifest)
 
     def test_missing_tracklet_dir_detected(self, tmp_path):

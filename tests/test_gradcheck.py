@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import vtfpar.tensor as tensor_mod
-from vtfpar.gradcheck import check_model, check_op, run_all
+from vtfpar.gradcheck import _CASES, check_model, check_op, run_all
 from vtfpar.tensor import OP_KINDS
 
 
 def test_every_op_kind_has_a_case():
-    # each case must actually build and run
+    # one table row per op kind, no stale rows; each case must build and run
+    assert set(_CASES) == set(OP_KINDS)
     for name in OP_KINDS:
         result = check_op(name, trials=1, seed=1)
         assert result.checked > 0

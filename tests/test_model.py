@@ -29,14 +29,6 @@ def test_dim_mismatch_rejected():
                     fusion=FusionConfig(dim=96))
 
 
-def test_fusion_class_count_checked_against_schema():
-    config = ModelConfig(fusion=FusionConfig(n_classes=7))
-    with pytest.raises(DataError):
-        VideoAttributeModel(config, default_schema())
-    ok = ModelConfig(fusion=FusionConfig(n_classes=43))
-    VideoAttributeModel(ok, default_schema())  # no error
-
-
 def test_parameter_names_unique_and_partitioned():
     model = VideoAttributeModel(_small_config(), default_schema(), seed=0)
     names = model.params.names()
