@@ -105,7 +105,7 @@ def read_frame(path) -> np.ndarray:
 def _group_summary(schema: AttributeSchema, labels: np.ndarray) -> dict[str, str]:
     """``group NAME`` key -> its echo text, one per schema group."""
     echo, flags = {}, labels.tolist()
-    for group, start, stop in schema.group_slices():
+    for group, start, stop in schema.group_slices:
         active = [c for c, on in zip(group.classes, flags[start:stop]) if on]
         echo[f"group {group.name}"] = ", ".join(active) if active else "none"
     return echo
@@ -126,7 +126,7 @@ def validate_labels(labels: np.ndarray, schema: AttributeSchema, where: str) -> 
             f"{where}: {labels.size} labels for schema with {schema.n_classes} classes")
     if not np.isin(labels, (0, 1)).all():
         raise DataError(f"{where}: labels must be 0/1")
-    for group, start, stop in schema.group_slices():
+    for group, start, stop in schema.group_slices:
         if group.kind == "exclusive" and labels[start:stop].sum() != 1:
             raise DataError(
                 f"{where}: exclusive group {group.name} must have exactly one "
@@ -212,18 +212,15 @@ def class_prototypes(spec: SyntheticSpec, schema: AttributeSchema) -> np.ndarray
             c, _PROTOTYPE_GRID, _PROTOTYPE_GRID, 3)
     else:
         grids = rng.uniform(-1.0, 1.0, (c, _PROTOTYPE_GRID, _PROTOTYPE_GRID, 3))
-    protos = np.empty((c, spec.height, spec.width, 3), dtype=np.float32)
-    for i in range(c):
-        protos[i] = _PROTOTYPE_AMPLITUDE * bilinear_resize(
-            grids[i], spec.height, spec.width).astype(np.float32)
-    return protos
+    return _PROTOTYPE_AMPLITUDE * bilinear_resize(
+        grids, spec.height, spec.width).astype(np.float32)
 
 
 def sample_labels(spec: SyntheticSpec, schema: AttributeSchema,
                   index: int) -> np.ndarray:
     rng = np.random.default_rng([spec.seed, index, 0])
     labels = np.zeros(schema.n_classes, dtype=np.int8)
-    for group, start, stop in schema.group_slices():
+    for group, start, stop in schema.group_slices:
         if group.kind == "exclusive":
             labels[start + rng.integers(group.size)] = 1
         else:

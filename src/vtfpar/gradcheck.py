@@ -20,7 +20,7 @@ from .fusion import FusionConfig
 from .model import ModelConfig, VideoAttributeModel
 from .schema import AttributeGroup, AttributeSchema
 from .tensor import (OP_KINDS, Tape, Tensor, backward, concat, expand_leading,
-                     finite_diff_grad, gelu, layer_norm, matmul, add, mul,
+                     finite_diff_grad, gelu, layer_norm, linear, matmul, add, mul,
                      no_grad, scale, sigmoid, slice_axis, softmax, softplus,
                      stack, take_rows, tensor_mean, tensor_sum, transpose, reshape)
 from .text import TextConfig
@@ -65,6 +65,7 @@ _CASES = {
                   lambda rng: partial(take_rows, indices=rng.integers(0, 5, size=(4,)))),
     "slice_axis": (((4, 5),), lambda rng: partial(slice_axis, axis=1, start=1, stop=3)),
     "expand_leading": (((2, 3),), lambda rng: partial(expand_leading, n=4)),
+    "linear": (((2, 3, 4), (4, 2), (2,)), lambda rng: linear),
 }
 
 

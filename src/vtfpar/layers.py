@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .params import ParameterSet
-from .tensor import (DimensionError, Tensor, add, gelu, layer_norm, matmul,
-                     reshape, scale, softmax, transpose)
+from .tensor import (DimensionError, Tensor, add, gelu, layer_norm, linear,
+                     matmul, reshape, scale, softmax, transpose)
 
 
 def _linear_params(params: ParameterSet, name: str, fan_in: int, fan_out: int,
@@ -29,7 +29,7 @@ class Linear:
         self.w, self.b = _linear_params(params, name, fan_in, fan_out, rng, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w.tensor), self.b.tensor)
+        return linear(x, self.w.tensor, self.b.tensor)
 
 
 def _norm_params(params: ParameterSet, name: str, dim: int, dtype):

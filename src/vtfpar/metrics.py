@@ -47,7 +47,7 @@ def decide(logits: np.ndarray, schema: AttributeSchema) -> np.ndarray:
         raise UsageError(
             f"decide: {logits.shape[1]} logits for {schema.n_classes} classes")
     preds = np.zeros(logits.shape, dtype=np.int8)
-    for group, start, stop in schema.group_slices():
+    for group, start, stop in schema.group_slices:
         block = logits[:, start:stop]
         if group.kind == "exclusive":
             winners = np.argmax(block, axis=1)  # first max wins ties
@@ -99,7 +99,7 @@ def macro_report(schema: AttributeSchema, preds: np.ndarray,
         raise UsageError(
             f"macro_report: {preds.shape[1]} columns for {schema.n_classes} classes")
     groups = []
-    for group, start, stop in schema.group_slices():
+    for group, start, stop in schema.group_slices:
         p, r, f1 = group_metrics(preds[:, start:stop], truths[:, start:stop])
         support = int(truths[:, start:stop].sum())
         groups.append(GroupMetrics(group.name, p, r, f1, support))

@@ -99,7 +99,7 @@ class VideoAttributeModel:
         b, t = clips.shape[:2]
         s = self.config.vit.image_size
         frames = np.asarray(clips, dtype=self.dtype).reshape((b * t,) + clips.shape[2:])
-        tokens = self.vision.encode(np.stack([pad_to_square(f, s) for f in frames]))
+        tokens = self.vision.encode(pad_to_square(frames, s))
         tokens = reshape(tokens, (b, t) + tokens.shape[1:])
         return tensor_mean(tokens, axis=1)
 

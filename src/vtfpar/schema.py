@@ -17,6 +17,7 @@ decision) and ``binary`` (each class decided independently, threshold 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
@@ -78,20 +79,21 @@ class AttributeSchema:
 
     @property
     def n_classes(self) -> int:
-        return sum(g.size for g in self.groups)
+        return self.group_slices[-1][2]
 
     @property
     def raw_strings(self) -> list[str]:
         return [raw for g in self.groups for raw in g.raws]
 
-    def group_slices(self) -> list[tuple[AttributeGroup, int, int]]:
-        """Each group with its [start, stop) class-index range."""
+    @cached_property
+    def group_slices(self) -> tuple[tuple[AttributeGroup, int, int], ...]:
+        """Each group with its [start, stop) class-index range (computed once)."""
         out = []
         start = 0
         for g in self.groups:
             out.append((g, start, start + g.size))
             start += g.size
-        return out
+        return tuple(out)
 
 
 def default_schema() -> AttributeSchema:

@@ -5,7 +5,11 @@ Tape():``), every op touching a tracked tensor appends a node holding the
 op kind, the input node ids and a backward closure; creation order is a
 valid topological order because an op can only consume tensors that
 already exist. ``backward`` sweeps the nodes once in reverse and delivers
-gradients to the watched leaves.
+gradients to the watched leaves. A tape is swept once: ``backward``
+drops each node's backward closure, and with it the arrays the forward
+saved for it, as the sweep passes the node, so a step's activations are
+freed during the sweep rather than by the cyclic garbage collector. A
+second ``backward`` over a swept tape is a ``ContractError``.
 
 Broadcasting is deliberately narrow: elementwise ops align shapes by
 suffix (leading batch dims only) and matmul broadcasts leading batch
@@ -50,6 +54,7 @@ OP_KINDS = (
     "take_rows",
     "slice_axis",
     "expand_leading",
+    "linear",
 )
 
 
@@ -148,6 +153,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.entries.append(self)
@@ -211,8 +217,9 @@ def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every trainable leaf reachable from ``loss``.
 
-    ``loss`` must be scalar and tape-recorded. Each tape node is visited
-    exactly once, in reverse creation order; untracked (frozen/constant)
+    ``loss`` must be scalar and tape-recorded, on a tape not yet swept.
+    Each tape node is visited exactly once, in reverse creation order, and
+    its backward closure is released there; untracked (frozen/constant)
     inputs receive no gradient.
     """
     if loss.data.size != 1:
@@ -220,19 +227,23 @@ def backward(loss: Tensor) -> None:
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not recorded on a tape")
     tape = loss.tape
+    if tape.swept:
+        raise ContractError("backward over a tape that was already swept")
+    tape.swept = True
     grads: dict[int, np.ndarray] = {
         loss.node_id: np.ones_like(loss.data)
     }
     for node_id in range(loss.node_id, -1, -1):
+        node = tape.nodes[node_id]
+        backward_fn, node.backward_fn = node.backward_fn, None
         g = grads.pop(node_id, None)
         if g is None:
             continue
-        node = tape.nodes[node_id]
         if node.leaf is not None:
             leaf = node.leaf
             leaf.grad = g if leaf.grad is None else leaf.grad + g
             continue
-        for input_id, gi in zip(node.input_ids, node.backward_fn(g, node.needs)):
+        for input_id, gi in zip(node.input_ids, backward_fn(g, node.needs)):
             if input_id is None or gi is None:
                 continue
             if input_id in grads:
@@ -288,6 +299,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _apply("matmul", out, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of the last axis: (..., k) -> (..., n).
+
+    The forward is one GEMM over the rows of ``x`` flattened to (rows, k),
+    with the bias added in place. The backward rules are those of
+    ``add(matmul(x, w), b)`` in the same reduction order: a single
+    flattened ``x^T g`` weight GEMM rounds differently, which moves the
+    training trajectory and the acceptance F1.
+    """
+    if x.ndim < 2 or w.ndim != 2:
+        raise DimensionError(
+            f"linear needs x (..., k) and w (k, n), got {x.shape}, {w.shape}")
+    k, n = w.shape
+    if x.shape[-1] != k or b.shape != (n,):
+        raise DimensionError(
+            f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    x_data, w_data = x.data, w.data
+    out = np.matmul(x_data.reshape(-1, k), w_data)
+    out += b.data
+
+    def bw(g, needs):
+        gx = gw = gb = None
+        if needs[0]:
+            gx = np.matmul(g, w_data.T)
+        if needs[1]:
+            gw = _reduce_to(np.matmul(np.swapaxes(x_data, -1, -2), g), (k, n))
+        if needs[2]:
+            gb = _reduce_to(g, (n,))
+        return gx, gw, gb
+
+    return _apply("linear", out.reshape(x.shape[:-1] + (n,)), (x, w, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -413,18 +457,20 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of x * cdf(x), given the forward's normal CDF values."""
     phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+    return cdf + x * phi
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU; the backward reuses the forward's CDF."""
     x = a.data
-    out = 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    out = x * cdf
 
     def bw(g, needs):
-        return (g * _gelu_grad(x),)
+        return (g * _gelu_grad(x, cdf),)
 
     return _apply("gelu", out, (a,), bw)
 

@@ -4,13 +4,14 @@ decay, frozen-encoder policy, and the evaluation harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Tracklet
-from .errors import UsageError
+from .errors import UsageError, VerificationError
 from .metrics import MetricReport, decide, macro_report
 from .model import VideoAttributeModel
 from .params import ParameterSet
@@ -164,7 +165,8 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     With frozen encoders the visual and text features are constants, so
     they are computed once up front and only the fusion stack and heads
     run per step. The unfrozen path records the whole pipeline on the
-    tape each step.
+    tape each step. A non-finite step loss stops training with a
+    ``VerificationError`` before that step's update.
     """
     if not train_set:
         raise UsageError("train: empty dataset")
@@ -197,8 +199,13 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
                 logits = model.fuse_classify(visual, text)
                 loss = bce_loss(logits, targets[idx])
                 backward(loss)
+            step_loss = loss.item()
+            if not math.isfinite(step_loss):
+                raise VerificationError(
+                    f"non-finite loss {step_loss} at epoch {epoch}, "
+                    f"step {start // cfg.batch_size + 1}")
             opt.step()
-            loss_sum += loss.item() * len(idx)
+            loss_sum += step_loss * len(idx)
         heldout_f1 = evaluate(model, heldout, cfg.frames).macro_f1 if heldout else 0.0
         logs.append(EpochLog(epoch, loss_sum / n, heldout_f1))
         if checkpoint_path and cfg.save_every and epoch % cfg.save_every == 0:

@@ -43,11 +43,11 @@ class VitConfig:
 
 
 def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resample of an (h, w, c) image.
+    """Half-pixel-center bilinear resample of (..., h, w, c) images.
 
     Identity when the size is unchanged.
     """
-    h, w = img.shape[:2]
+    h, w = img.shape[-3:-1]
     if (new_h, new_w) == (h, w):
         return img.copy()
 
@@ -63,31 +63,33 @@ def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     x0, x1, tx = axis_coords(new_w, w)
     ty = ty[:, None, None]
     tx = tx[None, :, None]
-    top = img[y0][:, x0] * (1 - tx) + img[y0][:, x1] * tx
-    bot = img[y1][:, x0] * (1 - tx) + img[y1][:, x1] * tx
+    rows0, rows1 = img[..., y0, :, :], img[..., y1, :, :]
+    top = rows0[..., x0, :] * (1 - tx) + rows0[..., x1, :] * tx
+    bot = rows1[..., x0, :] * (1 - tx) + rows1[..., x1, :] * tx
     return top * (1 - ty) + bot * ty
 
 
-def pad_to_square(frame: np.ndarray, size: int) -> np.ndarray:
+def pad_to_square(frames: np.ndarray, size: int) -> np.ndarray:
     """Resize so the longer side equals ``size``, then zero-pad to square.
 
-    Aspect ratio is preserved; padding is centered, with the odd extra
-    pixel going to the right/bottom.
+    Takes (..., h, w, 3) frames, all of one size, and returns
+    (..., size, size, 3). Aspect ratio is preserved; padding is centered,
+    with the odd extra pixel going to the right/bottom.
     """
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise DimensionError(f"frame must be (h, w, 3), got {frame.shape}")
-    h, w = frame.shape[:2]
+    if frames.ndim < 3 or frames.shape[-1] != 3:
+        raise DimensionError(f"frames must be (..., h, w, 3), got {frames.shape}")
+    h, w = frames.shape[-3:-1]
     if h == 0 or w == 0:
         raise ContractError("pad_to_square: zero-area frame")
     if h >= w:
         new_h, new_w = size, max(1, round(w * size / h))
     else:
         new_h, new_w = max(1, round(h * size / w)), size
-    resized = bilinear_resize(frame, new_h, new_w)
-    out = np.zeros((size, size, 3), dtype=frame.dtype)
+    resized = bilinear_resize(frames, new_h, new_w)
+    out = np.zeros(frames.shape[:-3] + (size, size, 3), dtype=frames.dtype)
     top = (size - new_h) // 2
     left = (size - new_w) // 2
-    out[top:top + new_h, left:left + new_w] = resized
+    out[..., top:top + new_h, left:left + new_w, :] = resized
     return out
 
 

@@ -1,12 +1,14 @@
 """Tape/backward contracts and the finite-difference oracle."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from vtfpar.tensor import (ContractError, Tape, Tensor, backward,
-                           finite_diff_grad, matmul, mul, no_grad, softmax,
-                           tensor_sum, transpose)
+                           finite_diff_grad, gelu, linear, matmul, mul,
+                           no_grad, softmax, tensor_sum, transpose)
 
 
 def test_backward_sum_gives_ones():
@@ -56,6 +58,33 @@ def test_grad_accumulates_over_reuse():
         loss = tensor_sum(mul(w, w))  # w used twice in one op
         backward(loss)
     npt.assert_allclose(w.grad, [4.0])
+
+
+def test_second_backward_on_swept_tape_rejected():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = tensor_sum(mul(w, w))
+        n_nodes = len(tape)
+        backward(loss)
+        assert len(tape) == n_nodes
+        with pytest.raises(ContractError, match="swept"):
+            backward(loss)
+    npt.assert_allclose(w.grad, [2.0, 4.0])
+
+
+def test_backward_frees_saved_activations_without_gc():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(np.zeros(5), requires_grad=True)
+    with Tape():
+        h = linear(x, w, b)
+        saved = weakref.ref(h.data)  # gelu keeps its input for the backward
+        loss = tensor_sum(gelu(h))
+        del h
+        assert saved() is not None
+        backward(loss)
+        assert saved() is None
 
 
 def test_tape_topological_order():

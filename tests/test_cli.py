@@ -229,7 +229,7 @@ def test_gradcheck_passes(capsys):
 
 
 def test_gradcheck_corrupted_rule_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(tensor_mod, "_gelu_grad", lambda x: np.zeros_like(x))
+    monkeypatch.setattr(tensor_mod, "_gelu_grad", lambda x, cdf: np.zeros_like(x))
     rc = main(["gradcheck", "--trials", "1", "--model-coords", "10"])
     assert rc == 3
     assert "gelu" in capsys.readouterr().err

@@ -142,7 +142,7 @@ class TestSyntheticSpec:
         spec = small_spec(n_tracklets=50)
         for i in range(50):
             labels = sample_labels(spec, schema, i)
-            for group, start, stop in schema.group_slices():
+            for group, start, stop in schema.group_slices:
                 if group.kind == "exclusive":
                     assert labels[start:stop].sum() == 1
 

@@ -17,7 +17,7 @@ def test_default_schema_shape():
 
 def test_group_slices_partition():
     schema = default_schema()
-    slices = schema.group_slices()
+    slices = schema.group_slices
     assert slices[0][1] == 0
     for (_, _, stop), (_, start, _) in zip(slices, slices[1:]):
         assert stop == start

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import erf
 
-from vtfpar.tensor import (DimensionError, Tensor, add, concat,
-                           expand_leading, gelu, layer_norm, matmul, mul,
-                           sigmoid, slice_axis, softmax, softplus, stack,
+from vtfpar.tensor import (DimensionError, Tape, Tensor, add, backward, concat,
+                           expand_leading, gelu, layer_norm, linear, matmul,
+                           mul, sigmoid, slice_axis, softmax, softplus, stack,
                            take_rows, tensor_mean, tensor_sum, transpose)
 
 
@@ -36,6 +37,32 @@ class TestMatmul:
     def test_rejects_vectors(self):
         with pytest.raises(DimensionError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_matmul_plus_bias(self, dtype):
+        # values and all three gradients, against the two-op form
+        rng = np.random.default_rng(7)
+        shapes = ((6, 17, 96), (96, 48), (48,))
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        weight = Tensor(rng.standard_normal((6, 17, 48)).astype(dtype))
+        results = []
+        for op in (linear, lambda x, w, b: add(matmul(x, w), b)):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape():
+                out = op(*inputs)
+                backward(tensor_sum(mul(out, weight)))
+            results.append([out.data] + [t.grad for t in inputs])
+        for fused, pair in zip(*results):
+            assert fused.dtype == pair.dtype
+            npt.assert_array_equal(fused, pair)
+
+    def test_shape_mismatch_names_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 4\)"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
 class TestSoftmax:
@@ -136,6 +163,21 @@ class TestElementwiseAndShapeFamily:
         assert gelu(Tensor([0.0])).data[0] == 0.0
         # GELU(x) ~= x for large positive x
         assert gelu(Tensor([10.0])).data[0] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_matches_erf_formula_bitwise(self, dtype):
+        # the backward reuses the forward's CDF instead of a second erf
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 3.0, (64, 96)).astype(dtype)
+        g = rng.standard_normal((64, 96)).astype(dtype)
+        a = Tensor(x, requires_grad=True)
+        with Tape():
+            out = gelu(a)
+            backward(tensor_sum(mul(out, Tensor(g))))
+        inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+        phi = np.exp(-0.5 * x * x) * inv_sqrt2pi
+        npt.assert_array_equal(out.data, 0.5 * x * (1.0 + erf(x * inv_sqrt2)))
+        npt.assert_array_equal(a.grad, g * (0.5 * (1.0 + erf(x * inv_sqrt2)) + x * phi))
 
     def test_transpose_permutes(self):
         x = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))

@@ -1,5 +1,6 @@
 """Loss, optimizer, freeze policy, and the training loop."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ import numpy.testing as npt
 import pytest
 
 from vtfpar.data import SyntheticSpec, Tracklet, render_tracklet
-from vtfpar.errors import UsageError
+from vtfpar.errors import UsageError, VerificationError
 from vtfpar.fusion import FusionConfig
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema
 from vtfpar.tensor import (ContractError, DimensionError, Tape, Tensor,
-                           backward, sigmoid)
+                           backward, scale, sigmoid)
 from vtfpar.text import TextConfig
 from vtfpar.train import (Adam, TrainConfig, bce_loss, evaluate,
                           sample_frame_indices, train)
@@ -207,6 +208,30 @@ class TestTrainLoop:
         changed = any(not np.array_equal(p.data, encoder_before[p.name])
                       for p in model.encoder_parameters())
         assert changed
+
+    def test_non_finite_step_loss_stops_before_the_update(self, monkeypatch):
+        schema = _tiny_schema()
+        data = _tiny_tracklets(schema, n=4)
+        cfg = TrainConfig(epochs=3, batch_size=2, frames=2)  # 2 steps an epoch
+        calls = []
+
+        def nan_on_fifth_step(logits, targets):
+            calls.append(None)
+            loss = bce_loss(logits, targets)
+            return scale(loss, math.nan) if len(calls) == 5 else loss
+
+        # the module, not the package's ``train`` function of the same name
+        monkeypatch.setattr(importlib.import_module("vtfpar.train"), "bce_loss",
+                            nan_on_fifth_step)
+        model = _tiny_model(schema)
+        with pytest.raises(VerificationError, match=r"epoch 3, step 1$"):
+            train(model, data, [], cfg)
+        # the parameters are those after the first four steps
+        reference = _tiny_model(schema)
+        monkeypatch.undo()
+        train(reference, data, [], TrainConfig(epochs=2, batch_size=2, frames=2))
+        for p in model.params:
+            npt.assert_array_equal(p.data, reference.params[p.name].data, err_msg=p.name)
 
     def test_evaluate_reports_all_groups(self):
         schema = _tiny_schema()

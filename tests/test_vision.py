@@ -46,6 +46,15 @@ class TestPadToSquare:
         npt.assert_array_equal(out[6:], np.zeros((2, 8, 3)))
         npt.assert_array_equal(out[2:6], np.ones((4, 8, 3)))
 
+    @pytest.mark.parametrize("h, w", [(28, 28), (24, 16), (16, 24)])
+    def test_batch_equals_stacked_per_frame_calls(self, h, w):
+        rng = np.random.default_rng(4)
+        frames = rng.random((2, 3, h, w, 3)).astype(np.float32)
+        out = pad_to_square(frames, 32)
+        assert out.shape == (2, 3, 32, 32, 3)
+        per_frame = np.stack([pad_to_square(f, 32) for f in frames.reshape(6, h, w, 3)])
+        npt.assert_array_equal(out.reshape(6, 32, 32, 3), per_frame)
+
     def test_zero_area_rejected(self):
         with pytest.raises(ContractError):
             pad_to_square(np.zeros((0, 3, 3), dtype=np.float32), 4)
@@ -68,6 +77,29 @@ class TestBilinearResize:
         out = bilinear_resize(img, 17, 11)
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
+
+    @pytest.mark.parametrize("h, w", [(28, 28), (24, 16), (16, 24)])
+    def test_batch_equals_per_image_reference(self, h, w):
+        # reference: the per-image row-then-column gather, one image at a time
+        def one_image(img, new_h, new_w):
+            def axis_coords(n_new, n_old):
+                src = np.clip((np.arange(n_new) + 0.5) * (n_old / n_new) - 0.5,
+                              0.0, n_old - 1.0)
+                lo = np.floor(src).astype(np.int64)
+                return lo, np.minimum(lo + 1, n_old - 1), (src - lo).astype(img.dtype)
+
+            y0, y1, ty = axis_coords(new_h, img.shape[0])
+            x0, x1, tx = axis_coords(new_w, img.shape[1])
+            ty, tx = ty[:, None, None], tx[None, :, None]
+            top = img[y0][:, x0] * (1 - tx) + img[y0][:, x1] * tx
+            bot = img[y1][:, x0] * (1 - tx) + img[y1][:, x1] * tx
+            return top * (1 - ty) + bot * ty
+
+        rng = np.random.default_rng(5)
+        images = rng.random((4, h, w, 3)).astype(np.float32)
+        new_h, new_w = (32, round(w * 32 / h)) if h >= w else (round(h * 32 / w), 32)
+        npt.assert_array_equal(bilinear_resize(images, new_h, new_w),
+                               np.stack([one_image(im, new_h, new_w) for im in images]))
 
 
 class TestPatchify:
