@@ -82,7 +82,12 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    """Pre-norm MLP arm: LN -> linear(dim -> ratio*dim) -> GELU -> linear."""
+    """Pre-norm MLP arm: LN -> linear(dim -> ratio*dim) -> GELU -> linear.
+
+    The GELU is the tanh form (``tensor.gelu``): it costs a fraction of
+    the exact erf form, which dominated a frozen-encoder epoch, and CLIP's
+    encoders use an approximate GELU as well.
+    """
 
     def __init__(self, params, prefix, dim, ratio, rng, dtype):
         hidden = dim * ratio

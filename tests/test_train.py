@@ -18,7 +18,11 @@ from vtfpar.tensor import (ContractError, DimensionError, Tape, Tensor,
 from vtfpar.text import TextConfig
 from vtfpar.train import (Adam, TrainConfig, bce_loss, evaluate,
                           sample_frame_indices, train)
-from vtfpar.vision import VitConfig
+from vtfpar.vision import VisionEncoder, VitConfig
+
+# the modules, not the package's ``train`` function of the same name
+train_mod = importlib.import_module("vtfpar.train")
+tensor_mod = importlib.import_module("vtfpar.tensor")
 
 LN2 = math.log(2.0)
 
@@ -220,9 +224,7 @@ class TestTrainLoop:
             loss = bce_loss(logits, targets)
             return scale(loss, math.nan) if len(calls) == 5 else loss
 
-        # the module, not the package's ``train`` function of the same name
-        monkeypatch.setattr(importlib.import_module("vtfpar.train"), "bce_loss",
-                            nan_on_fifth_step)
+        monkeypatch.setattr(train_mod, "bce_loss", nan_on_fifth_step)
         model = _tiny_model(schema)
         with pytest.raises(VerificationError, match=r"epoch 3, step 1$"):
             train(model, data, [], cfg)
@@ -232,6 +234,52 @@ class TestTrainLoop:
         train(reference, data, [], TrainConfig(epochs=2, batch_size=2, frames=2))
         for p in model.params:
             npt.assert_array_equal(p.data, reference.params[p.name].data, err_msg=p.name)
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        # the loss stays finite; only the backward breaks
+        schema = _tiny_schema()
+        data = _tiny_tracklets(schema, n=4)
+        model = _tiny_model(schema)
+        before = {p.name: p.data.copy() for p in model.params}
+        monkeypatch.setattr(tensor_mod, "_gelu_grad",
+                            lambda x, cdf: np.full_like(x, np.inf))
+        with pytest.raises(VerificationError, match=r"^non-finite gradient of "
+                           r"fusion\.block0\.attn\.ln\.gain at epoch 1, step 1$"), \
+                np.errstate(invalid="ignore"):
+            train(model, data, [], TrainConfig(epochs=2, batch_size=2, frames=2))
+        for p in model.params:
+            npt.assert_array_equal(p.data, before[p.name], err_msg=p.name)
+
+    def test_frozen_heldout_encoded_once_per_train_call(self, monkeypatch):
+        schema = _tiny_schema()
+        train_set = _tiny_tracklets(schema, n=6)
+        heldout = _tiny_tracklets(schema, n=5, seed=1)
+        encoded = []
+        real_encode = VisionEncoder.encode
+
+        def counted_encode(self, frames):
+            encoded.append(frames.shape[0])
+            return real_encode(self, frames)
+
+        pairs = []  # (report logged by train(), fresh evaluate()) per epoch
+        real_evaluate = train_mod.evaluate
+
+        def checked_evaluate(model, tracklets, frames, *args, **kwargs):
+            report = real_evaluate(model, tracklets, frames, *args, **kwargs)
+            monkeypatch.setattr(VisionEncoder, "encode", real_encode)
+            pairs.append((report, real_evaluate(model, tracklets, frames)))
+            monkeypatch.setattr(VisionEncoder, "encode", counted_encode)
+            return report
+
+        monkeypatch.setattr(VisionEncoder, "encode", counted_encode)
+        monkeypatch.setattr(train_mod, "evaluate", checked_evaluate)
+        logs = train(_tiny_model(schema), train_set, heldout,
+                     TrainConfig(epochs=3, batch_size=4, frames=2))
+        assert sum(encoded) == (len(train_set) + len(heldout)) * 2
+        assert len(pairs) == 3
+        for log, (logged, fresh) in zip(logs, pairs):
+            assert logged == fresh
+            assert log.heldout_f1 == fresh.macro_f1
 
     def test_evaluate_reports_all_groups(self):
         schema = _tiny_schema()
