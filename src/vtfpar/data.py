@@ -32,6 +32,7 @@ from .schema import AttributeSchema, load_schema, save_schema
 from .vision import bilinear_resize
 
 FRAME_MAGIC = b"VTFIMG01"
+_PROTOTYPE_SEED = 7
 _PROTOTYPE_GRID = 6
 _PROTOTYPE_AMPLITUDE = 0.3
 _PROTOTYPE_CELL_RMS = 0.577  # cell scale of a uniform(-1, 1) draw
@@ -53,7 +54,6 @@ class Tracklet:
 class Dataset:
     schema: AttributeSchema
     splits: dict[str, list[Tracklet]]
-    root: Path
 
     def split(self, name: str) -> list[Tracklet]:
         if name not in self.splits:
@@ -175,7 +175,6 @@ class SyntheticSpec:
     occlusion_p: float = 0.3
     split_fraction: float = 5.0 / 7.0  # train share: 500 / 200 by default
     seed: int = 0
-    prototype_seed: int = 7
 
     def __post_init__(self):
         if self.n_tracklets < 2 or self.frames_per_tracklet < 1:
@@ -205,7 +204,7 @@ def class_prototypes(spec: SyntheticSpec, schema: AttributeSchema) -> np.ndarray
     """
     c = schema.n_classes
     dim = _PROTOTYPE_GRID * _PROTOTYPE_GRID * 3
-    rng = np.random.default_rng([spec.prototype_seed, 0])
+    rng = np.random.default_rng([_PROTOTYPE_SEED, 0])
     if c <= dim:
         q, _ = np.linalg.qr(rng.standard_normal((dim, c)))
         grids = (q.T * _PROTOTYPE_CELL_RMS * np.sqrt(dim)).reshape(
@@ -350,4 +349,4 @@ def load_dataset(manifest_path) -> Dataset:
     loaded: dict[str, list[Tracklet]] = {}
     for split, rels in splits.items():
         loaded[split] = [_load_tracklet(root / rel, schema) for rel in rels]
-    return Dataset(schema=schema, splits=loaded, root=root)
+    return Dataset(schema=schema, splits=loaded)

@@ -36,9 +36,8 @@ class FusionConfig:
 class TokenProjector:
     """No-fusion variant: one shared linear layer applied per token."""
 
-    def __init__(self, params: ParameterSet, dim: int,
-                 rng: np.random.Generator, dtype=np.float32, prefix: str = "nofusion"):
-        self.linear = Linear(params, f"{prefix}.proj", dim, dim, rng, dtype)
+    def __init__(self, params: ParameterSet, dim: int, rng: np.random.Generator):
+        self.linear = Linear(params, "nofusion.proj", dim, dim, rng)
 
     def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
         return self.linear(x)
@@ -48,12 +47,10 @@ class ClassificationHeads:
     """One linear head per attribute class; head m reads text token m."""
 
     def __init__(self, params: ParameterSet, n_classes: int, dim: int,
-                 rng: np.random.Generator, dtype=np.float32, prefix: str = "heads"):
+                 rng: np.random.Generator):
         self.n_classes = n_classes
-        self.weight = params.add(
-            f"{prefix}.weight",
-            (dim ** -0.5) * rng.standard_normal((n_classes, dim)).astype(dtype))
-        self.bias = params.add(f"{prefix}.bias", np.zeros(n_classes, dtype=dtype))
+        self.weight = params.normal("heads.weight", (n_classes, dim), dim ** -0.5, rng)
+        self.bias = params.add("heads.bias", np.zeros(n_classes))
 
     def __call__(self, text_tokens: Tensor) -> Tensor:
         """(..., n_classes, dim) -> logits (..., n_classes)."""

@@ -15,27 +15,19 @@ from .tensor import (DimensionError, Tensor, add, gelu, layer_norm, linear,
                      matmul, reshape, scale, softmax, transpose)
 
 
-def _linear_params(params: ParameterSet, name: str, fan_in: int, fan_out: int,
-                   rng: np.random.Generator, dtype):
-    w = params.add(
-        f"{name}.weight",
-        (fan_in ** -0.5) * rng.standard_normal((fan_in, fan_out)).astype(dtype))
-    b = params.add(f"{name}.bias", np.zeros(fan_out, dtype=dtype))
-    return w, b
-
-
 class Linear:
-    def __init__(self, params, name, fan_in, fan_out, rng, dtype):
-        self.w, self.b = _linear_params(params, name, fan_in, fan_out, rng, dtype)
+    def __init__(self, params: ParameterSet, name: str, fan_in: int, fan_out: int,
+                 rng: np.random.Generator):
+        self.w = params.normal(f"{name}.weight", (fan_in, fan_out), fan_in ** -0.5, rng)
+        self.b = params.add(f"{name}.bias", np.zeros(fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w.tensor, self.b.tensor)
 
 
-def _norm_params(params: ParameterSet, name: str, dim: int, dtype):
-    gain = params.add(f"{name}.gain", np.ones(dim, dtype=dtype))
-    bias = params.add(f"{name}.bias", np.zeros(dim, dtype=dtype))
-    return gain, bias
+def _norm_params(params: ParameterSet, name: str, dim: int):
+    return (params.add(f"{name}.gain", np.ones(dim)),
+            params.add(f"{name}.bias", np.zeros(dim)))
 
 
 class MultiHeadAttention:
@@ -48,15 +40,15 @@ class MultiHeadAttention:
     """
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
-                 rng: np.random.Generator, dtype):
+                 rng: np.random.Generator):
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.ln_gain, self.ln_bias = _norm_params(params, f"{prefix}.ln", dim, dtype)
-        self.q = Linear(params, f"{prefix}.q", dim, dim, rng, dtype)
-        self.k = Linear(params, f"{prefix}.k", dim, dim, rng, dtype)
-        self.v = Linear(params, f"{prefix}.v", dim, dim, rng, dtype)
-        self.out = Linear(params, f"{prefix}.out", dim, dim, rng, dtype)
+        self.ln_gain, self.ln_bias = _norm_params(params, f"{prefix}.ln", dim)
+        self.q = Linear(params, f"{prefix}.q", dim, dim, rng)
+        self.k = Linear(params, f"{prefix}.k", dim, dim, rng)
+        self.v = Linear(params, f"{prefix}.v", dim, dim, rng)
+        self.out = Linear(params, f"{prefix}.out", dim, dim, rng)
 
     def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
         if x.ndim != 3:
@@ -89,11 +81,11 @@ class FeedForward:
     encoders use an approximate GELU as well.
     """
 
-    def __init__(self, params, prefix, dim, ratio, rng, dtype):
+    def __init__(self, params, prefix, dim, ratio, rng):
         hidden = dim * ratio
-        self.ln_gain, self.ln_bias = _norm_params(params, f"{prefix}.ln", dim, dtype)
-        self.fc1 = Linear(params, f"{prefix}.fc1", dim, hidden, rng, dtype)
-        self.fc2 = Linear(params, f"{prefix}.fc2", hidden, dim, rng, dtype)
+        self.ln_gain, self.ln_bias = _norm_params(params, f"{prefix}.ln", dim)
+        self.fc1 = Linear(params, f"{prefix}.fc1", dim, hidden, rng)
+        self.fc2 = Linear(params, f"{prefix}.fc2", hidden, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(
@@ -102,19 +94,13 @@ class FeedForward:
 
 class TransformerBlock:
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
-                 mlp_ratio: int, rng: np.random.Generator, dtype):
-        self.attn = MultiHeadAttention(params, f"{prefix}.attn", dim, heads, rng, dtype)
-        self.mlp = FeedForward(params, f"{prefix}.mlp", dim, mlp_ratio, rng, dtype)
+                 mlp_ratio: int, rng: np.random.Generator):
+        self.attn = MultiHeadAttention(params, f"{prefix}.attn", dim, heads, rng)
+        self.mlp = FeedForward(params, f"{prefix}.mlp", dim, mlp_ratio, rng)
 
     def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
         y = add(x, self.attn(x, collect))
         return add(y, self.mlp(y))
-
-    def zero_residual_projections(self) -> None:
-        """Zero the attention and MLP output projections; the block then
-        reduces to the identity map."""
-        for p in (self.attn.out.w, self.attn.out.b, self.mlp.fc2.w, self.mlp.fc2.b):
-            p.set_value(np.zeros_like(p.data))
 
 
 class TransformerStack:
@@ -122,18 +108,11 @@ class TransformerStack:
     order; the vision, text and fusion stacks are all this class."""
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
-                 blocks: int, mlp_ratio: int, rng: np.random.Generator, dtype):
-        self.blocks = [
-            TransformerBlock(params, f"{prefix}.block{i}", dim, heads,
-                             mlp_ratio, rng, dtype)
-            for i in range(blocks)
-        ]
+                 blocks: int, mlp_ratio: int, rng: np.random.Generator):
+        self.blocks = [TransformerBlock(params, f"{prefix}.block{i}", dim, heads,
+                                        mlp_ratio, rng) for i in range(blocks)]
 
     def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
         for blk in self.blocks:
             x = blk(x, collect)
         return x
-
-    def zero_residual_projections(self) -> None:
-        for blk in self.blocks:
-            blk.zero_residual_projections()

@@ -21,8 +21,8 @@ from .kvfile import keyed, read_sections
 from .layers import TransformerStack
 from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from .schema import AttributeSchema
-from .tensor import (DimensionError, Tensor, concat, expand_leading, reshape,
-                     slice_axis, tensor_mean)
+from .tensor import (DEFAULT_DTYPE, DimensionError, Tensor, concat, expand_leading,
+                     reshape, slice_axis, tensor_mean)
 from .text import TextConfig, TextEncoder, build_vocab, attribute_sentences, token_matrix
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
@@ -57,36 +57,35 @@ def paper_scale_config() -> ModelConfig:
 
 
 class VideoAttributeModel:
-    """Bundles parameters, tokenized prompts and the three sub-networks."""
+    """Bundles parameters, tokenized prompts and the three sub-networks.
+
+    ``dtype`` is the parameter dtype, held by ``params``; gradient
+    verification builds a float64 model.
+    """
 
     def __init__(self, config: ModelConfig, schema: AttributeSchema,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0, dtype=DEFAULT_DTYPE):
         self.config = config
         self.schema = schema
-        self.dtype = dtype
-        self.params = ParameterSet()
+        self.params = ParameterSet(dtype)
         self.vocab = build_vocab(attribute_sentences(schema), config.text.max_len)
         self.token_ids = token_matrix(schema, self.vocab)
 
         def rng(k):
             return np.random.default_rng([seed, k])
 
-        self.vision = VisionEncoder(self.params, config.vit, rng(1), dtype)
-        self.text = TextEncoder(self.params, config.text, self.vocab.size, rng(2), dtype)
+        self.vision = VisionEncoder(self.params, config.vit, rng(1))
+        self.text = TextEncoder(self.params, config.text, self.vocab.size, rng(2))
         if config.use_fusion:
             cfg = config.fusion
             self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,
-                                           cfg.blocks, cfg.mlp_ratio, rng(3), dtype)
+                                           cfg.blocks, cfg.mlp_ratio, rng(3))
         else:
-            self.fusion = TokenProjector(self.params, config.fusion.dim, rng(3), dtype)
+            self.fusion = TokenProjector(self.params, config.fusion.dim, rng(3))
         self.heads = ClassificationHeads(self.params, schema.n_classes,
-                                         config.fusion.dim, rng(4), dtype)
+                                         config.fusion.dim, rng(4))
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def n_visual_tokens(self) -> int:
-        return self.config.vit.n_tokens
 
     @property
     def n_classes(self) -> int:
@@ -98,7 +97,7 @@ class VideoAttributeModel:
         """Raw clips (b, t, h, w, 3) -> time-averaged tokens (b, n_v, d)."""
         b, t = clips.shape[:2]
         s = self.config.vit.image_size
-        frames = np.asarray(clips, dtype=self.dtype).reshape((b * t,) + clips.shape[2:])
+        frames = np.asarray(clips, dtype=self.params.dtype).reshape((b * t,) + clips.shape[2:])
         tokens = self.vision.encode(pad_to_square(frames, s))
         tokens = reshape(tokens, (b, t) + tokens.shape[1:])
         return tensor_mean(tokens, axis=1)
@@ -127,15 +126,11 @@ class VideoAttributeModel:
 
     def set_freeze(self, freeze_encoders: bool) -> None:
         """Freeze (or unfreeze) both encoder parameter sets."""
-        for prefix in ENCODER_PREFIXES:
-            self.params.set_trainable_prefix(prefix, not freeze_encoders)
+        for p in self.encoder_parameters():
+            p.trainable = not freeze_encoders
 
     def encoder_parameters(self):
         return [p for p in self.params if p.name.startswith(ENCODER_PREFIXES)]
-
-    def zero_fusion_residuals(self) -> None:
-        """Zero the fusion blocks' output projections (identity-map configuration)."""
-        self.fusion.zero_residual_projections()
 
     def save(self, path) -> None:
         save_checkpoint(self.params, path)

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError
-from .tensor import Tensor
+from .tensor import DEFAULT_DTYPE, Tensor
 
 CHECKPOINT_MAGIC = b"VTFPAR01"
 
@@ -63,17 +63,26 @@ class Parameter:
 
 
 class ParameterSet:
-    """Insertion-ordered collection of uniquely named parameters."""
+    """Insertion-ordered collection of uniquely named parameters.
 
-    def __init__(self):
+    The set owns the parameter dtype: ``add`` casts every array to it.
+    """
+
+    def __init__(self, dtype=DEFAULT_DTYPE):
+        self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
 
     def add(self, name: str, array: np.ndarray, trainable: bool = True) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, Tensor(array, requires_grad=trainable))
+        p = Parameter(name, Tensor(array, dtype=self.dtype, requires_grad=trainable))
         self._params[name] = p
         return p
+
+    def normal(self, name: str, shape: tuple[int, ...], std: float,
+               rng: np.random.Generator) -> Parameter:
+        """Standard normal draws, cast to the set's dtype, then scaled by ``std``."""
+        return self.add(name, std * rng.standard_normal(shape).astype(self.dtype))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -92,15 +101,6 @@ class ParameterSet:
 
     def trainable(self) -> list[Parameter]:
         return [p for p in self if p.trainable]
-
-    def zero_grad(self) -> None:
-        for p in self:
-            p.tensor.zero_grad()
-
-    def set_trainable_prefix(self, prefix: str, flag: bool) -> None:
-        for p in self:
-            if p.name.startswith(prefix):
-                p.trainable = flag
 
 
 def save_checkpoint(params: ParameterSet, path) -> None:
@@ -175,4 +175,4 @@ def load_checkpoint(params: ParameterSet, path) -> None:
             raise DataError(
                 f"checkpoint {path}: {name} has shape {arr.shape}, "
                 f"model expects {p.tensor.shape}")
-        p.set_value(arr.astype(p.tensor.dtype))
+        p.set_value(arr)

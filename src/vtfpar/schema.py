@@ -31,6 +31,12 @@ class SchemaError(DataError):
     """Schema file violates the format or an invariant."""
 
 
+def _has_no_words(raw: str) -> bool:
+    """True for a raw attribute string made only of separators (blanks and
+    underscores), which split-expands to an empty phrase."""
+    return not raw.replace("_", " ").strip()
+
+
 def _fail(path, lineno: int | None, msg: str):
     where = f"{path}:{lineno}: " if lineno is not None else f"{path}: "
     raise SchemaError(where + msg)
@@ -55,8 +61,9 @@ class AttributeGroup:
         if len(set(self.classes)) != len(self.classes):
             raise SchemaError(f"group {self.name}: duplicate class names")
         for raw in self.raws:
-            if not raw.strip():
-                raise SchemaError(f"group {self.name}: empty raw attribute string")
+            if _has_no_words(raw):
+                raise SchemaError(
+                    f"group {self.name}: raw attribute string {raw!r} has no words")
 
     @property
     def size(self) -> int:
@@ -163,8 +170,9 @@ def load_schema(path) -> AttributeSchema:
             _fail(path, section.lineno, f"duplicate group name {name!r}")
         classes = keyed(section, path, SchemaError)
         for cls, (lineno, raw) in classes.items():
-            if not raw:
-                _fail(path, lineno, f"class {cls!r} has an empty raw attribute string")
+            if _has_no_words(raw):
+                _fail(path, lineno,
+                      f"class {cls!r}: raw attribute string {raw!r} has no words")
         try:
             groups.append(AttributeGroup(name, kind, tuple(classes),
                                          tuple(raw for _, raw in classes.values())))

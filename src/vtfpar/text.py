@@ -95,7 +95,7 @@ class TokenizerVocab:
         return 4 + len(self.word_ids)
 
 
-def build_vocab(sentences, max_len: int = 16) -> TokenizerVocab:
+def build_vocab(sentences, max_len: int) -> TokenizerVocab:
     words = sorted({w for s in sentences for w in s.split()})
     return TokenizerVocab({w: 4 + i for i, w in enumerate(words)}, max_len)
 
@@ -140,17 +140,13 @@ class TextEncoder:
     """
 
     def __init__(self, params: ParameterSet, cfg: TextConfig, vocab_size: int,
-                 rng: np.random.Generator, dtype=np.float32, prefix: str = "text"):
+                 rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.dim
-        self.table = params.add(
-            f"{prefix}.embed",
-            0.02 * rng.standard_normal((vocab_size, d)).astype(dtype))
-        self.pos = params.add(
-            f"{prefix}.pos",
-            0.02 * rng.standard_normal((cfg.max_len, d)).astype(dtype))
-        self.blocks = TransformerStack(params, prefix, d, cfg.heads, cfg.blocks,
-                                       cfg.mlp_ratio, rng, dtype)
+        self.table = params.normal("text.embed", (vocab_size, d), 0.02, rng)
+        self.pos = params.normal("text.pos", (cfg.max_len, d), 0.02, rng)
+        self.blocks = TransformerStack(params, "text", d, cfg.heads, cfg.blocks,
+                                       cfg.mlp_ratio, rng)
 
     def encode(self, ids: np.ndarray) -> Tensor:
         """ids (M, L) -> text tokens (M, D)."""

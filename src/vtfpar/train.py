@@ -61,7 +61,8 @@ class Adam:
     value before the moment update, scaled by lr).
 
     State exists only for trainable parameters; frozen parameters are
-    never touched.
+    never touched. ``step`` rebinds each trainable parameter to a new
+    tensor, which also clears its gradient.
     """
 
     beta1 = 0.9
@@ -96,9 +97,6 @@ class Adam:
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
             p.set_value(value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-
-    def zero_grad(self) -> None:
-        self.params.zero_grad()
 
 
 def sample_frame_indices(available: int, k: int) -> np.ndarray:

@@ -107,22 +107,17 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
 class VisionEncoder:
     """Patch projection + class token + positional vectors + blocks."""
 
-    def __init__(self, params: ParameterSet, cfg: VitConfig,
-                 rng: np.random.Generator, dtype=np.float32, prefix: str = "vision"):
+    def __init__(self, params: ParameterSet, cfg: VitConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.dtype = dtype
+        self.dtype = params.dtype
         d = cfg.dim
-        self.patch = Linear(params, f"{prefix}.patch", cfg.patch_size * cfg.patch_size * 3,
-                            d, rng, dtype)
-        self.cls = params.add(
-            f"{prefix}.cls", 0.02 * rng.standard_normal((1, d)).astype(dtype))
+        self.patch = Linear(params, "vision.patch", cfg.patch_size ** 2 * 3, d, rng)
+        self.cls = params.normal("vision.cls", (1, d), 0.02, rng)
         # unit-scale positional code: the frozen random blocks then act as a
         # position-sensitive feature map, so pooled tokens keep region info
-        self.pos = params.add(
-            f"{prefix}.pos",
-            rng.standard_normal((cfg.n_tokens, d)).astype(dtype))
-        self.blocks = TransformerStack(params, prefix, d, cfg.heads, cfg.depth,
-                                       cfg.mlp_ratio, rng, dtype)
+        self.pos = params.normal("vision.pos", (cfg.n_tokens, d), 1.0, rng)
+        self.blocks = TransformerStack(params, "vision", d, cfg.heads, cfg.depth,
+                                       cfg.mlp_ratio, rng)
 
     def encode(self, frames: np.ndarray) -> Tensor:
         """Padded frames (b, s, s, 3) -> tokens (b, n_tokens, dim)."""

@@ -84,7 +84,7 @@ def test_criterion_01_gradient_correctness(capsys):
 def test_criterion_02_attention_rows_normalized(capsys):
     model = VideoAttributeModel(ModelConfig(), default_schema(), seed=0)
     rng = np.random.default_rng(0)
-    n_v, m, d = model.n_visual_tokens, model.n_classes, model.config.fusion.dim
+    n_v, m, d = model.config.vit.n_tokens, model.n_classes, model.config.fusion.dim
     worst = 0.0
     checked_rows = 0
     with no_grad():
@@ -104,9 +104,14 @@ def test_criterion_02_attention_rows_normalized(capsys):
 
 def test_criterion_03_residual_identity(capsys):
     model = VideoAttributeModel(ModelConfig(), default_schema(), seed=1)
-    model.zero_fusion_residuals()
+    # zero every fusion block's attention and MLP output projection
+    zeroed = [p for p in model.params if p.name.startswith("fusion.")
+              and any(part in p.name for part in (".attn.out.", ".mlp.fc2."))]
+    assert len(zeroed) == 4 * model.config.fusion.blocks
+    for p in zeroed:
+        p.set_value(np.zeros_like(p.data))
     rng = np.random.default_rng(1)
-    n = model.n_visual_tokens + model.n_classes
+    n = model.config.vit.n_tokens + model.n_classes
     x = rng.normal(size=(4, n, model.config.fusion.dim)).astype(np.float32)
     with no_grad():
         out = model.fusion(Tensor(x)).data

@@ -104,9 +104,9 @@ def test_shape_mismatch_rejected(tmp_path):
 
 
 def test_float64_models_store_float32(tmp_path):
-    params = ParameterSet()
+    params = ParameterSet(np.float64)
     value = np.array([1.0 + 1e-12], dtype=np.float64)  # below f32 resolution
-    params.add("w", value)
+    assert params.add("w", value).data[0] != 1.0
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, path)
     stored = read_checkpoint_arrays(path)["w"]

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, output formats, end-to-end subcommands."""
 
 import importlib
+import shutil
 
 import numpy as np
 import pytest
@@ -107,6 +108,26 @@ def test_train_missing_output_dir_exits_2_before_training(
     assert rc == 2
     err = capsys.readouterr().err
     assert "nodir" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "dump-prompts", "gen-data"])
+def test_raw_attribute_of_separators_only_exits_2(command, tiny_dataset, tmp_path, capsys):
+    # "_" split-expands to an empty phrase; the schema loader names its line
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    schema_path = data / "schema.txt"
+    text = schema_path.read_text(encoding="utf-8")
+    schema_path.write_text(text.replace("marked = marked", "marked = _"), encoding="utf-8")
+    args = {"train": ["train", "--data", str(data), "--epochs", "1",
+                      "--checkpoint", str(tmp_path / "m.ckpt"),
+                      "--log", str(tmp_path / "l.tsv")],
+            "dump-prompts": ["dump-prompts", "--schema", str(schema_path)],
+            "gen-data": ["gen-data", "--out", str(tmp_path / "new"),
+                         "--schema", str(schema_path), "--tracklets", "4"]}[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{schema_path}:8:" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "new").exists()
 
 
 def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsys):

@@ -19,8 +19,8 @@ from vtfpar.vision import VitConfig
 
 
 def _mha(dim=4, heads=1, seed=0):
-    params = ParameterSet()
-    attn = MultiHeadAttention(params, "attn", dim, heads, np.random.default_rng(seed), np.float64)
+    params = ParameterSet(np.float64)
+    attn = MultiHeadAttention(params, "attn", dim, heads, np.random.default_rng(seed))
     return attn, params
 
 
@@ -91,15 +91,16 @@ class TestSelfAttention:
 
 
 class TestFusionBlock:
-    def _block(self, dim=6, heads=2, seed=0, dtype=np.float64):
-        params = ParameterSet()
-        blk = TransformerBlock(params, "blk", dim, heads, 2,
-                               np.random.default_rng(seed), dtype)
+    def _block(self, dim=6, heads=2, seed=0):
+        params = ParameterSet(np.float64)
+        blk = TransformerBlock(params, "blk", dim, heads, 2, np.random.default_rng(seed))
         return blk, params
 
     def test_zeroed_projections_give_exact_identity(self):
-        blk, _ = self._block()
-        blk.zero_residual_projections()
+        blk, params = self._block()
+        for p in params:
+            if p.name.startswith(("blk.attn.out.", "blk.mlp.fc2.")):
+                p.set_value(np.zeros_like(p.data))
         x = np.random.default_rng(6).normal(size=(1, 5, 6))
         out = blk(Tensor(x)).data
         npt.assert_array_equal(out, x)
@@ -141,8 +142,8 @@ class TestFusionBlock:
 
 class TestClassify:
     def _heads(self, n_classes, dim, seed=0):
-        return ClassificationHeads(ParameterSet(), n_classes, dim,
-                                   np.random.default_rng(seed), np.float64)
+        return ClassificationHeads(ParameterSet(np.float64), n_classes, dim,
+                                   np.random.default_rng(seed))
 
     def test_default_class_count(self):
         heads = self._heads(43, 8)
@@ -236,7 +237,7 @@ class TestForward:
         d = model.config.fusion.dim
         with pytest.raises(DimensionError):
             model.fusion.blocks[0].attn(Tensor(np.zeros((4, d), dtype=np.float32)))
-        visual = Tensor(np.zeros((model.n_visual_tokens, d), dtype=np.float32))
+        visual = Tensor(np.zeros((model.config.vit.n_tokens, d), dtype=np.float32))
         with pytest.raises(DimensionError):
             model.fuse_classify(visual, model.text_features())
         with pytest.raises(UsageError):

@@ -35,6 +35,12 @@ def test_exclusive_group_needs_two_classes():
         AttributeGroup("g", "exclusive", ("only",), ("only",))
 
 
+@pytest.mark.parametrize("raw", ["", " ", "_", "_ _"])
+def test_raw_without_words_rejected(raw):
+    with pytest.raises(SchemaError, match="no words"):
+        AttributeGroup("g", "binary", ("a",), (raw,))
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SchemaError):
         AttributeGroup("g", "multi", ("a", "b"), ("a", "b"))
@@ -83,6 +89,13 @@ class TestLoaderErrors:
     def test_empty_raw(self, tmp_path):
         with pytest.raises(SchemaError, match=r"schema\.txt:2"):
             self._load(tmp_path, "[group g binary]\na =\n")
+
+    @pytest.mark.parametrize("raw", ["_", "__", "_ _"])
+    def test_raw_of_separators_only_line_numbered(self, tmp_path, raw):
+        # split-expands to an empty phrase, so no prompt can be built
+        body = f"[group g binary]\na = one\nb = {raw}\n"
+        with pytest.raises(SchemaError, match=r"schema\.txt:3: class 'b'.*no words"):
+            self._load(tmp_path, body)
 
     def test_key_before_group(self, tmp_path):
         with pytest.raises(SchemaError, match=r"schema\.txt:1"):

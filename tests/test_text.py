@@ -95,7 +95,7 @@ class TestTokenizer:
 
     def test_ids_stable_given_schema(self):
         sentences = attribute_sentences(default_schema())
-        v1, v2 = build_vocab(sentences), build_vocab(sentences)
+        v1, v2 = build_vocab(sentences, max_len=16), build_vocab(sentences, max_len=16)
         assert v1.word_ids == v2.word_ids
 
     def test_min_length_enforced(self):

@@ -68,7 +68,7 @@ class TestBceLoss:
 
 class TestAdam:
     def _pset(self, values, trainable=True):
-        params = ParameterSet()
+        params = ParameterSet(np.float64)
         p = params.add("w", np.asarray(values, dtype=np.float64), trainable=trainable)
         return params, p
 
@@ -106,6 +106,21 @@ class TestAdam:
         opt = Adam(params)
         opt.step()
         assert set(opt.state) == {"live"}
+
+    def test_step_clears_every_trainable_gradient(self):
+        # the next step's gradients never accumulate onto this step's
+        schema = _tiny_schema()
+        model = _tiny_model(schema)
+        model.set_freeze(False)
+        clips = np.stack([t.frames for t in _tiny_tracklets(schema, n=2)])
+        targets = np.array([[1, 0, 1], [0, 1, 0]])
+        with Tape():
+            backward(bce_loss(model.logits_batch(clips), targets))
+        trainable = model.params.trainable()
+        assert len(trainable) == len(model.params)
+        assert all(p.tensor.grad is not None for p in trainable)
+        Adam(model.params).step()
+        assert [p.name for p in trainable if p.tensor.grad is not None] == []
 
 
 def _tiny_schema():
