@@ -14,10 +14,13 @@ second ``backward`` over a swept tape is a ``ContractError``.
 Broadcasting is deliberately narrow: elementwise ops align shapes by
 suffix (leading batch dims only) and matmul broadcasts leading batch
 dims. Anything else needs an explicit reshape, which keeps every backward
-rule auditable.
+rule auditable. ``linear`` (every ``Linear`` layer) sees its input as
+one flat list of rows: its forward and its input and weight gradients are
+each one GEMM over all rows, so its results do not depend on how the rows
+are grouped into batch items.
 
-Default dtype is float32; gradient verification constructs float64
-tensors for headroom.
+Everything here is numpy. Default dtype is float32; gradient
+verification constructs float64 tensors for headroom.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import VtfError
 
@@ -301,11 +303,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of the last axis: (..., k) -> (..., n).
 
-    The forward is one GEMM over the rows of ``x`` flattened to (rows, k),
-    with the bias added in place. The backward rules are those of
-    ``add(matmul(x, w), b)`` in the same reduction order: a single
-    flattened ``x^T g`` weight GEMM rounds differently, which moves the
-    training trajectory and the acceptance F1.
+    ``x`` is flattened to (rows, k) once, and the forward is one GEMM over
+    those rows with the bias added in place. The backward reuses that
+    flattened view: ``gx = g @ w^T`` and ``gw = x^T @ g`` are each one GEMM
+    over all rows, and ``gb`` is the column sum of ``g``. So a ``linear``'s
+    gradients depend only on its rows, not on how the rows are grouped
+    into batch items: (6, 17, k) and the same rows as (102, k) give
+    bitwise-equal results. They agree with ``add(matmul(x, w), b)`` to
+    rounding, not bitwise, because that form sums the weight gradient per
+    batch item.
     """
     if x.ndim < 2 or w.ndim != 2:
         raise DimensionError(
@@ -314,21 +320,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[-1] != k or b.shape != (n,):
         raise DimensionError(
             f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    x_data, w_data = x.data, w.data
-    out = np.matmul(x_data.reshape(-1, k), w_data)
+    x_shape, w_data = x.shape, w.data
+    x2 = x.data.reshape(-1, k)
+    out = np.matmul(x2, w_data)
     out += b.data
 
     def bw(g, needs):
+        g2 = g.reshape(-1, n)
         gx = gw = gb = None
         if needs[0]:
-            gx = np.matmul(g, w_data.T)
+            gx = np.matmul(g2, w_data.T).reshape(x_shape)
         if needs[1]:
-            gw = _reduce_to(np.matmul(np.swapaxes(x_data, -1, -2), g), (k, n))
+            gw = np.matmul(x2.T, g2)
         if needs[2]:
-            gb = _reduce_to(g, (n,))
+            gb = g2.sum(axis=0)
         return gx, gw, gb
 
-    return _apply("linear", out.reshape(x.shape[:-1] + (n,)), (x, w, b), bw)
+    return _apply("linear", out.reshape(x_shape[:-1] + (n,)), (x, w, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -484,7 +492,7 @@ def gelu(a: Tensor) -> Tensor:
     c = sqrt(2/pi), a = 0.044715 (Hendrycks & Gimpel, arXiv 1606.08415).
 
     It is within 5e-4 of the exact erf form and much cheaper: on a 2-vCPU
-    Xeon, scipy's ``erf`` takes about 20 ns per element in float32 and
+    Xeon, a library ``erf`` took about 20 ns per element in float32 and
     float64, ``np.tanh`` 0.3 ns (float32) and 1.6 ns (float64). CLIP's
     own encoders use an approximate GELU too (QuickGELU, Radford et al.,
     arXiv 2103.00020). The backward reuses the forward's tanh through
@@ -509,8 +517,24 @@ def gelu(a: Tensor) -> Tensor:
     return _apply("gelu", out, (a,), bw)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-x))`` in the dtype of ``x``.
+
+    Only -|x| is exponentiated, so nothing overflows: with e = exp(-|x|),
+    it is ``1 / (1 + e)`` for x >= 0 and ``e / (1 + e)`` below. For large
+    |x|, e underflowing to a subnormal or to 0 gives the right limit, so
+    that underflow is not reported even under ``np.errstate(all='raise')``.
+    float32 inputs are evaluated in float64 and rounded once.
+    """
+    x64 = x.astype(np.float64, copy=False)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x64))
+        s = np.where(x64 >= 0, 1.0, e) / (1.0 + e)
+        return s.astype(x.dtype, copy=False)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.data)
+    s = _logistic(a.data)
 
     def bw(g, needs):
         return (g * s * (1.0 - s),)
@@ -519,12 +543,17 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed stably; derivative is sigmoid(x)."""
+    """log(1 + exp(x)), computed stably; derivative is sigmoid(x).
+
+    Far below 0 the value underflows to a subnormal or to 0, its limit,
+    and that is not reported as a floating-point error.
+    """
     x = a.data
-    out = np.logaddexp(np.zeros((), dtype=x.dtype), x)
+    with np.errstate(under="ignore"):
+        out = np.logaddexp(np.zeros((), dtype=x.dtype), x)
 
     def bw(g, needs):
-        return (g * expit(x),)
+        return (g * _logistic(x),)
 
     return _apply("softplus", out, (a,), bw)
 

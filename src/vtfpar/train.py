@@ -79,7 +79,10 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        correction1 = 1.0 - b1 ** self.t
+        correction2 = 1.0 - b2 ** self.t
+        decay = 1.0 - lr * self.weight_decay
         for p in self.params.trainable():
             g = p.tensor.grad
             if g is None:
@@ -89,14 +92,23 @@ class Adam:
             if p.name not in self.state:
                 self.state[p.name] = [np.zeros_like(p.data), np.zeros_like(p.data)]
             m, v = self.state[p.name]
-            value = p.data
-            if self.weight_decay:
-                value = value * (1.0 - self.lr * self.weight_decay)
-            m[:] = b1 * m + (1.0 - b1) * g
-            v[:] = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.set_value(value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, in place
+            buf = np.multiply(1.0 - b1, g)
+            m *= b1
+            m += buf
+            np.multiply(1.0 - b2, g, out=buf)
+            buf *= g
+            v *= b2
+            v += buf
+            # value - lr m_hat / (sqrt(v_hat) + eps), into a fresh array
+            np.divide(v, correction2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update = np.divide(m, correction1)
+            update *= lr
+            update /= buf
+            value = p.data * decay if self.weight_decay else p.data
+            p.set_value(np.subtract(value, update, out=update))
 
 
 def sample_frame_indices(available: int, k: int) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves; the import needs only numpy."""
+
+import os
+import subprocess
+import sys
 
 import vtfpar
 
@@ -8,3 +12,12 @@ def test_star_import_resolves_every_exported_name():
     exec("from vtfpar import *", namespace)
     assert sorted(set(vtfpar.__all__) - set(namespace)) == []
     assert len(vtfpar.__all__) == len(set(vtfpar.__all__))
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's imports count
+    code = ("import sys, vtfpar, vtfpar.cli, vtfpar.gradcheck; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=os.environ.copy())
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,12 @@
 """Forward-op contracts: hand values, closed forms, shape errors."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from vtfpar.tensor import (DimensionError, Tape, Tensor, add, backward, concat,
                            expand_leading, gelu, layer_norm, linear, matmul,
@@ -40,29 +41,124 @@ class TestMatmul:
 
 
 class TestLinear:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_matmul_plus_bias(self, dtype):
-        # values and all three gradients, against the two-op form
+    # x (6, 17, 96): 102 rows of 96 grouped as 6 batch items
+    ROWS, K, N = (6, 17), 96, 48
+
+    def _inputs(self, dtype):
         rng = np.random.default_rng(7)
-        shapes = ((6, 17, 96), (96, 48), (48,))
+        shapes = (self.ROWS + (self.K,), (self.K, self.N), (self.N,))
         arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
-        weight = Tensor(rng.standard_normal((6, 17, 48)).astype(dtype))
-        results = []
-        for op in (linear, lambda x, w, b: add(matmul(x, w), b)):
-            inputs = [Tensor(a, requires_grad=True) for a in arrays]
-            with Tape():
-                out = op(*inputs)
-                backward(tensor_sum(mul(out, weight)))
-            results.append([out.data] + [t.grad for t in inputs])
-        for fused, pair in zip(*results):
-            assert fused.dtype == pair.dtype
-            npt.assert_array_equal(fused, pair)
+        weight = rng.standard_normal(self.ROWS + (self.N,)).astype(dtype)
+        return arrays, weight
+
+    @staticmethod
+    def _run(op, arrays, weight):
+        # output and the gradients of sum(op(x, w, b) * weight); the
+        # gradient reaching the op is ``weight`` itself
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape():
+            out = op(*inputs)
+            backward(tensor_sum(mul(out, Tensor(weight))))
+        return [out.data] + [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bitwise_equal_to_matmul_plus_bias(self, dtype):
+        x, w, b = (Tensor(a) for a in self._inputs(dtype)[0])
+        fused, pair = linear(x, w, b).data, add(matmul(x, w), b).data
+        assert fused.dtype == pair.dtype == dtype
+        npt.assert_array_equal(fused, pair)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_are_the_flat_formulas(self, dtype):
+        # one GEMM over all rows for each of gx and gw, a column sum for gb
+        (x, w, b), g = self._inputs(dtype)
+        _, gx, gw, gb = self._run(linear, (x, w, b), g)
+        x2, g2 = x.reshape(-1, self.K), g.reshape(-1, self.N)
+        npt.assert_array_equal(gx, (g2 @ w.T).reshape(x.shape))
+        npt.assert_array_equal(gw, x2.T @ g2)
+        npt.assert_array_equal(gb, g2.sum(axis=0))
+        assert gx.dtype == gw.dtype == gb.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_depend_only_on_rows(self, dtype):
+        # the same 102 rows as (6, 17, 96) and as (102, 96)
+        (x, w, b), g = self._inputs(dtype)
+        grouped = self._run(linear, (x, w, b), g)
+        flat = self._run(linear, (x.reshape(-1, self.K), w, b), g.reshape(-1, self.N))
+        npt.assert_array_equal(grouped[0].reshape(-1, self.N), flat[0])
+        npt.assert_array_equal(grouped[1].reshape(-1, self.K), flat[1])
+        npt.assert_array_equal(grouped[2], flat[2])
+        npt.assert_array_equal(grouped[3], flat[3])
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_gradients_close_to_matmul_plus_bias(self, dtype, rtol):
+        # the two-op form sums the weight gradient per batch item, so it
+        # rounds differently; a sum of 102 products can cancel to near 0,
+        # so the tolerance is relative to each gradient's largest entry
+        arrays, g = self._inputs(dtype)
+        fused = self._run(linear, arrays, g)
+        pair = self._run(lambda x, w, b: add(matmul(x, w), b), arrays, g)
+        for a, c in zip(fused[1:], pair[1:]):
+            assert a.dtype == c.dtype
+            npt.assert_allclose(a, c, rtol=rtol, atol=rtol * np.abs(c).max())
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 4\)"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
         with pytest.raises(DimensionError):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+def _exact_logistic(x):
+    # 1 / (1 + exp(-x)) at 40 digits, rounded to x's dtype
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = [1 / (1 + (-Decimal(float(v))).exp()) for v in x]
+    return np.array([float(v) for v in exact]).astype(x.dtype)
+
+
+class TestLogistic:
+    # sigmoid and the softplus gradient share one logistic
+
+    @staticmethod
+    def _softplus_grad(x):
+        a = Tensor(x, requires_grad=True)
+        with Tape():
+            backward(tensor_sum(softplus(a)))
+        return a.grad
+
+    # grids out to where the logistic leaves the normal range
+    @pytest.mark.parametrize("dtype,limit", [(np.float32, 87.0), (np.float64, 708.0)])
+    def test_within_2_ulp_of_exact(self, dtype, limit):
+        x = np.linspace(-limit, limit, 20001).astype(dtype)
+        exact = _exact_logistic(x)
+        for got in (sigmoid(Tensor(x)).data, self._softplus_grad(x)):
+            assert got.dtype == dtype
+            npt.assert_array_max_ulp(got, exact, maxulp=2)
+
+    # expit is itself up to 2 ulp from the exact value, so in float64 the
+    # two can sit 3 ulp apart; float32 inputs are evaluated in float64
+    @pytest.mark.parametrize("dtype,limit,maxulp",
+                             [(np.float32, 87.0, 2), (np.float64, 708.0, 3)])
+    def test_close_to_expit(self, dtype, limit, maxulp):
+        x = np.linspace(-limit, limit, 200001).astype(dtype)
+        for got in (sigmoid(Tensor(x)).data, self._softplus_grad(x)):
+            npt.assert_array_max_ulp(got, expit(x), maxulp=maxulp)
+
+    @pytest.mark.parametrize("dtype,big,tiny",
+                             [(np.float32, 1e30, -100.0), (np.float64, 1e300, -740.0)])
+    def test_finite_and_silent_at_huge_inputs(self, dtype, big, tiny):
+        # exp(-|x|) underflows to 0 at +-big and to a subnormal at tiny
+        x = np.array([big, -big, tiny], dtype=dtype)
+        with np.errstate(all="raise"):
+            s = sigmoid(Tensor(x)).data
+            out = softplus(Tensor(x)).data
+            grad = self._softplus_grad(x)
+        for got in (s, grad):
+            npt.assert_array_equal(got[:2], [1.0, 0.0])
+            assert 0.0 < got[2] < np.finfo(dtype).tiny
+        npt.assert_array_equal(out[:2], [x[0], 0.0])
+        assert 0.0 < out[2] < np.finfo(dtype).tiny
 
 
 class TestSoftmax:
