@@ -19,6 +19,7 @@ from .errors import DataError, UsageError, VerificationError
 from .metrics import report_text, report_tsv
 from .model import (ModelConfig, VideoAttributeModel, checkpoint_uses_fusion,
                     load_model_config)
+from .parallel import worker_count
 from .schema import default_schema, load_schema
 from .text import PromptTemplate, split_expand
 from .tensor import ContractError, DimensionError
@@ -241,6 +242,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        worker_count()  # a bad VTFPAR_THREADS stops before any output is written
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 The fused sequence is (batch, n_visual + n_text, dim), visual tokens
 first; after the fusion blocks, head m reads the enhanced text token m
-and produces one logit.
+and produces one logit. Only the text tokens are read, so the last
+fusion block computes only those rows; the visual tokens still serve it
+as keys and values.
 The no-fusion ablation replaces the transformer stack with one shared
-linear layer applied to every token.
+linear layer applied to every token the heads read.
 """
 
 from __future__ import annotations
@@ -34,13 +36,15 @@ class FusionConfig:
 
 
 class TokenProjector:
-    """No-fusion variant: one shared linear layer applied per token."""
+    """No-fusion variant: one shared linear layer applied per token, to
+    the ``rows`` the caller reads (all tokens without ``rows``)."""
 
     def __init__(self, params: ParameterSet, dim: int, rng: np.random.Generator):
         self.linear = Linear(params, "nofusion.proj", dim, dim, rng)
 
-    def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
-        return self.linear(x)
+    def __call__(self, x: Tensor, collect: list | None = None,
+                 rows=None) -> Tensor:
+        return self.linear(x if rows is None else rows(x))
 
 
 class ClassificationHeads:

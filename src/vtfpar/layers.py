@@ -34,9 +34,13 @@ class MultiHeadAttention:
     """Pre-norm multi-head self-attention.
 
     Scores are Q K^T / sqrt(c) with c the per-head dim; each score row is
-    softmax-normalized. When ``collect`` is a list, the per-head
-    attention probabilities (numpy, shape (batch, heads, n, n)) are
-    appended to it.
+    softmax-normalized. ``rows``, if given, maps (batch, n, dim) to the
+    (batch, n', dim) rows whose output is read: queries are taken from
+    those rows only, while keys and values span all n, and the output is
+    (batch, n', dim). When ``collect`` is a list, the per-head attention
+    probabilities (numpy, shape (batch, heads, n', n); n' = n without
+    ``rows``, so every block but a stack's last records (batch, heads,
+    n, n)) are appended to it.
     """
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
@@ -50,26 +54,29 @@ class MultiHeadAttention:
         self.v = Linear(params, f"{prefix}.v", dim, dim, rng)
         self.out = Linear(params, f"{prefix}.out", dim, dim, rng)
 
-    def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor, collect: list | None = None,
+                 rows=None) -> Tensor:
         if x.ndim != 3:
             raise DimensionError(f"attention expects (batch, n, dim), got {x.shape}")
         b, n, d = x.shape
         h, hd = self.heads, self.head_dim
 
         xn = layer_norm(x, self.ln_gain.tensor, self.ln_bias.tensor)
+        xq = xn if rows is None else rows(xn)
+        nq = xq.shape[1]
 
-        def split_heads(t: Tensor) -> Tensor:
-            return transpose(reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
+        def split_heads(t: Tensor, length: int) -> Tensor:
+            return transpose(reshape(t, (b, length, h, hd)), (0, 2, 1, 3))
 
-        q = split_heads(self.q(xn))
-        k = split_heads(self.k(xn))
-        v = split_heads(self.v(xn))
+        q = split_heads(self.q(xq), nq)
+        k = split_heads(self.k(xn), n)
+        v = split_heads(self.v(xn), n)
 
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
         probs = softmax(scores, axis=-1)
         if collect is not None:
             collect.append(probs.data)
-        ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
+        ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, nq, d))
         return self.out(ctx)
 
 
@@ -98,21 +105,34 @@ class TransformerBlock:
         self.attn = MultiHeadAttention(params, f"{prefix}.attn", dim, heads, rng)
         self.mlp = FeedForward(params, f"{prefix}.mlp", dim, mlp_ratio, rng)
 
-    def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
-        y = add(x, self.attn(x, collect))
+    def __call__(self, x: Tensor, collect: list | None = None,
+                 rows=None) -> Tensor:
+        a = self.attn(x, collect, rows)
+        y = add(x if rows is None else rows(x), a)
         return add(y, self.mlp(y))
 
 
 class TransformerStack:
     """``blocks`` transformer blocks named ``{prefix}.block{i}``, applied in
-    order; the vision, text and fusion stacks are all this class."""
+    order; the vision, text and fusion stacks are all this class.
+
+    ``rows``, if given, maps a (b, n, d) tensor to the (b, n', d) rows the
+    caller reads, and the stack returns ``rows`` of its output. Only the
+    last block is trimmed: it still takes LN1, keys and values over all n
+    rows, but computes queries, the attention output, the residual and
+    the MLP for the n' rows alone. Every earlier block feeds the last
+    one's keys and values, so it runs on all rows.
+    """
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
                  blocks: int, mlp_ratio: int, rng: np.random.Generator):
         self.blocks = [TransformerBlock(params, f"{prefix}.block{i}", dim, heads,
                                         mlp_ratio, rng) for i in range(blocks)]
 
-    def __call__(self, x: Tensor, collect: list | None = None) -> Tensor:
-        for blk in self.blocks:
+    def __call__(self, x: Tensor, collect: list | None = None,
+                 rows=None) -> Tensor:
+        if not self.blocks:
+            return x if rows is None else rows(x)
+        for blk in self.blocks[:-1]:
             x = blk(x, collect)
-        return x
+        return self.blocks[-1](x, collect, rows)

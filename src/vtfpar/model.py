@@ -115,8 +115,8 @@ class VideoAttributeModel:
         b, n_v = visual.shape[:2]
         m = text.shape[0]
         tokens = self.fusion(concat([visual, expand_leading(text, b)], axis=1),
-                             collect_attn)
-        return self.heads(slice_axis(tokens, 1, n_v, n_v + m))
+                             collect_attn, rows=lambda t: slice_axis(t, 1, n_v, n_v + m))
+        return self.heads(tokens)
 
     def logits_batch(self, clips: np.ndarray) -> Tensor:
         """Clips (b, t, h, w, 3) -> logits (b, n_classes)."""

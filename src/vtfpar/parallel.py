@@ -6,17 +6,24 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
+from .errors import UsageError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def worker_count() -> int:
+    """``VTFPAR_THREADS`` if set and non-empty (a positive integer), else
+    the CPU count capped at 4."""
     env = os.environ.get("VTFPAR_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
-            return 1
+            n = 0
+        if n < 1:
+            raise UsageError(f"VTFPAR_THREADS must be a positive integer, got {env!r}")
+        return n
     return max(1, min(4, os.cpu_count() or 1))
 
 

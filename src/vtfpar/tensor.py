@@ -410,9 +410,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax (max-subtraction); slices along ``axis`` sum to 1."""
     axis = _norm_axis(axis, a.ndim)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def bw(g, needs):
         inner = (g * s).sum(axis=axis, keepdims=True)
@@ -435,10 +435,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = (x.data - mu) * inv
+    xn = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xn).mean(axis=-1, keepdims=True) + eps)
+    xn *= inv
     out = xn * gain.data + bias.data
     gain_data = gain.data
 

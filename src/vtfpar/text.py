@@ -136,7 +136,8 @@ class TextEncoder:
     """Embedding lookup + positional vectors + transformer blocks.
 
     The representation of each sentence is the end-token row after the
-    last block, mirroring the usual text-feature convention.
+    last block, mirroring the usual text-feature convention. The last
+    block computes only those rows (``TransformerStack``'s ``rows``).
     """
 
     def __init__(self, params: ParameterSet, cfg: TextConfig, vocab_size: int,
@@ -154,7 +155,12 @@ class TextEncoder:
         if length != self.cfg.max_len:
             raise ContractError(
                 f"token matrix length {length} != configured max_len {self.cfg.max_len}")
-        x = self.blocks(add(take_rows(self.table.tensor, ids), self.pos.tensor))
-        ends = np.argmax(ids == END_ID, axis=1)
-        flat = reshape(x, (m * length, self.cfg.dim))
-        return take_rows(flat, np.arange(m) * length + ends)
+        d = self.cfg.dim
+        ends = (np.arange(m) * length + np.argmax(ids == END_ID, axis=1))[:, None]
+
+        def end_rows(t: Tensor) -> Tensor:  # (m, L, d) -> (m, 1, d)
+            return take_rows(reshape(t, (m * length, d)), ends)
+
+        x = self.blocks(add(take_rows(self.table.tensor, ids), self.pos.tensor),
+                        rows=end_rows)
+        return reshape(x, (m, d))

@@ -93,7 +93,7 @@ def test_criterion_02_attention_rows_normalized(capsys):
             text = Tensor(rng.normal(size=(m, d)).astype(np.float32))
             collect = []
             model.fuse_classify(visual, text, collect_attn=collect)
-            for probs in collect:  # one entry per block: (b, heads, n, n)
+            for probs in collect:  # per block (b, heads, n, n); the last (b, heads, n', n)
                 sums = probs.sum(axis=-1)
                 worst = max(worst, float(np.abs(sums - 1.0).max()))
                 checked_rows += sums.size

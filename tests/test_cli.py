@@ -48,6 +48,23 @@ def test_gen_data_bad_split_fraction(tmp_path, capsys):
     assert "split_fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_count_exits_1_before_writing(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("VTFPAR_THREADS", value)
+    out = tmp_path / "d"
+    assert main(["gen-data", "--out", str(out), "--tracklets", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "VTFPAR_THREADS" in err and repr(value) in err
+    assert not out.exists()
+
+
+def test_empty_thread_count_keeps_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("VTFPAR_THREADS", "")
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--tracklets", "2",
+                 "--frames", "2", "--height", "8", "--width", "8"]) == 0
+
+
 def test_gen_data_prints_manifest(tiny_dataset, capsys):
     assert (tiny_dataset / "manifest.txt").exists()
 

@@ -8,12 +8,13 @@ import pytest
 
 from vtfpar.errors import DataError, UsageError
 from vtfpar.fusion import ClassificationHeads, FusionConfig
-from vtfpar.layers import MultiHeadAttention, TransformerBlock
+from vtfpar.layers import MultiHeadAttention, TransformerBlock, TransformerStack
 from vtfpar.metrics import decide
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
 from vtfpar.schema import default_schema
-from vtfpar.tensor import DimensionError, Tape, Tensor, backward, tensor_sum
+from vtfpar.tensor import (DimensionError, Tape, Tensor, backward, mul, slice_axis,
+                           tensor_sum)
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
@@ -138,6 +139,67 @@ class TestFusionBlock:
                 analytic = grad.reshape(-1)[i]
                 rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
                 assert rel < 1e-4, f"{p.name}[{i}] rel={rel}"
+
+
+def value_and_grads(fn, params, x, g):
+    """fn(x), and the gradients of sum(fn(x) * g) for x and each parameter
+    that fn uses."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        out = fn(xt)
+        backward(tensor_sum(mul(out, Tensor(g))))
+    return out.data, xt.grad, {p.name: p.tensor.grad for p in params
+                               if p.tensor.grad is not None}
+
+
+def assert_trimmed_matches_full(build, rows, x):
+    """``stack(x, rows=rows)`` against ``rows(stack(x))``, each on a fresh
+    copy of the same float64 parameters: values within 1e-12, gradients
+    within 1e-10."""
+    full_stack, full_params = build()
+    trim_stack, trim_params = build()
+    g = np.random.default_rng(1).normal(size=rows(Tensor(x)).shape)
+    full = value_and_grads(lambda t: rows(full_stack(t)), full_params, x, g)
+    trim = value_and_grads(lambda t: trim_stack(t, rows=rows), trim_params, x, g)
+    npt.assert_allclose(trim[0], full[0], rtol=0, atol=1e-12)
+    npt.assert_allclose(trim[1], full[1], rtol=0, atol=1e-10)
+    assert trim[2].keys() == full[2].keys() and len(full[2]) > 0
+    for name, grad in full[2].items():
+        npt.assert_allclose(trim[2][name], grad, rtol=0, atol=1e-10, err_msg=name)
+
+
+def _stack(blocks, dim=8, heads=2, seed=0):
+    params = ParameterSet(np.float64)
+    stack = TransformerStack(params, "fusion", dim, heads, blocks, 2,
+                             np.random.default_rng(seed))
+    return stack, params
+
+
+def _text_slice(n_v, m):
+    return lambda t: slice_axis(t, 1, n_v, n_v + m)
+
+
+class TestTrimmedLastBlock:
+    """The last block computes only the rows its caller reads."""
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_fusion_text_slice_matches_full_stack(self, blocks):
+        x = np.random.default_rng(2).normal(size=(3, 7, 8))
+        assert_trimmed_matches_full(lambda: _stack(blocks), _text_slice(4, 3), x)
+
+    def test_zero_blocks_return_rows_of_input_exactly(self):
+        stack, _ = _stack(0)
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 8)))
+        npt.assert_array_equal(stack(x, rows=_text_slice(4, 3)).data, x.data[:, 4:])
+
+    def test_last_block_records_kept_rows_against_all_keys(self):
+        stack, _ = _stack(2, heads=2)
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 7, 8)))
+        collect = []
+        out = stack(x, collect, rows=_text_slice(4, 3))
+        assert out.shape == (3, 3, 8)
+        assert [c.shape for c in collect] == [(3, 2, 7, 7), (3, 2, 3, 7)]
+        npt.assert_allclose(collect[-1].sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestClassify:

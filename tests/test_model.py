@@ -1,5 +1,7 @@
 """Model assembly, config files, checkpoint integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +12,7 @@ from vtfpar.model import (ModelConfig, VideoAttributeModel,
                           checkpoint_uses_fusion, load_model_config,
                           paper_scale_config)
 from vtfpar.schema import default_schema
+from vtfpar.tensor import Tensor
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
@@ -61,6 +64,26 @@ def test_checkpoint_variant_detection(tmp_path):
     nofusion.save(tmp_path / "nf.ckpt")
     assert checkpoint_uses_fusion(tmp_path / "full.ckpt")
     assert not checkpoint_uses_fusion(tmp_path / "nf.ckpt")
+
+
+@pytest.mark.parametrize("use_fusion,blocks", [(True, 1), (True, 2), (False, 1)])
+def test_fuse_classify_matches_heads_on_full_output(use_fusion, blocks):
+    # the last fusion block (or the no-fusion projector) computes only the
+    # text rows; slicing the full output before the heads gives the same logits
+    config = replace(_small_config(use_fusion),
+                     fusion=FusionConfig(dim=16, heads=2, blocks=blocks, mlp_ratio=2))
+    model = VideoAttributeModel(config, default_schema(), seed=0, dtype=np.float64)
+    n_v, m, d = config.vit.n_tokens, model.n_classes, config.fusion.dim
+    rng = np.random.default_rng(0)
+    visual, text = rng.normal(size=(3, n_v, d)), rng.normal(size=(m, d))
+    collect = []
+    logits = model.fuse_classify(Tensor(visual), Tensor(text), collect).data
+    x = np.concatenate([visual, np.broadcast_to(text, (3, m, d))], axis=1)
+    full = model.heads(Tensor(model.fusion(Tensor(x)).data[:, n_v:])).data
+    npt.assert_allclose(logits, full, rtol=0, atol=1e-12)
+    n = n_v + m
+    assert [c.shape for c in collect] == (
+        [(3, 2, n, n)] * (blocks - 1) + [(3, 2, m, n)] if use_fusion else [])
 
 
 def test_paper_scale_config_geometry():

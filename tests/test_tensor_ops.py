@@ -183,6 +183,21 @@ class TestSoftmax:
             sums = softmax(x, axis=-1).data.sum(axis=-1)
             npt.assert_allclose(sums, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_matches_written_out_formula_bitwise(self, dtype, axis):
+        rng = np.random.default_rng(1)
+        x = rng.normal(0.0, 4.0, (12, 60)).astype(dtype)
+        g = rng.standard_normal((12, 60)).astype(dtype)
+        a = Tensor(x, requires_grad=True)
+        with Tape():
+            out = softmax(a, axis=axis)
+            backward(tensor_sum(mul(out, Tensor(g))))
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        s = e / e.sum(axis=axis, keepdims=True)
+        npt.assert_array_equal(out.data, s)
+        npt.assert_array_equal(a.grad, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+
 
 class TestLayerNorm:
     def _ln(self, values, eps=1e-5, gain=None, bias=None):
@@ -218,6 +233,30 @@ class TestLayerNorm:
     def test_rejects_single_element_rows(self):
         with pytest.raises(DimensionError):
             layer_norm(Tensor(np.ones((3, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_written_out_formula_bitwise(self, dtype):
+        # the gradients read the forward's normalized rows and inverse
+        # std, so they pin those bitwise too
+        rng = np.random.default_rng(2)
+        x = rng.normal(1.0, 2.0, (2, 17, 96)).astype(dtype)
+        gain = rng.normal(1.0, 0.5, 96).astype(dtype)
+        bias = rng.normal(0.0, 0.5, 96).astype(dtype)
+        g = rng.standard_normal((2, 17, 96)).astype(dtype)
+        xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+        with Tape():
+            out = layer_norm(xt, gt, bt)
+            backward(tensor_sum(mul(out, Tensor(g))))
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xn = (x - mu) * inv
+        gxn = g * gain
+        npt.assert_array_equal(out.data, xn * gain + bias)
+        npt.assert_array_equal(xt.grad, inv * (gxn - gxn.mean(axis=-1, keepdims=True)
+                                                - xn * (gxn * xn).mean(axis=-1, keepdims=True)))
+        npt.assert_array_equal(gt.grad, (g * xn).sum(axis=0).sum(axis=0))
+        npt.assert_array_equal(bt.grad, g.sum(axis=0).sum(axis=0))
 
 
 class TestElementwiseAndShapeFamily:

@@ -6,10 +6,11 @@ import pytest
 
 from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
-from vtfpar.tensor import ContractError
+from vtfpar.tensor import ContractError, Tensor, reshape, take_rows
 from vtfpar.text import (END_ID, PAD_ID, START_ID, UNK_ID, PromptTemplate,
                          TextConfig, TextEncoder, attribute_sentences,
                          build_vocab, split_expand, token_matrix, tokenize)
+from tests.test_fusion import assert_trimmed_matches_full
 
 
 class TestSplitExpand:
@@ -112,16 +113,42 @@ def _small_schema(order=("a", "b")):
 
 
 class TestTextEncoder:
-    def _encoder(self, schema, seed=0):
-        cfg = TextConfig(dim=16, blocks=1, heads=2, max_len=8, mlp_ratio=2)
+    def _encoder(self, schema, seed=0, blocks=1, dtype=np.float32, max_len=8):
+        cfg = TextConfig(dim=16, blocks=blocks, heads=2, max_len=max_len, mlp_ratio=2)
         vocab = build_vocab(attribute_sentences(schema), cfg.max_len)
-        enc = TextEncoder(ParameterSet(), cfg, vocab.size, np.random.default_rng(seed))
-        return enc, vocab
+        params = ParameterSet(dtype)
+        enc = TextEncoder(params, cfg, vocab.size, np.random.default_rng(seed))
+        return enc, vocab, params
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_end_rows_match_full_stack(self, blocks):
+        # encode() runs the last block on the END rows only; the full stack
+        # followed by the END gather gives the same features and gradients
+        schema = default_schema()
+        enc, vocab, _ = self._encoder(schema, blocks=blocks, dtype=np.float64, max_len=16)
+        ids = token_matrix(schema, vocab)
+        m, length = ids.shape
+        ends = np.arange(m) * length + np.argmax(ids == END_ID, axis=1)
+        assert len(set(ends % length)) > 1
+
+        def end_rows(t):
+            return take_rows(reshape(t, (m * length, 16)), ends[:, None])
+
+        x = enc.table.data[ids] + enc.pos.data
+        full = end_rows(enc.blocks(Tensor(x))).data[:, 0]
+        npt.assert_allclose(enc.encode(ids).data, full, rtol=0, atol=1e-12)
+
+        def build():
+            fresh, _, params = self._encoder(schema, blocks=blocks, dtype=np.float64,
+                                             max_len=16)
+            return fresh.blocks, params
+
+        assert_trimmed_matches_full(build, end_rows, x)
 
     def test_single_attribute_shape(self):
         schema = AttributeSchema(
             (AttributeGroup("g", "binary", ("only",), ("only thing",)),))
-        enc, vocab = self._encoder(schema)
+        enc, vocab, _ = self._encoder(schema)
         out = enc.encode(token_matrix(schema, vocab))
         assert out.shape == (1, 16)
 
@@ -130,7 +157,7 @@ class TestTextEncoder:
             AttributeGroup("g1", "binary", ("x",), ("same raw",)),
             AttributeGroup("g2", "binary", ("y",), ("same raw",)),
         ))
-        enc, vocab = self._encoder(schema)
+        enc, vocab, _ = self._encoder(schema)
         out = enc.encode(token_matrix(schema, vocab)).data
         npt.assert_array_equal(out[0], out[1])
 
@@ -139,14 +166,14 @@ class TestTextEncoder:
         sentences = attribute_sentences(s_ab)
         assert sorted(sentences) == sorted(attribute_sentences(s_ba))
         # same vocab (built from the same sentence set), same encoder weights
-        enc, vocab = self._encoder(s_ab)
+        enc, vocab, _ = self._encoder(s_ab)
         out_ab = enc.encode(token_matrix(s_ab, vocab)).data
         out_ba = enc.encode(token_matrix(s_ba, vocab)).data
         npt.assert_array_equal(out_ab, out_ba[::-1])
 
     def test_deterministic_across_calls(self):
         schema = default_schema()
-        enc, vocab = self._encoder(schema)
+        enc, vocab, _ = self._encoder(schema)
         ids = token_matrix(schema, vocab)
         npt.assert_array_equal(enc.encode(ids).data, enc.encode(ids).data)
 
