@@ -21,7 +21,7 @@ from .model import (ModelConfig, VideoAttributeModel, checkpoint_uses_fusion,
                     load_model_config)
 from .parallel import worker_count
 from .schema import default_schema, load_schema
-from .text import PromptTemplate, split_expand
+from .text import attribute_sentences, split_expand
 from .tensor import ContractError, DimensionError
 from .train import TrainConfig, evaluate, train, write_log
 
@@ -221,10 +221,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_dump_prompts(args) -> int:
     schema = _load_schema_arg(args.schema)
-    tpl = PromptTemplate(schema.template)
-    for raw in schema.raw_strings:
-        phrase = split_expand(raw)
-        print(f"{raw}\t{phrase}\t{tpl.apply(phrase)}")
+    for raw, sentence in zip(schema.raw_strings, attribute_sentences(schema)):
+        print(f"{raw}\t{split_expand(raw)}\t{sentence}")
     return 0
 
 

@@ -183,8 +183,8 @@ class SyntheticSpec:
             raise UsageError("frames must be at least 2x2")
         if not 0.0 <= self.occlusion_p < 1.0:
             raise UsageError(f"occlusion_p must be in [0, 1), got {self.occlusion_p}")
-        if self.noise_sigma < 0:
-            raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < np.inf:  # NaN fails every comparison
+            raise UsageError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 < self.split_fraction < 1.0:
             raise UsageError(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .layers import Linear
+from .layers import Linear, check_stack_geometry
 from .params import ParameterSet
-from .tensor import ContractError, Tensor, add, mul, tensor_sum
+from .tensor import Tensor, add, mul, tensor_sum
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,7 @@ class FusionConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.dim % self.heads:
-            raise ContractError(f"fusion dim {self.dim} not divisible by heads {self.heads}")
-        if self.blocks < 0 or self.mlp_ratio < 1:
-            raise ContractError(f"bad fusion config {self}")
+        check_stack_geometry("fusion", self.dim, self.heads, self.blocks, self.mlp_ratio)
 
 
 class TokenProjector:

@@ -11,8 +11,21 @@ import math
 import numpy as np
 
 from .params import ParameterSet
-from .tensor import (DimensionError, Tensor, add, gelu, layer_norm, linear,
-                     matmul, reshape, scale, softmax, transpose)
+from .tensor import (ContractError, DimensionError, Tensor, add, gelu, layer_norm,
+                     linear, matmul, reshape, scale, softmax, transpose)
+
+
+def check_stack_geometry(section: str, dim: int, heads: int, blocks: int,
+                         mlp_ratio: int) -> None:
+    """Reject a ``TransformerStack`` geometry that cannot be built: ``dim``
+    must be a positive multiple of a positive ``heads``, the block count at
+    least 0 and ``mlp_ratio`` at least 1. Each config section checks its
+    stack here."""
+    if not 0 < heads <= dim or dim % heads:
+        raise ContractError(f"{section} dim {dim} must be a positive multiple of heads {heads}")
+    if blocks < 0 or mlp_ratio < 1:
+        raise ContractError(f"{section} needs blocks >= 0 and mlp_ratio >= 1, "
+                            f"got {blocks} and {mlp_ratio}")
 
 
 class Linear:
@@ -45,7 +58,6 @@ class MultiHeadAttention:
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
                  rng: np.random.Generator):
-        self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         self.ln_gain, self.ln_bias = _norm_params(params, f"{prefix}.ln", dim)
@@ -73,7 +85,7 @@ class MultiHeadAttention:
         v = split_heads(self.v(xn), n)
 
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-        probs = softmax(scores, axis=-1)
+        probs = softmax(scores)
         if collect is not None:
             collect.append(probs.data)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, nq, d))

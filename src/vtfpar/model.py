@@ -43,19 +43,6 @@ class ModelConfig:
                 f"fusion {self.fusion.dim}")
 
 
-def paper_scale_config() -> ModelConfig:
-    """The full-scale geometry (224px, 16px patches, 512-dim tokens).
-
-    Depth is kept shallow: this configuration exists for shape smoke
-    tests, not training.
-    """
-    return ModelConfig(
-        vit=VitConfig(image_size=224, patch_size=16, dim=512, depth=1, heads=8),
-        text=TextConfig(dim=512, blocks=1, heads=8, max_len=16),
-        fusion=FusionConfig(dim=512, heads=8, blocks=1),
-    )
-
-
 class VideoAttributeModel:
     """Bundles parameters, tokenized prompts and the three sub-networks.
 

@@ -72,10 +72,11 @@ class ParameterSet:
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
 
-    def add(self, name: str, array: np.ndarray, trainable: bool = True) -> Parameter:
+    def add(self, name: str, array: np.ndarray) -> Parameter:
+        """A new trainable parameter holding ``array`` cast to the set's dtype."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, Tensor(array, dtype=self.dtype, requires_grad=trainable))
+        p = Parameter(name, Tensor(array, dtype=self.dtype, requires_grad=True))
         self._params[name] = p
         return p
 
@@ -86,9 +87,6 @@ class ParameterSet:
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())

@@ -1,4 +1,4 @@
-"""Attribute text pipeline: split/expand, prompt templates, tokenizer,
+"""Attribute text pipeline: split/expand, prompt sentences, tokenizer,
 and the small text encoder producing one token per attribute sentence.
 
 The whole string pipeline is pure: the same raw attribute always yields
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import TransformerStack
+from .layers import TransformerStack, check_stack_geometry
 from .params import ParameterSet
 from .schema import AttributeSchema
 from .tensor import ContractError, Tensor, add, reshape, take_rows
@@ -46,27 +46,12 @@ def split_expand(raw: str) -> str:
     return _WS_RE.sub(" ", s).strip()
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """A sentence template with exactly one ``{}`` slot."""
-
-    text: str
-
-    def __post_init__(self):
-        if self.text.count("{}") != 1:
-            raise ValueError(
-                f"template must contain exactly one {{}} placeholder: {self.text!r}")
-
-    def apply(self, phrase: str) -> str:
-        if not phrase:
-            raise ContractError("prompt template: empty phrase")
-        return self.text.replace("{}", phrase, 1)
-
-
 def attribute_sentences(schema: AttributeSchema) -> list[str]:
-    """One prompt sentence per attribute class, in schema order."""
-    tpl = PromptTemplate(schema.template)
-    return [tpl.apply(split_expand(raw)) for raw in schema.raw_strings]
+    """One prompt sentence per attribute class, in schema order: the
+    schema's template (one ``{}``, checked by ``AttributeSchema``) filled
+    with the split/expanded phrase."""
+    return [schema.template.replace("{}", split_expand(raw), 1)
+            for raw in schema.raw_strings]
 
 
 PAD_ID = 0
@@ -126,9 +111,8 @@ class TextConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.dim % self.heads:
-            raise ContractError("text dim must be divisible by heads")
-        if self.blocks < 1 or self.max_len < 3 or self.mlp_ratio < 1:
+        check_stack_geometry("text", self.dim, self.heads, self.blocks, self.mlp_ratio)
+        if self.blocks < 1 or self.max_len < 3:
             raise ContractError(f"bad text config {self}")
 
 

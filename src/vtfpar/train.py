@@ -40,14 +40,13 @@ class TrainConfig:
             raise UsageError(f"bad training config {self}")
 
 
-def bce_loss(logits: Tensor, targets) -> Tensor:
+def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all entries, in stable logit form.
 
     Elementwise softplus(z) - z*y, averaged; the gradient w.r.t. a logit
     is (sigmoid(z) - y) / count.
     """
-    t = targets if isinstance(targets, Tensor) else Tensor(
-        np.asarray(targets), dtype=logits.dtype)
+    t = Tensor(np.asarray(targets), dtype=logits.dtype)
     if t.shape != logits.shape:
         raise DimensionError(
             f"bce_loss shapes differ: logits {logits.shape}, targets {t.shape}")

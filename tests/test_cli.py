@@ -112,6 +112,34 @@ def test_train_bad_config_exits_1(tiny_dataset, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("vision", "heads", 0), ("text", "heads", 0), ("fusion", "heads", 0),
+    ("vision", "patch_size", 0), ("vision", "dim", 0), ("vision", "dim", -8),
+    ("vision", "image_size", 0), ("fusion", "blocks", -1), ("text", "mlp_ratio", 0),
+])
+def test_train_bad_geometry_exits_1_before_loading_data(section, key, value,
+                                                        tmp_path, capsys):
+    # --data does not exist: reaching the data would exit 2, not 1
+    config = tmp_path / "model.txt"
+    config.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    rc = main(["train", "--data", str(tmp_path / "missing"), "--config", str(config),
+               "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--log", str(tmp_path / "l.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_data_non_finite_noise_exits_1_before_writing(value, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen-data", "--out", str(out), "--tracklets", "2",
+                 "--noise", value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "noise_sigma" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
 def test_train_missing_output_dir_exits_2_before_training(
         flag, tiny_dataset, tmp_path, capsys, monkeypatch):

@@ -9,8 +9,7 @@ import pytest
 from vtfpar.errors import DataError
 from vtfpar.fusion import FusionConfig
 from vtfpar.model import (ModelConfig, VideoAttributeModel,
-                          checkpoint_uses_fusion, load_model_config,
-                          paper_scale_config)
+                          checkpoint_uses_fusion, load_model_config)
 from vtfpar.schema import default_schema
 from vtfpar.tensor import Tensor
 from vtfpar.text import TextConfig
@@ -84,12 +83,6 @@ def test_fuse_classify_matches_heads_on_full_output(use_fusion, blocks):
     n = n_v + m
     assert [c.shape for c in collect] == (
         [(3, 2, n, n)] * (blocks - 1) + [(3, 2, m, n)] if use_fusion else [])
-
-
-def test_paper_scale_config_geometry():
-    config = paper_scale_config()
-    assert config.vit.n_tokens == 197
-    assert config.vit.dim == 512
 
 
 class TestModelConfigFile:

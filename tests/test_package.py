@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves; the import needs only numpy."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +13,13 @@ def test_star_import_resolves_every_exported_name():
     exec("from vtfpar import *", namespace)
     assert sorted(set(vtfpar.__all__) - set(namespace)) == []
     assert len(vtfpar.__all__) == len(set(vtfpar.__all__))
+
+
+def test_package_binds_no_public_name_it_does_not_export():
+    # a name dropped from __all__ must also leave the package's imports
+    public = {name for name, value in vars(vtfpar).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(vtfpar.__all__)
 
 
 def test_import_loads_no_scipy():

@@ -8,10 +8,11 @@ import numpy.testing as npt
 import pytest
 from scipy.special import erf, expit
 
-from vtfpar.tensor import (DimensionError, Tape, Tensor, add, backward, concat,
-                           expand_leading, gelu, layer_norm, linear, matmul,
-                           mul, sigmoid, slice_axis, softmax, softplus, stack,
-                           take_rows, tensor_mean, tensor_sum, transpose)
+from vtfpar.tensor import (LAYER_NORM_EPS, DimensionError, Tape, Tensor, add,
+                           backward, concat, expand_leading, gelu, layer_norm,
+                           linear, matmul, mul, sigmoid, slice_axis, softmax,
+                           softplus, stack, take_rows, tensor_mean, tensor_sum,
+                           transpose)
 
 
 class TestMatmul:
@@ -180,39 +181,39 @@ class TestSoftmax:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = Tensor(rng.normal(0, 10, (5, 7)).astype(np.float32))
-            sums = softmax(x, axis=-1).data.sum(axis=-1)
+            sums = softmax(x).data.sum(axis=-1)
             npt.assert_allclose(sums, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("axis", [-1, 0])
-    def test_matches_written_out_formula_bitwise(self, dtype, axis):
+    def test_matches_written_out_formula_bitwise(self, dtype):
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 4.0, (12, 60)).astype(dtype)
         g = rng.standard_normal((12, 60)).astype(dtype)
         a = Tensor(x, requires_grad=True)
         with Tape():
-            out = softmax(a, axis=axis)
+            out = softmax(a)
             backward(tensor_sum(mul(out, Tensor(g))))
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        s = e / e.sum(axis=axis, keepdims=True)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
         npt.assert_array_equal(out.data, s)
-        npt.assert_array_equal(a.grad, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        npt.assert_array_equal(a.grad, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
 
 class TestLayerNorm:
-    def _ln(self, values, eps=1e-5, gain=None, bias=None):
+    def _ln(self, values, gain=None, bias=None):
         x = Tensor(np.asarray(values, dtype=np.float64))
         d = x.shape[-1]
         g = Tensor(np.ones(d)) if gain is None else Tensor(np.asarray(gain, dtype=np.float64))
         b = Tensor(np.zeros(d)) if bias is None else Tensor(np.asarray(bias, dtype=np.float64))
-        return layer_norm(x, g, b, eps=eps).data
+        return layer_norm(x, g, b).data
 
     def test_constant_row_absorbed_by_eps(self):
         npt.assert_array_equal(self._ln([[5.0, 5.0, 5.0]]), np.zeros((1, 3)))
 
     def test_two_point_row_closed_form(self):
-        # mean 2, population std 1 -> normalized [-1, 1] as eps -> 0
-        npt.assert_allclose(self._ln([[1.0, 3.0]], eps=1e-12), [[-1.0, 1.0]], atol=1e-6)
+        # mean 2, population variance 1 -> normalized [-1, 1] / sqrt(1 + eps)
+        npt.assert_allclose(self._ln([[1.0, 3.0]]),
+                            [[-1.0, 1.0]] / np.sqrt(1.0 + LAYER_NORM_EPS), rtol=1e-12)
 
     def test_zero_gain_returns_bias(self):
         out = self._ln([[2.0, -7.0, 0.3]], gain=[0.0] * 3, bias=[4.0] * 3)
@@ -220,15 +221,14 @@ class TestLayerNorm:
 
     def test_normalization_invariant(self):
         rng = np.random.default_rng(1)
-        eps = 1e-5
         x = Tensor(rng.normal(1.0, 2.0, (20, 16)).astype(np.float32))
         out = layer_norm(x, Tensor(np.ones(16, dtype=np.float32)),
-                         Tensor(np.zeros(16, dtype=np.float32)), eps=eps).data
+                         Tensor(np.zeros(16, dtype=np.float32))).data
         row_var = x.data.var(axis=-1)
         keep = row_var >= 1e-3
         assert keep.all()
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
-        assert np.abs(out.var(axis=-1) - 1.0)[keep].max() < 10 * eps
+        assert np.abs(out.var(axis=-1) - 1.0)[keep].max() < 10 * LAYER_NORM_EPS
 
     def test_rejects_single_element_rows(self):
         with pytest.raises(DimensionError):

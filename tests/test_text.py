@@ -5,10 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from vtfpar.params import ParameterSet
-from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
+from vtfpar.schema import AttributeGroup, AttributeSchema, SchemaError, default_schema
 from vtfpar.tensor import ContractError, Tensor, reshape, take_rows
-from vtfpar.text import (END_ID, PAD_ID, START_ID, UNK_ID, PromptTemplate,
-                         TextConfig, TextEncoder, attribute_sentences,
+from vtfpar.text import (END_ID, PAD_ID, START_ID, UNK_ID, TextConfig, TextEncoder, attribute_sentences,
                          build_vocab, split_expand, token_matrix, tokenize)
 from tests.test_fusion import assert_trimmed_matches_full
 
@@ -55,21 +54,27 @@ class TestSplitExpand:
             assert split_expand(once) == once
 
 
+def _one_class_schema(raw, **template):
+    return AttributeSchema((AttributeGroup("g", "binary", ("c",), (raw,)),), **template)
+
+
 class TestPromptTemplate:
+    """The schema's template, filled by ``attribute_sentences``."""
+
     def test_paper_sentence_shape(self):
-        tpl = PromptTemplate("the pedestrian has an attribute {}")
-        assert (tpl.apply("age less than 40")
-                == "the pedestrian has an attribute age less than 40")
+        assert (attribute_sentences(_one_class_schema("Age ≤ 40"))
+                == ["the pedestrian has an attribute age less than 40"])
 
     def test_simple_application(self):
-        tpl = PromptTemplate("the pedestrian has an attribute {}")
-        assert tpl.apply("hat") == "the pedestrian has an attribute hat"
+        assert (attribute_sentences(_one_class_schema("hat"))
+                == ["the pedestrian has an attribute hat"])
+        schema = _one_class_schema("handBag", template="a {} here")
+        assert attribute_sentences(schema) == ["a hand bag here"]
 
     def test_bad_templates_fail_at_construction(self):
-        with pytest.raises(ValueError):
-            PromptTemplate("no placeholder")
-        with pytest.raises(ValueError):
-            PromptTemplate("two {} slots {}")
+        for template in ("no placeholder", "two {} slots {}"):
+            with pytest.raises(SchemaError, match="exactly one"):
+                _one_class_schema("hat", template=template)
 
 
 class TestTokenizer:

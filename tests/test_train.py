@@ -67,9 +67,9 @@ class TestBceLoss:
 
 
 class TestAdam:
-    def _pset(self, values, trainable=True):
+    def _pset(self, values):
         params = ParameterSet(np.float64)
-        p = params.add("w", np.asarray(values, dtype=np.float64), trainable=trainable)
+        p = params.add("w", np.asarray(values, dtype=np.float64))
         return params, p
 
     def test_zero_grad_zero_decay_leaves_parameter(self):
@@ -130,7 +130,7 @@ class TestAdam:
 
     def test_frozen_parameters_never_in_state(self):
         params = ParameterSet()
-        params.add("frozen", np.ones(2), trainable=False)
+        params.add("frozen", np.ones(2)).trainable = False
         live = params.add("live", np.ones(2))
         live.tensor.grad = np.ones(2)
         opt = Adam(params)
