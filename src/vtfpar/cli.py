@@ -9,7 +9,6 @@ dump-prompts. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
@@ -25,11 +24,9 @@ from .text import attribute_sentences, split_expand
 from .tensor import ContractError, DimensionError
 from .train import TrainConfig, evaluate, train, write_log
 
-# Flag defaults come from the dataclasses and functions they feed.
+# Flag defaults come from the dataclasses and modules they feed.
 _SPEC = SyntheticSpec()
 _TRAIN = TrainConfig()
-_GRADCHECK = {name: p.default for name, p in
-              inspect.signature(gradcheck_mod.run_all).parameters.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="verify every backward rule against finite differences")
-    p.add_argument("--trials", type=int, default=_GRADCHECK["op_trials"])
-    p.add_argument("--model-coords", type=int, default=_GRADCHECK["model_coords"])
-    p.add_argument("--seed", type=int, default=_GRADCHECK["seed"])
+    p.add_argument("--trials", type=int, default=gradcheck_mod.OP_TRIALS)
+    p.add_argument("--model-coords", type=int, default=gradcheck_mod.MODEL_COORDS)
+    p.add_argument("--seed", type=int, default=gradcheck_mod.SEED)
 
     p = sub.add_parser("dump-prompts",
                        help="print raw -> phrase -> sentence for every class")
@@ -261,3 +258,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

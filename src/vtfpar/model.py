@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .fusion import ClassificationHeads, FusionConfig, TokenProjector
 from .kvfile import keyed, read_sections
 from .layers import TransformerStack
 from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from .schema import AttributeSchema
-from .tensor import (DEFAULT_DTYPE, DimensionError, Tensor, concat, expand_leading,
-                     reshape, slice_axis, tensor_mean)
+from .tensor import (DEFAULT_DTYPE, ContractError, DimensionError, Tensor, concat,
+                     expand_leading, reshape, slice_axis, tensor_mean)
 from .text import TextConfig, TextEncoder, build_vocab, attribute_sentences, token_matrix
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
@@ -38,7 +38,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if not (self.vit.dim == self.text.dim == self.fusion.dim):
-            raise DataError(
+            raise ContractError(
                 f"token dims disagree: vision {self.vit.dim}, text {self.text.dim}, "
                 f"fusion {self.fusion.dim}")
 
@@ -143,9 +143,9 @@ def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
     """Read architecture settings from ``[vision]``/``[text]``/``[fusion]``
     sections of integer ``key = value`` entries (``vtfpar.kvfile``).
 
-    Missing sections or keys take the config dataclasses' defaults; the
-    text and fusion ``dim`` follow the vision ``dim`` when absent.
-    Unknown sections and keys are rejected.
+    Missing sections or keys take the config dataclasses' defaults. The
+    token width is declared once, as ``[vision] dim``; text and fusion take
+    it. Unknown sections and keys are rejected.
     """
     preamble, *sections = read_sections(path, "model config")
     if preamble.entries:
@@ -162,11 +162,13 @@ def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
             where = f"{path}:{lineno}"
             if key not in {f.name for f in fields(_CONFIG_SECTIONS[name])}:
                 raise DataError(f"{where}: unknown key {key!r} in [{name}]")
+            if key == "dim" and name != "vision":
+                raise UsageError(f"{where}: the token width is set by [vision] dim")
             try:
                 values[key] = int(value)
             except ValueError:
                 raise DataError(f"{where}: bad value for {name}.{key}") from None
     vit = VitConfig(**given.get("vision", {}))
-    text = TextConfig(**{"dim": vit.dim, **given.get("text", {})})
-    fusion = FusionConfig(**{"dim": vit.dim, **given.get("fusion", {})})
+    text = TextConfig(dim=vit.dim, **given.get("text", {}))
+    fusion = FusionConfig(dim=vit.dim, **given.get("fusion", {}))
     return ModelConfig(vit=vit, text=text, fusion=fusion, use_fusion=use_fusion)

@@ -126,38 +126,36 @@ def _label_matrix(tracklets: list[Tracklet]) -> np.ndarray:
     return np.stack([t.labels for t in tracklets]).astype(np.float32)
 
 
-EVAL_BATCH = 64
+CHUNK = 16  # clips per off-tape chunk: bitwise the same at any size, 16 fastest
 
 
-def _visual_chunks(model: VideoAttributeModel, tracklets: list[Tracklet],
-                   k: int, batch: int) -> list[np.ndarray]:
-    """Visual tokens of ``tracklets`` in chunks of ``batch``, off-tape."""
+def _visual_features(model: VideoAttributeModel, tracklets: list[Tracklet],
+                     k: int) -> np.ndarray:
+    """Visual tokens (n, n_v, d) of ``tracklets``, off-tape."""
     def one_chunk(ci: int) -> np.ndarray:
-        chunk = tracklets[ci * batch:(ci + 1) * batch]
+        chunk = tracklets[ci * CHUNK:(ci + 1) * CHUNK]
         with no_grad():
             return model.visual_features_batch(_clip_batch(chunk, k)).data
-    return map_indexed(one_chunk, (len(tracklets) + batch - 1) // batch)
+    return np.concatenate(map_indexed(one_chunk, -(-len(tracklets) // CHUNK)))
 
 
 def predict_logits(model: VideoAttributeModel, tracklets: list[Tracklet],
-                   frames: int, batch_size: int = EVAL_BATCH,
-                   visual: list[np.ndarray] | None = None) -> np.ndarray:
-    """Forward pass over tracklets without recording gradients.
-
-    ``visual`` is the ``_visual_chunks`` output for these tracklets, frames
-    and ``batch_size`` when it is already known (frozen encoders).
-    """
+                   frames: int, batch_size: int = CHUNK,
+                   visual: np.ndarray | None = None) -> np.ndarray:
+    """Logits of ``tracklets``, off-tape, fused ``batch_size`` clips at a
+    time; ``visual`` is their visual tokens when already known."""
     if visual is None:
-        visual = _visual_chunks(model, tracklets, frames, batch_size)
+        visual = _visual_features(model, tracklets, frames)
     with no_grad():
         text = model.text_features()
         return np.concatenate(
-            [model.fuse_classify(Tensor(v), text).data for v in visual])
+            [model.fuse_classify(Tensor(visual[i:i + batch_size]), text).data
+             for i in range(0, len(visual), batch_size)])
 
 
 def evaluate(model: VideoAttributeModel, tracklets: list[Tracklet],
-             frames: int, batch_size: int = EVAL_BATCH,
-             visual: list[np.ndarray] | None = None) -> MetricReport:
+             frames: int, batch_size: int = CHUNK,
+             visual: np.ndarray | None = None) -> MetricReport:
     if not tracklets:
         raise UsageError("evaluate: empty tracklet list")
     logits = predict_logits(model, tracklets, frames, batch_size, visual)
@@ -178,8 +176,8 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     """Epochs of seeded-shuffle minibatch training; returns the epoch log.
 
     With frozen encoders the visual and text features are constants, so
-    they are computed once up front, the held-out clips' in ``evaluate``'s
-    own chunks, and only the fusion stack and heads run per step and per
+    they are computed once up front, in one off-tape pass over the train and
+    held-out clips, and only the fusion stack and heads run per step and per
     held-out evaluation. The unfrozen path records the whole pipeline on
     the tape each step. A non-finite step loss or trainable gradient stops
     training with a ``VerificationError`` before that step's update.
@@ -191,19 +189,17 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     targets = _label_matrix(train_set)
 
     frozen = cfg.freeze_encoders
+    n = len(train_set)
     heldout_visual = None
     if frozen:
-        visual_cache = np.concatenate(
-            _visual_chunks(model, train_set, cfg.frames, batch=32))
+        visual_cache = _visual_features(model, train_set + heldout, cfg.frames)
+        visual_cache, heldout_visual = visual_cache[:n], visual_cache[n:]
         with no_grad():
             text_cache = model.text_features().data
-        if heldout:
-            heldout_visual = _visual_chunks(model, heldout, cfg.frames, EVAL_BATCH)
     clips = None if frozen else _clip_batch(train_set, cfg.frames)
     trainable = model.params.trainable()
 
     logs: list[EpochLog] = []
-    n = len(train_set)
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, 1000 + epoch])
         order = rng.permutation(n)

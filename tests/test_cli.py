@@ -1,7 +1,11 @@
 """CLI behaviour: exit codes, output formats, end-to-end subcommands."""
 
 import importlib
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
 from vtfpar.data import SyntheticSpec, load_dataset
+from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import read_checkpoint_arrays
 from vtfpar.schema import default_schema, save_schema
@@ -101,6 +106,11 @@ def test_gen_data_defaults_follow_synthetic_spec():
         spec.n_tracklets, spec.height, spec.width)
 
 
+def test_gradcheck_defaults_are_gradcheck_constants():
+    args = build_parser().parse_args(["gradcheck"])
+    assert (args.trials, args.model_coords, args.seed) == (OP_TRIALS, MODEL_COORDS, SEED)
+
+
 def test_train_bad_config_exits_1(tiny_dataset, tmp_path, capsys):
     config = tmp_path / "model.txt"
     config.write_text("[vision]\nheads = 5\n", encoding="utf-8")
@@ -128,6 +138,32 @@ def test_train_bad_geometry_exits_1_before_loading_data(section, key, value,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section,value", [("text", 32), ("fusion", 96)])
+def test_train_config_width_only_under_vision_exits_1(section, value, tmp_path,
+                                                      capsys):
+    # the token width is [vision] dim alone; reaching the missing --data would exit 2
+    config = tmp_path / "model.txt"
+    config.write_text(f"[{section}]\ndim = {value}\n", encoding="utf-8")
+    rc = main(["train", "--data", str(tmp_path / "missing"), "--config", str(config),
+               "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--log", str(tmp_path / "l.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{config}:2:" in err
+
+
+@pytest.mark.parametrize("module", ["vtfpar", "vtfpar.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    path = [str(Path(cli_mod.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "train", "--data", str(tmp_path / "missing")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("data error: ") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

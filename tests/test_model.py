@@ -11,7 +11,7 @@ from vtfpar.fusion import FusionConfig
 from vtfpar.model import (ModelConfig, VideoAttributeModel,
                           checkpoint_uses_fusion, load_model_config)
 from vtfpar.schema import default_schema
-from vtfpar.tensor import Tensor
+from vtfpar.tensor import ContractError, Tensor
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
@@ -26,7 +26,7 @@ def _small_config(use_fusion=True):
 
 
 def test_dim_mismatch_rejected():
-    with pytest.raises(DataError):
+    with pytest.raises(ContractError, match="token dims disagree"):
         ModelConfig(vit=VitConfig(dim=96), text=TextConfig(dim=64),
                     fusion=FusionConfig(dim=96))
 
@@ -96,7 +96,7 @@ class TestModelConfigFile:
         config = load_model_config(path)
         assert config.vit.image_size == 16
         assert config.vit.dim == 32
-        assert config.text.dim == 32  # follows vision dim by default
+        assert config.text.dim == 32  # text and fusion take the vision dim
         assert config.fusion.blocks == 3
 
     def test_defaults_when_sections_missing(self, tmp_path):

@@ -326,6 +326,25 @@ class TestTrainLoop:
             assert logged == fresh
             assert log.heldout_f1 == fresh.macro_f1
 
+    def test_logits_bitwise_equal_at_any_batch_size(self):
+        # 70 clips: several off-tape chunks, and a partial last batch at 64
+        schema = _tiny_schema()
+        model = _tiny_model(schema)
+        data = _tiny_tracklets(schema, n=70)
+        reference = train_mod.predict_logits(model, data, 2, 1)
+        for batch_size in (3, 16, 64):
+            npt.assert_array_equal(
+                train_mod.predict_logits(model, data, 2, batch_size), reference)
+
+    def test_frozen_heldout_f1_equals_evaluate_at_64(self):
+        # perfbench checks train()'s logged F1 against evaluate(..., 64)
+        schema = _tiny_schema()
+        model = _tiny_model(schema)
+        heldout = _tiny_tracklets(schema, n=20, seed=1)
+        logs = train(model, _tiny_tracklets(schema, n=6), heldout,
+                     TrainConfig(epochs=2, batch_size=4, frames=2))
+        assert logs[-1].heldout_f1 == evaluate(model, heldout, 2, 64).macro_f1
+
     def test_evaluate_reports_all_groups(self):
         schema = _tiny_schema()
         model = _tiny_model(schema)
