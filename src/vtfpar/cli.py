@@ -21,7 +21,6 @@ from .model import (ModelConfig, VideoAttributeModel, checkpoint_uses_fusion,
 from .parallel import worker_count
 from .schema import default_schema, load_schema
 from .text import attribute_sentences, split_expand
-from .tensor import ContractError, DimensionError
 from .train import TrainConfig, evaluate, train, write_log
 
 # Flag defaults come from the dataclasses and modules they feed.
@@ -248,9 +247,6 @@ def main(argv=None) -> int:
     except VerificationError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 3
-    except (ContractError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 2

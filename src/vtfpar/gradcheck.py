@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .data import SyntheticSpec, render_tracklet
-from .errors import VerificationError
+from .errors import UsageError, VerificationError
 from .fusion import FusionConfig
 from .model import ModelConfig, VideoAttributeModel
 from .schema import AttributeGroup, AttributeSchema
@@ -193,6 +193,8 @@ class GradCheckReport:
 
 def run_all(op_trials: int = OP_TRIALS, model_coords: int = MODEL_COORDS,
             seed: int = SEED) -> GradCheckReport:
+    if op_trials < 1 or model_coords < 1:
+        raise UsageError(f"gradcheck counts must be >= 1, got {op_trials}, {model_coords}")
     start = time.monotonic()
     results = [check_op(name, trials=op_trials, seed=seed) for name in OP_KINDS]
     results.append(check_model(n_coords=model_coords, seed=seed))

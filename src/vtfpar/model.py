@@ -167,7 +167,7 @@ def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
             try:
                 values[key] = int(value)
             except ValueError:
-                raise DataError(f"{where}: bad value for {name}.{key}") from None
+                raise UsageError(f"{where}: bad value for {name}.{key}") from None
     vit = VitConfig(**given.get("vision", {}))
     text = TextConfig(dim=vit.dim, **given.get("text", {}))
     fusion = FusionConfig(dim=vit.dim, **given.get("fusion", {}))

@@ -51,7 +51,7 @@ class AttributeGroup:
 
     def __post_init__(self):
         if self.kind not in GROUP_KINDS:
-            raise SchemaError(f"group {self.name}: unknown kind {self.kind!r}")
+            raise SchemaError(f"group {self.name}: unknown group kind {self.kind!r}")
         if len(self.classes) != len(self.raws):
             raise SchemaError(f"group {self.name}: classes and raw strings differ in count")
         if not self.classes:
@@ -154,8 +154,6 @@ def load_schema(path) -> AttributeSchema:
     for key, (lineno, value) in keyed(preamble, path, SchemaError).items():
         if key != "template":
             _fail(path, lineno, f"unexpected key {key!r} before first group")
-        if value.count("{}") != 1:
-            _fail(path, lineno, "template must contain exactly one {} placeholder")
         template, template_line = value, lineno
 
     groups: list[AttributeGroup] = []
@@ -164,8 +162,6 @@ def load_schema(path) -> AttributeSchema:
             _fail(path, section.lineno, f"bad section header [{' '.join(section.header)}], "
                   "expected [group NAME KIND]")
         _, name, kind = section.header
-        if kind not in GROUP_KINDS:
-            _fail(path, section.lineno, f"unknown group kind {kind!r}")
         if any(g.name == name for g in groups):
             _fail(path, section.lineno, f"duplicate group name {name!r}")
         classes = keyed(section, path, SchemaError)

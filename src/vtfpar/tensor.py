@@ -11,10 +11,11 @@ saved for it, as the sweep passes the node, so a step's activations are
 freed during the sweep rather than by the cyclic garbage collector. A
 second ``backward`` over a swept tape is a ``ContractError``.
 
-Broadcasting is deliberately narrow: elementwise ops align shapes by
-suffix (leading batch dims only) and matmul broadcasts leading batch
-dims. Anything else needs an explicit reshape, which keeps every backward
-rule auditable. ``linear`` (every ``Linear`` layer) sees its input as
+Broadcasting is deliberately narrow: every op aligns shapes by suffix
+(elementwise ops whole shapes, matmul its leading batch dims), so only
+missing leading dims broadcast and a size-1 dim never stretches. Anything
+else needs an explicit reshape, which keeps every backward rule
+auditable. ``linear`` (every ``Linear`` layer) sees its input as
 one flat list of rows: its forward and its input and weight gradients are
 each one GEMM over all rows, so its results do not depend on how the rows
 are grouped into batch items.
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import VtfError
+from .errors import UsageError
 
 DEFAULT_DTYPE = np.float32
 LAYER_NORM_EPS = 1e-5
@@ -61,11 +62,11 @@ OP_KINDS = (
 )
 
 
-class DimensionError(VtfError, ValueError):
+class DimensionError(UsageError, ValueError):
     """Operand shapes violate an op's contract."""
 
 
-class ContractError(VtfError, RuntimeError):
+class ContractError(UsageError, RuntimeError):
     """An op was used outside its stated preconditions."""
 
 
@@ -165,22 +166,16 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def watch(self, t: Tensor) -> int:
-        """Register ``t`` as a leaf; returns its node id (idempotent)."""
-        if t.tape is self and t.node_id is not None:
-            return t.node_id
-        node_id = len(self.nodes)
-        self.nodes.append(_Node("leaf", (), None, (), t))
-        t.tape = self
-        t.node_id = node_id
-        return node_id
-
     def _input_id(self, t: Tensor) -> int | None:
+        """``t``'s node id, registering a ``requires_grad`` tensor as a leaf
+        on first use; None for an untracked tensor."""
         if t.tape is self and t.node_id is not None:
             return t.node_id
-        if t.requires_grad:
-            return self.watch(t)
-        return None
+        if not t.requires_grad:
+            return None
+        t.tape, t.node_id = self, len(self.nodes)
+        self.nodes.append(_Node("leaf", (), None, (), t))
+        return t.node_id
 
     def _record(self, op, input_ids, backward_fn, needs) -> int:
         self.nodes.append(_Node(op, input_ids, backward_fn, needs, None))
@@ -266,9 +261,6 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (undo leading-dim broadcasting)."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    extra = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if extra:
-        g = g.sum(axis=extra, keepdims=True)
     return g
 
 
@@ -276,16 +268,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with broadcastable leading batch dims."""
+    """Matrix product; the leading batch dims align by suffix."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise DimensionError(
-            f"matmul batch dims not broadcastable: {a.shape} @ {b.shape}") from None
+    _check_suffix(a.shape[:-2], b.shape[:-2], "matmul batch dims")
     out = np.matmul(a.data, b.data)
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
@@ -349,10 +337,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _reduce_to(g, b_shape) if needs[1] else None)
 
     return _apply("add", a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -670,13 +654,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # -- finite differences ---------------------------------------------------
 
 
-def _scalar_value(v) -> float:
-    if isinstance(v, Tensor):
-        return v.item()
-    return float(v)
-
-
-def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
+def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor,
                      delta: float = 1e-5) -> Tensor:
     """Central-difference gradient of scalar ``f`` at ``x``.
 
@@ -694,7 +672,7 @@ def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
             bump = np.zeros_like(base).reshape(-1)
             bump[i] = delta
             bump = bump.reshape(base.shape)
-            fp = _scalar_value(f(Tensor(base + bump)))
-            fm = _scalar_value(f(Tensor(base - bump)))
+            fp = f(Tensor(base + bump)).item()
+            fm = f(Tensor(base - bump)).item()
             flat[i] = (fp - fm) / (2.0 * delta)
     return Tensor(out)

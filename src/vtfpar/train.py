@@ -16,8 +16,8 @@ from .metrics import MetricReport, decide, macro_report
 from .model import VideoAttributeModel
 from .params import ParameterSet
 from .parallel import map_indexed
-from .tensor import (ContractError, DimensionError, Tape, Tensor, backward,
-                     mul, no_grad, softplus, sub, tensor_mean)
+from .tensor import (ContractError, DimensionError, Tape, Tensor, add, backward,
+                     mul, no_grad, softplus, tensor_mean)
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,19 @@ class TrainConfig:
     save_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise UsageError(f"lr must be >= 0, got {self.lr}")
+        # ranges, so that NaN and +-inf fail them
+        if not 0 <= self.lr < math.inf:
+            raise UsageError(f"lr must be finite and >= 0, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1 or self.frames < 1:
             raise UsageError(f"bad training config {self}")
-        if self.weight_decay < 0 or self.save_every < 0:
+        if not 0 <= self.weight_decay < math.inf or self.save_every < 0:
             raise UsageError(f"bad training config {self}")
 
 
 def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all entries, in stable logit form.
 
-    Elementwise softplus(z) - z*y, averaged; the gradient w.r.t. a logit
+    Elementwise softplus(z) + z*(-y), averaged; the gradient w.r.t. a logit
     is (sigmoid(z) - y) / count.
     """
     t = Tensor(np.asarray(targets), dtype=logits.dtype)
@@ -52,7 +53,7 @@ def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
             f"bce_loss shapes differ: logits {logits.shape}, targets {t.shape}")
     if not np.isin(t.data, (0.0, 1.0)).all():
         raise ContractError("bce_loss targets must be 0/1")
-    return tensor_mean(sub(softplus(logits), mul(logits, t)))
+    return tensor_mean(add(softplus(logits), mul(logits, Tensor(-t.data))))
 
 
 class Adam:

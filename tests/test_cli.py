@@ -14,10 +14,12 @@ import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
 from vtfpar.data import SyntheticSpec, load_dataset
+from vtfpar.errors import UsageError
 from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import read_checkpoint_arrays
 from vtfpar.schema import default_schema, save_schema
+from vtfpar.tensor import ContractError, DimensionError
 from vtfpar.train import TrainConfig, evaluate, train
 from tests.test_data import small_schema
 
@@ -126,6 +128,7 @@ def test_train_bad_config_exits_1(tiny_dataset, tmp_path, capsys):
     ("vision", "heads", 0), ("text", "heads", 0), ("fusion", "heads", 0),
     ("vision", "patch_size", 0), ("vision", "dim", 0), ("vision", "dim", -8),
     ("vision", "image_size", 0), ("fusion", "blocks", -1), ("text", "mlp_ratio", 0),
+    ("vision", "heads", "abc"),
 ])
 def test_train_bad_geometry_exits_1_before_loading_data(section, key, value,
                                                         tmp_path, capsys):
@@ -152,6 +155,20 @@ def test_train_config_width_only_under_vision_exits_1(section, value, tmp_path,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{config}:2:" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"), ("--weight-decay", "inf"),
+])
+def test_train_non_finite_rate_exits_1_before_loading_data(flag, value, tmp_path, capsys):
+    # --data does not exist: reaching the data would exit 2, not 1
+    checkpoint, log = tmp_path / "m.ckpt", tmp_path / "l.tsv"
+    rc = main(["train", "--data", str(tmp_path / "missing"), flag, value,
+               "--checkpoint", str(checkpoint), "--log", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not checkpoint.exists() and not log.exists()
 
 
 @pytest.mark.parametrize("module", ["vtfpar", "vtfpar.cli"])
@@ -328,6 +345,23 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert out.startswith("op\tmax_rel_err")
     assert "full_model" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0", "--model-coords", "0"], ["--trials", "-2"], ["--model-coords", "-1"],
+])
+def test_gradcheck_count_below_1_exits_1(flags, capsys):
+    # a check of nothing must not print ok
+    assert main(["gradcheck", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_op_errors_are_usage_errors():
+    # so main's one UsageError handler gives them exit 1
+    assert issubclass(ContractError, UsageError)
+    assert issubclass(DimensionError, UsageError)
 
 
 def test_gradcheck_corrupted_rule_exits_3(monkeypatch, capsys):

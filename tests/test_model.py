@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.errors import DataError
+from vtfpar.errors import DataError, UsageError
 from vtfpar.fusion import FusionConfig
 from vtfpar.model import (ModelConfig, VideoAttributeModel,
                           checkpoint_uses_fusion, load_model_config)
@@ -121,9 +121,10 @@ class TestModelConfigFile:
             load_model_config(path)
 
     def test_bad_value_reported(self, tmp_path):
+        # a well-formed line with a non-integer value is a usage error, at its line
         path = tmp_path / "model.txt"
         path.write_text("[vision]\ndim = many\n", encoding="utf-8")
-        with pytest.raises(DataError, match="vision.dim"):
+        with pytest.raises(UsageError, match="model.txt:2: bad value for vision.dim"):
             load_model_config(path)
 
     def test_bad_line_reported_with_number(self, tmp_path):

@@ -40,6 +40,15 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
+    def test_equal_batch_dims(self):
+        # attention's scores and mixing: (b, heads) batch dims on both sides
+        q, k = Tensor(np.ones((2, 4, 5, 8))), Tensor(np.ones((2, 4, 8, 5)))
+        assert matmul(q, k).shape == (2, 4, 5, 5)
+
+    def test_size_one_batch_dim_does_not_stretch(self):
+        with pytest.raises(DimensionError, match=r"matmul batch dims.*\(1,\).*\(2,\)"):
+            matmul(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 4, 5))))
+
 
 class TestLinear:
     # x (6, 17, 96): 102 rows of 96 grouped as 6 batch items

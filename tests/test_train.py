@@ -13,8 +13,8 @@ from vtfpar.fusion import FusionConfig
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema
-from vtfpar.tensor import (ContractError, DimensionError, Tape, Tensor,
-                           backward, scale, sigmoid)
+from vtfpar.tensor import (ContractError, DimensionError, Tape, Tensor, add,
+                           backward, mul, scale, sigmoid, softplus, tensor_mean)
 from vtfpar.text import TextConfig
 from vtfpar.train import (Adam, TrainConfig, bce_loss, evaluate,
                           sample_frame_indices, train)
@@ -51,6 +51,30 @@ class TestBceLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             bce_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_negated_product_form(self, dtype):
+        # z * (-y) is -(z * y) exactly, signed zeros included, so the loss
+        # and its logit gradient equal those of softplus(z) + scale(z * y, -1)
+        rng = np.random.default_rng(3)
+        z0 = rng.normal(0, 4, (4, 6)).astype(dtype)
+        z0[0, :4] = (0.0, -0.0, 0.0, -0.0)
+        y = (rng.random((4, 6)) < 0.5).astype(dtype)
+        y[0, :4] = (0.0, 0.0, 1.0, 1.0)
+        y[1] = 0.0
+
+        def run(loss_fn):
+            z = Tensor(z0, requires_grad=True)
+            with Tape():
+                loss = loss_fn(z)
+                backward(loss)
+            return loss.data, z.grad
+
+        ours = run(lambda z: bce_loss(z, y))
+        scaled = run(lambda z: tensor_mean(add(softplus(z), scale(mul(z, Tensor(y)), -1.0))))
+        for a, b in zip(ours, scaled):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
     def test_targets_must_be_binary(self):
         with pytest.raises(ContractError):
