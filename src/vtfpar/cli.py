@@ -185,12 +185,12 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}")
     _check_output_dirs(args.out)
     config = _model_config(args, use_fusion=not args.no_fusion)
+    cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
     dataset = _load_data(args.data)
     lines = ["frames\tprecision\trecall\tf1"]
-    for k in counts:
+    for k, cfg in zip(counts, cfgs):
         model = VideoAttributeModel(config, dataset.schema, seed=args.seed)
-        train(model, dataset.split("train"), [],
-              TrainConfig(epochs=args.epochs, seed=args.seed, frames=k))
+        train(model, dataset.split("train"), [], cfg)
         report = evaluate(model, dataset.split("test"), k)
         lines.append(f"{k}\t{report.macro_precision:.4f}"
                      f"\t{report.macro_recall:.4f}\t{report.macro_f1:.4f}")

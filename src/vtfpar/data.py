@@ -45,10 +45,6 @@ class Tracklet:
     frames: np.ndarray  # (t, h, w, 3) float32 in [0, 1]
     labels: np.ndarray  # (n_classes,) int8 in {0, 1}
 
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
 
 @dataclass
 class Dataset:
@@ -188,6 +184,8 @@ class SyntheticSpec:
         if not 0.0 < self.split_fraction < 1.0:
             raise UsageError(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_train(self) -> int:

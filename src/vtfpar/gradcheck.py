@@ -140,8 +140,8 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     spec = SyntheticSpec(n_tracklets=2, frames_per_tracklet=2, height=12,
                          width=9, noise_sigma=0.05, occlusion_p=0.0, seed=seed)
     rendered = [render_tracklet(spec, schema, i) for i in range(2)]
-    clips = np.stack([frames for frames, _, _ in rendered]).astype(np.float64)
-    targets = np.stack([labels for _, labels, _ in rendered]).astype(np.float64)
+    clips = np.stack([frames for frames, _, _ in rendered])
+    targets = np.stack([labels for _, labels, _ in rendered])
 
     def loss_value() -> Tensor:
         logits = model.logits_batch(clips)
@@ -150,7 +150,7 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     with Tape():
         loss = loss_value()
         backward(loss)
-    grads = {p.name: p.tensor.grad.copy() for p in model.params.trainable()}
+    grads = {p.name: p.tensor.grad for p in model.params.trainable()}
 
     coords = []
     for p in model.params.trainable():
@@ -195,6 +195,8 @@ def run_all(op_trials: int = OP_TRIALS, model_coords: int = MODEL_COORDS,
             seed: int = SEED) -> GradCheckReport:
     if op_trials < 1 or model_coords < 1:
         raise UsageError(f"gradcheck counts must be >= 1, got {op_trials}, {model_coords}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     start = time.monotonic()
     results = [check_op(name, trials=op_trials, seed=seed) for name in OP_KINDS]
     results.append(check_model(n_coords=model_coords, seed=seed))

@@ -81,10 +81,10 @@ class MultiHeadAttention:
             return transpose(reshape(t, (b, length, h, hd)), (0, 2, 1, 3))
 
         q = split_heads(self.q(xq), nq)
-        k = split_heads(self.k(xn), n)
+        kt = transpose(reshape(self.k(xn), (b, n, h, hd)), (0, 2, 3, 1))  # K^T per head
         v = split_heads(self.v(xn), n)
 
-        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+        scores = scale(matmul(q, kt), 1.0 / math.sqrt(hd))
         probs = softmax(scores)
         if collect is not None:
             collect.append(probs.data)

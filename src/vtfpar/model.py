@@ -55,14 +55,14 @@ class VideoAttributeModel:
         self.config = config
         self.schema = schema
         self.params = ParameterSet(dtype)
-        self.vocab = build_vocab(attribute_sentences(schema), config.text.max_len)
-        self.token_ids = token_matrix(schema, self.vocab)
+        vocab = build_vocab(attribute_sentences(schema), config.text.max_len)
+        self.token_ids = token_matrix(schema, vocab)
 
         def rng(k):
             return np.random.default_rng([seed, k])
 
         self.vision = VisionEncoder(self.params, config.vit, rng(1))
-        self.text = TextEncoder(self.params, config.text, self.vocab.size, rng(2))
+        self.text = TextEncoder(self.params, config.text, vocab.size, rng(2))
         if config.use_fusion:
             cfg = config.fusion
             self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,

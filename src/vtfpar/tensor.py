@@ -669,10 +669,8 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor,
     flat = out.reshape(-1)
     with no_grad():
         for i in range(base.size):
-            bump = np.zeros_like(base).reshape(-1)
-            bump[i] = delta
-            bump = bump.reshape(base.shape)
-            fp = f(Tensor(base + bump)).item()
-            fm = f(Tensor(base - bump)).item()
-            flat[i] = (fp - fm) / (2.0 * delta)
+            up, down = base.copy(), base.copy()
+            up.flat[i] += delta
+            down.flat[i] -= delta
+            flat[i] = (f(Tensor(up)).item() - f(Tensor(down)).item()) / (2.0 * delta)
     return Tensor(out)

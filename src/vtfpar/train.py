@@ -39,6 +39,8 @@ class TrainConfig:
             raise UsageError(f"bad training config {self}")
         if not 0 <= self.weight_decay < math.inf or self.save_every < 0:
             raise UsageError(f"bad training config {self}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -107,8 +109,7 @@ class Adam:
             update = np.divide(m, correction1)
             update *= lr
             update /= buf
-            value = p.data * decay if self.weight_decay else p.data
-            p.set_value(np.subtract(value, update, out=update))
+            p.set_value(np.subtract(p.data * decay, update, out=update))
 
 
 def sample_frame_indices(available: int, k: int) -> np.ndarray:
@@ -119,7 +120,7 @@ def sample_frame_indices(available: int, k: int) -> np.ndarray:
 
 
 def _clip_batch(tracklets: list[Tracklet], k: int) -> np.ndarray:
-    clips = [t.frames[sample_frame_indices(t.n_frames, k)] for t in tracklets]
+    clips = [t.frames[sample_frame_indices(len(t.frames), k)] for t in tracklets]
     return np.stack(clips)
 
 
@@ -161,7 +162,7 @@ def evaluate(model: VideoAttributeModel, tracklets: list[Tracklet],
         raise UsageError("evaluate: empty tracklet list")
     logits = predict_logits(model, tracklets, frames, batch_size, visual)
     preds = decide(logits, model.schema)
-    return macro_report(model.schema, preds, _label_matrix(tracklets).astype(np.int8))
+    return macro_report(model.schema, preds, np.stack([t.labels for t in tracklets]))
 
 
 @dataclass(frozen=True)
@@ -237,11 +238,7 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     return logs
 
 
-def log_tsv(logs: list[EpochLog]) -> str:
+def write_log(logs: list[EpochLog], path) -> None:
     lines = ["epoch\tmean_loss\theldout_macro_f1"]
     lines += [f"{l.epoch}\t{l.mean_loss:.6f}\t{l.heldout_f1:.4f}" for l in logs]
-    return "\n".join(lines) + "\n"
-
-
-def write_log(logs: list[EpochLog], path) -> None:
-    Path(path).write_text(log_tsv(logs), encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

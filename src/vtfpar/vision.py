@@ -31,22 +31,17 @@ class VitConfig:
                                 f"multiple of patch {self.patch_size}")
 
     @property
-    def n_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
-
-    @property
     def n_tokens(self) -> int:
-        return self.n_patches + 1
+        return (self.image_size // self.patch_size) ** 2 + 1
 
 
 def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resample of (..., h, w, c) images.
 
-    Identity when the size is unchanged.
+    An unchanged size takes the same path: every weight is then 0, so
+    finite pixels come back exactly.
     """
     h, w = img.shape[-3:-1]
-    if (new_h, new_w) == (h, w):
-        return img.copy()
 
     def axis_coords(n_new, n_old):
         src = (np.arange(n_new) + 0.5) * (n_old / n_new) - 0.5
@@ -92,9 +87,7 @@ def pad_to_square(frames: np.ndarray, size: int) -> np.ndarray:
 
 def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     """(b, s, s, 3) -> (b, n_patches, patch*patch*3), row-major patch order."""
-    b, s, s2, c = frames.shape
-    if s != s2:
-        raise DimensionError(f"patchify expects square frames, got {frames.shape}")
+    b, s, _, c = frames.shape
     g = s // patch
     x = frames.reshape(b, g, patch, g, patch, c)
     x = x.transpose(0, 1, 3, 2, 4, 5)
@@ -106,7 +99,6 @@ class VisionEncoder:
 
     def __init__(self, params: ParameterSet, cfg: VitConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.dtype = params.dtype
         d = cfg.dim
         self.patch = Linear(params, "vision.patch", cfg.patch_size ** 2 * 3, d, rng)
         self.cls = params.normal("vision.cls", (1, d), 0.02, rng)
@@ -117,13 +109,12 @@ class VisionEncoder:
                                        cfg.mlp_ratio, rng)
 
     def encode(self, frames: np.ndarray) -> Tensor:
-        """Padded frames (b, s, s, 3) -> tokens (b, n_tokens, dim)."""
+        """Padded frames (b, s, s, 3), parameter dtype -> tokens (b, n_tokens, dim)."""
         s = self.cfg.image_size
         if frames.ndim != 4 or frames.shape[1:] != (s, s, 3):
             raise DimensionError(
                 f"encode expects (b, {s}, {s}, 3), got {frames.shape}")
         b = frames.shape[0]
-        x = self.patch(Tensor(patchify(frames.astype(self.dtype, copy=False),
-                                       self.cfg.patch_size)))
+        x = self.patch(Tensor(patchify(frames, self.cfg.patch_size)))
         x = concat([expand_leading(self.cls.tensor, b), x], axis=1)
         return self.blocks(add(x, self.pos.tensor))

@@ -124,6 +124,31 @@ class TestFiniteDiff:
         with pytest.raises(ContractError):
             finite_diff_grad(tensor_sum, Tensor([1.0]), delta=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_equals_zero_array_bump_formula_bitwise(self, dtype, transposed):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(4, 3)).astype(dtype)
+        x = x.T if transposed else x
+        w = Tensor(rng.normal(size=x.shape).astype(dtype))
+
+        def f(t):
+            return tensor_sum(mul(gelu(t), w))
+
+        delta = 1e-5
+        expected = np.zeros_like(x)
+        with no_grad():
+            for i in range(x.size):
+                bump = np.zeros_like(x).reshape(-1)
+                bump[i] = delta
+                bump = bump.reshape(x.shape)
+                fp = f(Tensor(x + bump)).item()
+                fm = f(Tensor(x - bump)).item()
+                expected.reshape(-1)[i] = (fp - fm) / (2.0 * delta)
+        got = finite_diff_grad(f, Tensor(x), delta).data
+        assert got.dtype == dtype
+        npt.assert_array_equal(got, expected)
+
     def test_matmul_gradients_match_oracle(self):
         rng = np.random.default_rng(3)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

@@ -171,6 +171,23 @@ def test_train_non_finite_rate_exits_1_before_loading_data(flag, value, tmp_path
     assert not checkpoint.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--out", "d", "--tracklets", "2", "--seed", "-3"],
+    ["train", "--data", "missing", "--seed", "-1"],
+    ["ablate-frames", "--data", "missing", "--seed", "-2", "--out", "a.tsv"],
+    ["ablate-frames", "--data", "missing", "--epochs", "0", "--out", "a.tsv"],
+    ["gradcheck", "--trials", "1", "--model-coords", "1", "--seed", "-1"],
+])
+def test_negative_seed_exits_1_before_any_work(command, tmp_path, capsys, monkeypatch):
+    # --data does not exist: reaching the data would exit 2, not 1
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("module", ["vtfpar", "vtfpar.cli"])
 def test_python_m_runs_the_cli(module, tmp_path):
     path = [str(Path(cli_mod.__file__).resolve().parents[1]),

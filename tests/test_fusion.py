@@ -13,8 +13,9 @@ from vtfpar.metrics import decide
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
 from vtfpar.schema import default_schema
-from vtfpar.tensor import (DimensionError, Tape, Tensor, backward, mul, slice_axis,
-                           tensor_sum)
+from vtfpar.tensor import (DimensionError, Tape, Tensor, backward, layer_norm, linear,
+                           matmul, mul, reshape, scale, slice_axis, softmax,
+                           tensor_sum, transpose)
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
@@ -89,6 +90,48 @@ class TestSelfAttention:
         attn(Tensor(rng.normal(size=(2, 6, 8)).astype(np.float32)), collect)
         sums = collect[0].sum(axis=-1)
         npt.assert_allclose(sums, 1.0, atol=1e-6)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_bitwise_equal_to_two_transpose_form(self, dtype, trim):
+        # reference: K split into heads, then transposed a second time
+        params = ParameterSet(dtype)
+        attn = MultiHeadAttention(params, "attn", 8, 2, np.random.default_rng(6))
+        rows = (lambda t: slice_axis(t, 1, 1, 4)) if trim else None
+        rng = np.random.default_rng(7)
+        x0 = rng.normal(size=(2, 5, 8)).astype(dtype)
+        w = Tensor(rng.normal(size=(2, 3 if trim else 5, 8)).astype(dtype))
+        t = {p.name: p.tensor for p in params}
+
+        def lin(z, name):
+            return linear(z, t[f"attn.{name}.weight"], t[f"attn.{name}.bias"])
+
+        def split_heads(z):
+            return transpose(reshape(z, (2, z.shape[1], 2, 4)), (0, 2, 1, 3))
+
+        def reference(x):
+            xn = layer_norm(x, t["attn.ln.gain"], t["attn.ln.bias"])
+            xq = xn if rows is None else rows(xn)
+            q = split_heads(lin(xq, "q"))
+            k = split_heads(lin(xn, "k"))
+            v = split_heads(lin(xn, "v"))
+            scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(4))
+            ctx = transpose(matmul(softmax(scores), v), (0, 2, 1, 3))
+            return lin(reshape(ctx, (2, xq.shape[1], 8)), "out")
+
+        results = []
+        for forward in (lambda x: attn(x, rows=rows), reference):
+            for p in params:
+                p.tensor.grad = None
+            x = Tensor(x0, requires_grad=True)
+            with Tape():
+                out = forward(x)
+                backward(tensor_sum(mul(out, w)))
+            results.append([out.data, x.grad] + [p.tensor.grad for p in params])
+        assert results[0][0].dtype == dtype
+        for got, want in zip(*results):
+            npt.assert_array_equal(got, want)
 
 
 class TestFusionBlock:

@@ -121,31 +121,34 @@ class TestAdam:
         # float32, in the formula's operation order; the moments are
         # updated in place. Values start near 0, of the updates' size, so
         # that an update rounded differently shows in the value.
-        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
-        rng = np.random.default_rng(5)
-        params = ParameterSet()
-        p = params.add("w", 0.01 * rng.standard_normal((8, 16)))
-        opt = Adam(params, lr=lr, weight_decay=wd)
-        value = p.data.copy()
-        m = np.zeros_like(value)
-        v = np.zeros_like(value)
-        for t in (1, 2, 3):
-            g = rng.standard_normal((8, 16)).astype(np.float32)
-            p.tensor.grad = g
-            opt.step()
-            if t == 1:
-                m_state, v_state = opt.state["w"]
-            value = value * (1.0 - lr * wd)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert p.data.dtype == value.dtype == np.float32
-            npt.assert_array_equal(p.data, value)
-            npt.assert_array_equal(m_state, m)
-            npt.assert_array_equal(v_state, v)
-            assert opt.state["w"][0] is m_state and opt.state["w"][1] is v_state
+        # with a weight decay of 0 the formula has no decay factor
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for wd in (0.1, 0.0):
+            rng = np.random.default_rng(5)
+            params = ParameterSet()
+            p = params.add("w", 0.01 * rng.standard_normal((8, 16)))
+            opt = Adam(params, lr=lr, weight_decay=wd)
+            value = p.data.copy()
+            m = np.zeros_like(value)
+            v = np.zeros_like(value)
+            for t in (1, 2, 3):
+                g = rng.standard_normal((8, 16)).astype(np.float32)
+                p.tensor.grad = g
+                opt.step()
+                if t == 1:
+                    m_state, v_state = opt.state["w"]
+                if wd:
+                    value = value * (1.0 - lr * wd)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert p.data.dtype == value.dtype == np.float32
+                npt.assert_array_equal(p.data, value)
+                npt.assert_array_equal(m_state, m)
+                npt.assert_array_equal(v_state, v)
+                assert opt.state["w"][0] is m_state and opt.state["w"][1] is v_state
 
     def test_missing_gradient_raises(self):
         params, _ = self._pset([1.0])

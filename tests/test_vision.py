@@ -65,6 +65,10 @@ class TestBilinearResize:
         rng = np.random.default_rng(2)
         img = rng.random((5, 7, 3))
         npt.assert_array_equal(bilinear_resize(img, 5, 7), img)
+        batch = rng.random((4, 6, 9, 3)).astype(np.float32)
+        out = bilinear_resize(batch, 6, 9)
+        assert out.dtype == np.float32
+        npt.assert_array_equal(out, batch)
 
     def test_constant_preserved(self):
         img = np.full((3, 4, 3), 0.25, dtype=np.float64)
