@@ -345,6 +345,16 @@ def load_dataset(manifest_path) -> Dataset:
         raise DataError(f"{manifest_path}: no splits declared")
 
     loaded: dict[str, list[Tracklet]] = {}
+    first: tuple[Path, tuple] | None = None  # batches stack clips: one frame shape
     for split, rels in splits.items():
-        loaded[split] = [_load_tracklet(root / rel, schema) for rel in rels]
+        loaded[split] = []
+        for rel in rels:
+            tracklet = _load_tracklet(root / rel, schema)
+            shape = tracklet.frames.shape[1:]
+            if first is None:
+                first = (root / rel, shape)
+            elif shape != first[1]:
+                raise DataError(f"tracklet {root / rel}: frame shape {shape} differs "
+                                f"from {first[1]} in tracklet {first[0]}")
+            loaded[split].append(tracklet)
     return Dataset(schema=schema, splits=loaded)

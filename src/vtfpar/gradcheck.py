@@ -3,7 +3,12 @@
 Each registered op kind has a case that builds random float64 inputs and
 a scalar forward function; the analytic gradient from ``backward`` is
 compared against central differences. A full end-to-end model check
-perturbs sampled parameter coordinates through the entire pipeline.
+perturbs sampled parameter coordinates: its analytic gradients come from
+one tape pass through the entire pipeline, and each bump recomputes only
+the stage that owns the coordinate (vision encoder, text encoder, or the
+fusion stack, heads and loss), reusing the other stages' features. That
+can turn a parameter read outside its stage into a false failure, never
+into a false pass.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .data import SyntheticSpec, render_tracklet
 from .errors import UsageError, VerificationError
 from .fusion import FusionConfig
-from .model import ModelConfig, VideoAttributeModel
+from .model import ENCODER_PREFIXES, ModelConfig, VideoAttributeModel
 from .schema import AttributeGroup, AttributeSchema
 from .tensor import (OP_KINDS, Tape, Tensor, backward, concat, expand_leading,
                      finite_diff_grad, gelu, layer_norm, linear, matmul, add, mul,
@@ -131,8 +136,17 @@ def _tiny_model() -> VideoAttributeModel:
 def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     """End-to-end check: sampled parameter coordinates vs central differences.
 
-    Runs the full pipeline (encoders unfrozen) in float64 on a small
-    synthetic batch.
+    The analytic side runs the full pipeline (encoders unfrozen) on one
+    tape, in float64 on a small synthetic batch. The numeric side bumps
+    one coordinate at a time and recomputes only the stage that owns it:
+    a ``vision.*`` coordinate re-runs ``visual_features_batch``, a
+    ``text.*`` one ``text_features``, and every other coordinate only
+    ``fuse_classify`` and ``bce_loss``, over encoder features computed
+    once, off-tape. The skipped stages would get the same inputs and
+    parameters, so the numeric gradients are bitwise those of re-running
+    the whole pipeline. A parameter read outside its stage would leave a
+    bump's effect there out of the numeric side only, so it can cause a
+    false failure but never a false pass.
     """
     model = _tiny_model()
     model.set_freeze(False)
@@ -142,15 +156,18 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     rendered = [render_tracklet(spec, schema, i) for i in range(2)]
     clips = np.stack([frames for frames, _, _ in rendered])
     targets = np.stack([labels for _, labels, _ in rendered])
+    # one encoder per ENCODER_PREFIXES entry, in its order
+    encoders = (partial(model.visual_features_batch, clips), model.text_features)
 
-    def loss_value() -> Tensor:
-        logits = model.logits_batch(clips)
-        return bce_loss(logits, targets)
+    def loss_of(visual: Tensor, text: Tensor) -> Tensor:
+        return bce_loss(model.fuse_classify(visual, text), targets)
 
     with Tape():
-        loss = loss_value()
+        loss = loss_of(*(encode() for encode in encoders))
         backward(loss)
     grads = {p.name: p.tensor.grad for p in model.params.trainable()}
+    with no_grad():
+        features = [encode() for encode in encoders]
 
     coords = []
     for p in model.params.trainable():
@@ -165,14 +182,16 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     for name, i in coords:
         p = model.params[name]
         original = p.data.copy()
+        rerun = [name.startswith(prefix) for prefix in ENCODER_PREFIXES]
 
         def loss_with(value: float) -> float:
             bumped = original.copy()
             bumped.reshape(-1)[i] = value
             p.set_value(bumped)
             with no_grad():
-                out = loss_value().item()
-            return out
+                inputs = [encode() if again else cached
+                          for encode, cached, again in zip(encoders, features, rerun)]
+                return loss_of(*inputs).item()
 
         x0 = float(original.reshape(-1)[i])
         numeric = (loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA)

@@ -147,7 +147,12 @@ def read_checkpoint_arrays(path) -> dict[str, np.ndarray]:
     (count,) = struct.unpack("<I", take(4))
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"checkpoint {path}: a parameter name is not UTF-8") from None
+        if name in arrays:
+            raise DataError(f"checkpoint {path}: parameter {name!r} appears twice")
         (ndim,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n_values = int(np.prod(dims, dtype=np.int64)) if ndim else 1

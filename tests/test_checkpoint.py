@@ -1,5 +1,8 @@
 """Checkpoint binary format: roundtrip, ordering, corruption detection."""
 
+import struct
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -119,3 +122,25 @@ def test_duplicate_parameter_names_rejected():
     params.add("w", np.zeros(1))
     with pytest.raises(ValueError):
         params.add("w", np.zeros(1))
+
+
+def _rewrite_with_crc(path, old: bytes, new: bytes) -> None:
+    """Replace ``old`` by ``new`` once in the payload and re-seal the CRC."""
+    payload = path.read_bytes()[:-4]
+    assert payload.count(old) == 1 and len(new) == len(old)
+    payload = payload.replace(old, new)
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("new_name, message", [
+    (b"c.th\xffrd", "not UTF-8"),
+    (b"a.first", "'a.first' appears twice"),
+], ids=["not-utf8", "duplicate"])
+def test_malformed_name_with_valid_crc_is_a_data_error(new_name, message, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_pset(), path)
+    _rewrite_with_crc(path, b"c.third", new_name)
+    with pytest.raises(DataError, match=message) as info:
+        read_checkpoint_arrays(path)
+    text = str(info.value)
+    assert text.startswith(f"checkpoint {path}: ") and "\n" not in text

@@ -13,7 +13,7 @@ import pytest
 import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
-from vtfpar.data import SyntheticSpec, load_dataset
+from vtfpar.data import SyntheticSpec, load_dataset, read_frame, write_frame
 from vtfpar.errors import UsageError
 from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
@@ -188,16 +188,49 @@ def test_negative_seed_exits_1_before_any_work(command, tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("module", ["vtfpar", "vtfpar.cli"])
-def test_python_m_runs_the_cli(module, tmp_path):
+def _subprocess_env(**extra) -> dict:
+    """This environment, with this package first on the path."""
     path = [str(Path(cli_mod.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
+@pytest.mark.parametrize("module", ["vtfpar", "vtfpar.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", module, "train", "--data", str(tmp_path / "missing")],
-        cwd=tmp_path, env=env, capture_output=True, text=True)
+        cwd=tmp_path, env=_subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 2
     assert done.stderr.startswith("data error: ") and done.stderr.count("\n") == 1
+
+
+def _stdout_at_blas_threads(threads: int, args: list[str]) -> str:
+    done = subprocess.run([sys.executable, "-m", "vtfpar", *args], check=True,
+                          env=_subprocess_env(OPENBLAS_NUM_THREADS=str(threads)),
+                          capture_output=True, text=True)
+    return done.stdout
+
+
+# at most 2 BLAS threads: more would oversubscribe a small machine. Unfrozen
+# training and larger frozen batches differ between 1 and 2 (README, Determinism).
+def test_frozen_training_same_bits_at_1_and_2_blas_threads(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--tracklets", "40"]) == 0
+    outputs = []
+    for threads in (1, 2):
+        ckpt, log = tmp_path / f"m{threads}.ckpt", tmp_path / f"l{threads}.tsv"
+        _stdout_at_blas_threads(threads, ["train", "--data", str(data), "--epochs", "2",
+                                          "--checkpoint", str(ckpt), "--log", str(log)])
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_gradcheck_table_same_at_1_and_2_blas_threads():
+    args = ["gradcheck", "--trials", "2", "--model-coords", "60"]
+    tables = [[line for line in _stdout_at_blas_threads(threads, args).splitlines()
+               if not line.startswith("elapsed\t")] for threads in (1, 2)]
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 2 + len(tensor_mod.OP_KINDS)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -243,6 +276,22 @@ def test_raw_attribute_of_separators_only_exits_2(command, tiny_dataset, tmp_pat
     err = capsys.readouterr().err
     assert f"{schema_path}:8:" in err and err.count("\n") == 1
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "new").exists()
+
+
+def test_tracklets_with_different_frame_shapes_exit_2(tiny_dataset, tmp_path, capsys):
+    # each tracklet is uniform, but batches stack clips of several tracklets
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    odd = data / "test" / "t00020"
+    for path in sorted(odd.glob("*.vtf")):
+        write_frame(path, read_frame(path)[:8])
+    rc = main(["train", "--data", str(data), "--epochs", "1",
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(odd) in err and "(8, 10, 3)" in err and "(12, 10, 3)" in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsys):

@@ -12,8 +12,12 @@ import pytest
 
 import vtfpar.gradcheck as gradcheck_mod
 import vtfpar.tensor as tensor_mod
-from vtfpar.gradcheck import _CASES, check_model, check_op, run_all
-from vtfpar.tensor import OP_KINDS
+from vtfpar.data import SyntheticSpec, render_tracklet
+from vtfpar.gradcheck import (_CASES, DELTA, RTOL, CheckResult, check_model, check_op,
+                              run_all)
+from vtfpar.model import ENCODER_PREFIXES, VideoAttributeModel
+from vtfpar.tensor import OP_KINDS, Tape, backward, no_grad
+from vtfpar.train import bce_loss
 
 
 def test_every_op_kind_has_a_case():
@@ -34,6 +38,91 @@ def test_op_gradients_verify(name):
 def test_model_gradients_verify():
     result = check_model(n_coords=80, seed=0)
     assert result.passed, f"max rel err {result.max_rel_err:.3e}"
+
+
+def _sampled_coords(model, n_coords, seed):
+    coords = [(p.name, i) for p in model.params.trainable() for i in range(p.tensor.size)]
+    if len(coords) > n_coords:
+        picked = np.random.default_rng(seed).choice(len(coords), size=n_coords,
+                                                    replace=False)
+        coords = [coords[i] for i in picked]
+    return coords
+
+
+def _full_pipeline_check_model(n_coords, seed):
+    """Oracle: every bump re-runs the whole pipeline through ``logits_batch``."""
+    model = gradcheck_mod._tiny_model()
+    model.set_freeze(False)
+    spec = SyntheticSpec(n_tracklets=2, frames_per_tracklet=2, height=12,
+                         width=9, noise_sigma=0.05, occlusion_p=0.0, seed=seed)
+    rendered = [render_tracklet(spec, model.schema, i) for i in range(2)]
+    clips = np.stack([frames for frames, _, _ in rendered])
+    targets = np.stack([labels for _, labels, _ in rendered])
+
+    def loss_value():
+        return bce_loss(model.logits_batch(clips), targets)
+
+    with Tape():
+        backward(loss_value())
+    grads = {p.name: p.tensor.grad for p in model.params.trainable()}
+    coords = _sampled_coords(model, n_coords, seed)
+    worst = 0.0
+    for name, i in coords:
+        p = model.params[name]
+        original = p.data.copy()
+
+        def loss_with(value):
+            bumped = original.copy()
+            bumped.reshape(-1)[i] = value
+            p.set_value(bumped)
+            with no_grad():
+                return loss_value().item()
+
+        x0 = float(original.reshape(-1)[i])
+        numeric = (loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA)
+        p.set_value(original)
+        worst = max(worst, gradcheck_mod._rel_err(float(grads[name].reshape(-1)[i]),
+                                                  numeric))
+    return CheckResult("full_model", worst, len(coords), worst < RTOL)
+
+
+@pytest.mark.parametrize("n_coords, seed", [(80, 0), (20, 2)])
+def test_model_check_equals_full_pipeline_oracle(n_coords, seed):
+    result = check_model(n_coords=n_coords, seed=seed)
+    expected = _full_pipeline_check_model(n_coords, seed)
+    assert result == expected
+    assert result.max_rel_err.hex() == expected.max_rel_err.hex()
+
+
+def test_bump_reruns_only_the_encoder_that_owns_it(monkeypatch):
+    start = {}  # parameter values at the first encoder call, before any bump
+    moved = {prefix: [] for prefix in ENCODER_PREFIXES}  # per call: bumped names
+
+    def counting(prefix, method):
+        def wrapper(self, *args):
+            if not start:
+                start.update((p.name, p.data.copy()) for p in self.params)
+            moved[prefix].append([p.name for p in self.params
+                                  if not np.array_equal(p.data, start[p.name])])
+            return method(self, *args)
+        return wrapper
+
+    for prefix, attr in zip(ENCODER_PREFIXES, ("visual_features_batch", "text_features")):
+        monkeypatch.setattr(VideoAttributeModel, attr,
+                            counting(prefix, getattr(VideoAttributeModel, attr)))
+    n_coords, seed = 80, 0
+    check_model(n_coords=n_coords, seed=seed)
+    model = gradcheck_mod._tiny_model()
+    model.set_freeze(False)
+    coords = _sampled_coords(model, n_coords, seed)
+    for prefix, calls in moved.items():
+        owned = sum(name.startswith(prefix) for name, _ in coords)
+        assert owned > 0
+        # one tape pass and one off-tape pass, then two calls per owned bump
+        assert [names for names in calls if not names] == [[], []]
+        bumped = [names for names in calls if names]
+        assert len(bumped) == 2 * owned
+        assert all(len(names) == 1 and names[0].startswith(prefix) for names in bumped)
 
 
 def test_corrupted_backward_rule_is_caught(monkeypatch):
