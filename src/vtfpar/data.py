@@ -139,8 +139,8 @@ def read_labels(path, schema: AttributeSchema) -> tuple[str, np.ndarray]:
     lineno, value = entries["labels"]
     try:
         labels = np.array([int(v) for v in value.split()], dtype=np.int8)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: non-integer label value") from None
+    except (ValueError, OverflowError):  # OverflowError: outside int8
+        raise DataError(f"{path}:{lineno}: labels must be 0/1") from None
     validate_labels(labels, schema, str(path))
     # ``group NAME = ...`` lines, where present, echo the labels vector
     echo = _group_summary(schema, labels)

@@ -59,5 +59,5 @@ class ClassificationHeads:
             raise DataError(
                 f"{text_tokens.shape[-2]} text tokens but {self.n_classes} heads; "
                 "schema and model disagree")
-        per_class = tensor_sum(mul(text_tokens, self.weight.tensor), axis=-1)
-        return add(per_class, self.bias.tensor)
+        per_class = tensor_sum(mul(text_tokens, self.weight), axis=-1)
+        return add(per_class, self.bias)

@@ -165,14 +165,11 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     with Tape():
         loss = loss_of(*(encode() for encode in encoders))
         backward(loss)
-    grads = {p.name: p.tensor.grad for p in model.params.trainable()}
+    grads = {p.name: p.grad for p in model.params.trainable()}
     with no_grad():
         features = [encode() for encode in encoders]
 
-    coords = []
-    for p in model.params.trainable():
-        for i in range(p.tensor.size):
-            coords.append((p.name, i))
+    coords = [(p.name, i) for p in model.params.trainable() for i in range(p.size)]
     rng = np.random.default_rng(seed)
     if len(coords) > n_coords:
         picked = rng.choice(len(coords), size=n_coords, replace=False)

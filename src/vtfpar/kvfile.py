@@ -27,7 +27,7 @@ def read_sections(path, what: str, error=DataError) -> list[Section]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise error(f"cannot read {what} {path}: {e}") from None
     sections = [Section((), 0, [])]
     for lineno, raw in enumerate(text.splitlines(), 1):

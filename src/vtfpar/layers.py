@@ -35,7 +35,7 @@ class Linear:
         self.b = params.add(f"{name}.bias", np.zeros(fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.w.tensor, self.b.tensor)
+        return linear(x, self.w, self.b)
 
 
 def _norm_params(params: ParameterSet, name: str, dim: int):
@@ -73,7 +73,7 @@ class MultiHeadAttention:
         b, n, d = x.shape
         h, hd = self.heads, self.head_dim
 
-        xn = layer_norm(x, self.ln_gain.tensor, self.ln_bias.tensor)
+        xn = layer_norm(x, self.ln_gain, self.ln_bias)
         xq = xn if rows is None else rows(xn)
         nq = xq.shape[1]
 
@@ -108,7 +108,7 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(
-            layer_norm(x, self.ln_gain.tensor, self.ln_bias.tensor))))
+            layer_norm(x, self.ln_gain, self.ln_bias))))
 
 
 class TransformerBlock:

@@ -56,13 +56,13 @@ class VideoAttributeModel:
         self.schema = schema
         self.params = ParameterSet(dtype)
         vocab = build_vocab(attribute_sentences(schema), config.text.max_len)
-        self.token_ids = token_matrix(schema, vocab)
 
         def rng(k):
             return np.random.default_rng([seed, k])
 
         self.vision = VisionEncoder(self.params, config.vit, rng(1))
         self.text = TextEncoder(self.params, config.text, vocab.size, rng(2))
+        self.token_ids = token_matrix(schema, vocab)  # after text.pos has bounded max_len
         if config.use_fusion:
             cfg = config.fusion
             self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,
@@ -114,7 +114,7 @@ class VideoAttributeModel:
     def set_freeze(self, freeze_encoders: bool) -> None:
         """Freeze (or unfreeze) both encoder parameter sets."""
         for p in self.encoder_parameters():
-            p.trainable = not freeze_encoders
+            p.requires_grad = not freeze_encoders
 
     def encoder_parameters(self):
         return [p for p in self.params if p.name.startswith(ENCODER_PREFIXES)]

@@ -1,4 +1,5 @@
-"""Named parameter collections and the binary checkpoint format.
+"""Named parameters (leaf tensors whose array ``set_value`` replaces between
+tapes, clearing the gradient), their collections and the checkpoint format.
 
 Checkpoint layout (all little-endian):
 
@@ -15,6 +16,7 @@ Values are stored as float32 regardless of the in-memory dtype.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -22,44 +24,31 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .tensor import DEFAULT_DTYPE, Tensor
 
 CHECKPOINT_MAGIC = b"VTFPAR01"
+# about 24x the default model; a larger one is refused before it is drawn
+_MAX_VALUES = 1 << 24
 
 
-class Parameter:
-    """A named tensor slot; ``trainable`` mirrors the tensor's grad flag."""
+class Parameter(Tensor):
+    """A named leaf tensor; ``requires_grad`` is its trainable flag."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, tensor: Tensor):
+    def __init__(self, name: str, array: np.ndarray, dtype):
+        super().__init__(array, dtype=dtype, requires_grad=True)
         self.name = name
-        self.tensor = tensor
-
-    @property
-    def trainable(self) -> bool:
-        return self.tensor.requires_grad
-
-    @trainable.setter
-    def trainable(self, flag: bool) -> None:
-        self.tensor.requires_grad = bool(flag)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
 
     def set_value(self, array: np.ndarray) -> None:
-        """Rebind to new values, preserving dtype and trainability."""
-        if array.shape != self.tensor.shape:
+        """Replace the array by ``array`` cast to this dtype; drop the gradient."""
+        if array.shape != self.shape:
             raise DataError(
                 f"parameter {self.name}: cannot assign shape {array.shape} "
-                f"over {self.tensor.shape}")
-        self.tensor = Tensor(array, dtype=self.tensor.dtype,
-                             requires_grad=self.tensor.requires_grad)
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape}, trainable={self.trainable})"
+                f"over {self.shape}")
+        self.data = array.astype(self.dtype, copy=False)
+        self.grad = None
 
 
 class ParameterSet:
@@ -71,18 +60,22 @@ class ParameterSet:
     def __init__(self, dtype=DEFAULT_DTYPE):
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
+        self._values = 0
 
     def add(self, name: str, array: np.ndarray) -> Parameter:
         """A new trainable parameter holding ``array`` cast to the set's dtype."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, Tensor(array, dtype=self.dtype, requires_grad=True))
+        p = Parameter(name, array, self.dtype)
         self._params[name] = p
+        self._values += p.size
         return p
 
     def normal(self, name: str, shape: tuple[int, ...], std: float,
                rng: np.random.Generator) -> Parameter:
         """Standard normal draws, cast to the set's dtype, then scaled by ``std``."""
+        if self._values + math.prod(shape) > _MAX_VALUES:
+            raise UsageError(f"parameter {name}: the model would exceed {_MAX_VALUES} values")
         return self.add(name, std * rng.standard_normal(shape).astype(self.dtype))
 
     def __getitem__(self, name: str) -> Parameter:
@@ -98,7 +91,7 @@ class ParameterSet:
         return list(self._params)
 
     def trainable(self) -> list[Parameter]:
-        return [p for p in self if p.trainable]
+        return [p for p in self if p.requires_grad]
 
 
 def save_checkpoint(params: ParameterSet, path) -> None:
@@ -155,9 +148,11 @@ def read_checkpoint_arrays(path) -> dict[str, np.ndarray]:
             raise DataError(f"checkpoint {path}: parameter {name!r} appears twice")
         (ndim,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n_values = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        raw = take(4 * n_values)
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        raw = take(4 * math.prod(dims))
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # more dims than numpy allows
+            raise DataError(f"checkpoint {path}: {name} has {ndim} dims") from None
     if off != len(payload):
         raise DataError(f"checkpoint {path}: {len(payload) - off} trailing bytes")
     return arrays
@@ -174,8 +169,8 @@ def load_checkpoint(params: ParameterSet, path) -> None:
             f"(missing={missing[:3]}, extra={extra[:3]})")
     for name, arr in arrays.items():
         p = params[name]
-        if arr.shape != p.tensor.shape:
+        if arr.shape != p.shape:
             raise DataError(
                 f"checkpoint {path}: {name} has shape {arr.shape}, "
-                f"model expects {p.tensor.shape}")
+                f"model expects {p.shape}")
         p.set_value(arr)

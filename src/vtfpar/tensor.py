@@ -9,7 +9,10 @@ gradients to the watched leaves. A tape is swept once: ``backward``
 drops each node's backward closure, and with it the arrays the forward
 saved for it, as the sweep passes the node, so a step's activations are
 freed during the sweep rather than by the cyclic garbage collector. A
-second ``backward`` over a swept tape is a ``ContractError``.
+second ``backward`` over a swept tape is a ``ContractError``. A tensor's
+array is never written in place; a parameter (``params.Parameter``, a
+named leaf tensor) gets a new array between tapes, and the old one is
+freed then.
 
 Broadcasting is deliberately narrow: every op aligns shapes by suffix
 (elementwise ops whole shapes, matmul its leading batch dims), so only
@@ -73,9 +76,9 @@ class ContractError(UsageError, RuntimeError):
 class Tensor:
     """Dense row-major array, optionally tracked on the active tape.
 
-    Tensors are value-semantic: ops never mutate their inputs, and a
-    tensor's data must not be written after creation. ``grad`` is filled
-    by ``backward`` for watched leaves only.
+    Tensors are value-semantic: ops never mutate their inputs, and no
+    array is written in place; only a parameter's ``data`` is replaced,
+    between tapes. ``grad`` is filled by ``backward`` for watched leaves only.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "tape", "node_id")

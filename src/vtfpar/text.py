@@ -145,6 +145,6 @@ class TextEncoder:
         def end_rows(t: Tensor) -> Tensor:  # (m, L, d) -> (m, 1, d)
             return take_rows(reshape(t, (m * length, d)), ends)
 
-        x = self.blocks(add(take_rows(self.table.tensor, ids), self.pos.tensor),
+        x = self.blocks(add(take_rows(self.table, ids), self.pos),
                         rows=end_rows)
         return reshape(x, (m, d))

@@ -63,8 +63,9 @@ class Adam:
     value before the moment update, scaled by lr).
 
     State exists only for trainable parameters; frozen parameters are
-    never touched. ``step`` rebinds each trainable parameter to a new
-    tensor, which also clears its gradient.
+    never touched. ``step`` gives each trainable parameter a new array
+    through ``set_value``, which also clears its gradient, so the old
+    values and the gradient are freed as the step ends.
     """
 
     beta1 = 0.9
@@ -86,7 +87,7 @@ class Adam:
         correction2 = 1.0 - b2 ** self.t
         decay = 1.0 - lr * self.weight_decay
         for p in self.params.trainable():
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 raise ContractError(
                     f"trainable parameter {p.name} has no gradient; "
@@ -223,7 +224,7 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
             if not math.isfinite(step_loss):
                 raise VerificationError(f"non-finite loss {step_loss} {where}")
             for p in trainable:
-                if p.tensor.grad is not None and not np.isfinite(p.tensor.grad).all():
+                if p.grad is not None and not np.isfinite(p.grad).all():
                     raise VerificationError(
                         f"non-finite gradient of {p.name} {where}")
             opt.step()

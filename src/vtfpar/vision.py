@@ -116,5 +116,5 @@ class VisionEncoder:
                 f"encode expects (b, {s}, {s}, 3), got {frames.shape}")
         b = frames.shape[0]
         x = self.patch(Tensor(patchify(frames, self.cfg.patch_size)))
-        x = concat([expand_leading(self.cls.tensor, b), x], axis=1)
-        return self.blocks(add(x, self.pos.tensor))
+        x = concat([expand_leading(self.cls, b), x], axis=1)
+        return self.blocks(add(x, self.pos))

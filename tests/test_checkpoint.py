@@ -17,7 +17,7 @@ def _pset(seed=0):
     params = ParameterSet()
     params.add("b.second", rng.normal(size=(3, 4)).astype(np.float32))
     params.add("a.first", rng.normal(size=(5,)).astype(np.float32))
-    params.add("c.third", rng.normal(size=(2, 2, 2)).astype(np.float32)).trainable = False
+    params.add("c.third", rng.normal(size=(2, 2, 2)).astype(np.float32)).requires_grad = False
     return params
 
 
@@ -37,8 +37,8 @@ def test_load_preserves_trainability(tmp_path):
     save_checkpoint(params, path)
     fresh = _pset()
     load_checkpoint(fresh, path)
-    assert not fresh["c.third"].trainable
-    assert fresh["a.first"].trainable
+    assert not fresh["c.third"].requires_grad
+    assert fresh["a.first"].requires_grad
 
 
 def test_header_and_sorted_name_order(tmp_path):
@@ -144,3 +144,32 @@ def test_malformed_name_with_valid_crc_is_a_data_error(new_name, message, tmp_pa
         read_checkpoint_arrays(path)
     text = str(info.value)
     assert text.startswith(f"checkpoint {path}: ") and "\n" not in text
+
+
+def _sealed(path, records) -> None:
+    """A checkpoint of (name, dims, value bytes) records with a valid CRC."""
+    payload = CHECKPOINT_MAGIC + struct.pack("<I", len(records))
+    for name, dims, values in records:
+        payload += struct.pack("<I", len(name)) + name
+        payload += struct.pack(f"<I{len(dims)}I", len(dims), *dims) + values
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((65536,) * 4, "truncated record"),  # 2**64 values: 0 in int64
+    ((4294967295,) * 2, "truncated record"),  # negative in int64
+    ((1,) * 70, "w has 70 dims"),
+], ids=["wraps-to-0", "wraps-negative", "too-many-dims"])
+def test_impossible_dims_with_valid_crc_are_a_data_error(dims, message, tmp_path):
+    path = tmp_path / "m.ckpt"
+    _sealed(path, [(b"w", dims, b"\0" * 16)])
+    with pytest.raises(DataError, match=message) as info:
+        read_checkpoint_arrays(path)
+    assert str(info.value).startswith(f"checkpoint {path}: ")
+
+
+def test_scalar_record_holds_one_value(tmp_path):
+    path = tmp_path / "m.ckpt"
+    _sealed(path, [(b"s", (), struct.pack("<f", 2.5))])
+    arrays = read_checkpoint_arrays(path)
+    assert arrays["s"].shape == () and arrays["s"] == np.float32(2.5)

@@ -294,6 +294,56 @@ def test_tracklets_with_different_frame_shapes_exit_2(tiny_dataset, tmp_path, ca
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("what", ["schema", "manifest", "labels", "model config"])
+def test_file_that_is_not_utf8_exits_2_with_one_line(what, tiny_dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    config = tmp_path / "model.txt"
+    config.write_bytes(b"[fusion]\nblocks = 1\xff\n")
+    train_args = ["train", "--data", str(data), "--epochs", "1",
+                  "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")]
+    bad, args = {
+        "schema": (data / "schema.txt",
+                   ["gen-data", "--out", str(tmp_path / "new"), "--tracklets", "4",
+                    "--schema", str(data / "schema.txt")]),
+        "manifest": (data / "manifest.txt",
+                     ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt")]),
+        "labels": (data / "train" / "t00000" / "labels.txt", train_args),
+        "model config": (config, train_args + ["--config", str(config)]),
+    }[what]
+    if what != "model config":
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {what} {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("line", ["[fusion]\nblocks", "[text]\nmax_len", "[vision]\nimage_size"])
+def test_model_too_large_to_build_exits_1(line, tiny_dataset, tmp_path, capsys):
+    # each would allocate without bound, or die in numpy, before the model exists
+    config = tmp_path / "model.txt"
+    config.write_text(f"{line} = {10 ** 19}\n", encoding="utf-8")
+    rc = main(["train", "--data", str(tiny_dataset), "--config", str(config),
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "the model would exceed 16777216 values" in err and err.count("\n") == 1
+
+
+def test_label_outside_int8_exits_2(tiny_dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    path = data / "train" / "t00000" / "labels.txt"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("labels = ", "labels = 300 "), encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--epochs", "1",
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}:" in err and "labels must be 0/1" in err and err.count("\n") == 1
+
+
 def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     log = tmp_path / "log.tsv"

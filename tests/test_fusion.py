@@ -102,16 +102,15 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         x0 = rng.normal(size=(2, 5, 8)).astype(dtype)
         w = Tensor(rng.normal(size=(2, 3 if trim else 5, 8)).astype(dtype))
-        t = {p.name: p.tensor for p in params}
 
         def lin(z, name):
-            return linear(z, t[f"attn.{name}.weight"], t[f"attn.{name}.bias"])
+            return linear(z, params[f"attn.{name}.weight"], params[f"attn.{name}.bias"])
 
         def split_heads(z):
             return transpose(reshape(z, (2, z.shape[1], 2, 4)), (0, 2, 1, 3))
 
         def reference(x):
-            xn = layer_norm(x, t["attn.ln.gain"], t["attn.ln.bias"])
+            xn = layer_norm(x, params["attn.ln.gain"], params["attn.ln.bias"])
             xq = xn if rows is None else rows(xn)
             q = split_heads(lin(xq, "q"))
             k = split_heads(lin(xn, "k"))
@@ -123,12 +122,12 @@ class TestSelfAttention:
         results = []
         for forward in (lambda x: attn(x, rows=rows), reference):
             for p in params:
-                p.tensor.grad = None
+                p.grad = None
             x = Tensor(x0, requires_grad=True)
             with Tape():
                 out = forward(x)
                 backward(tensor_sum(mul(out, w)))
-            results.append([out.data, x.grad] + [p.tensor.grad for p in params])
+            results.append([out.data, x.grad] + [p.grad for p in params])
         assert results[0][0].dtype == dtype
         for got, want in zip(*results):
             npt.assert_array_equal(got, want)
@@ -161,7 +160,7 @@ class TestFusionBlock:
         with Tape():
             backward(tensor_sum(blk(Tensor(x))))
         for p in params:
-            grad = p.tensor.grad
+            grad = p.grad
             original = p.data.copy()
 
             def f_at(values):
@@ -191,8 +190,8 @@ def value_and_grads(fn, params, x, g):
     with Tape():
         out = fn(xt)
         backward(tensor_sum(mul(out, Tensor(g))))
-    return out.data, xt.grad, {p.name: p.tensor.grad for p in params
-                               if p.tensor.grad is not None}
+    return out.data, xt.grad, {p.name: p.grad for p in params
+                               if p.grad is not None}
 
 
 def assert_trimmed_matches_full(build, rows, x):

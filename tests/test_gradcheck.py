@@ -41,7 +41,7 @@ def test_model_gradients_verify():
 
 
 def _sampled_coords(model, n_coords, seed):
-    coords = [(p.name, i) for p in model.params.trainable() for i in range(p.tensor.size)]
+    coords = [(p.name, i) for p in model.params.trainable() for i in range(p.size)]
     if len(coords) > n_coords:
         picked = np.random.default_rng(seed).choice(len(coords), size=n_coords,
                                                     replace=False)
@@ -64,7 +64,7 @@ def _full_pipeline_check_model(n_coords, seed):
 
     with Tape():
         backward(loss_value())
-    grads = {p.name: p.tensor.grad for p in model.params.trainable()}
+    grads = {p.name: p.grad for p in model.params.trainable()}
     coords = _sampled_coords(model, n_coords, seed)
     worst = 0.0
     for name, i in coords:

@@ -36,7 +36,7 @@ def test_parameter_names_unique_and_partitioned():
     names = model.params.names()
     assert len(names) == len(set(names))
     model.set_freeze(True)
-    frozen = {p.name for p in model.params if not p.trainable}
+    frozen = {p.name for p in model.params if not p.requires_grad}
     assert all(n.startswith(("vision.", "text.")) for n in frozen)
     trainable = {p.name for p in model.params.trainable()}
     assert all(n.startswith(("fusion.", "heads.")) for n in trainable)

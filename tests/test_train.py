@@ -1,7 +1,9 @@
 """Loss, optimizer, freeze policy, and the training loop."""
 
+import gc
 import importlib
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -98,7 +100,7 @@ class TestAdam:
 
     def test_zero_grad_zero_decay_leaves_parameter(self):
         params, p = self._pset([1.0, -2.0])
-        p.tensor.grad = np.zeros(2)
+        p.grad = np.zeros(2)
         before = p.data.copy()
         Adam(params, lr=0.01).step()
         npt.assert_array_equal(p.data, before)
@@ -107,13 +109,13 @@ class TestAdam:
         # bias correction cancels: update = lr * g / (|g| + eps)
         params, p = self._pset([0.0, 0.0, 0.0])
         g = np.array([0.5, -3.0, 1e-3])
-        p.tensor.grad = g.copy()
+        p.grad = g.copy()
         Adam(params, lr=0.001).step()
         npt.assert_allclose(p.data, -0.001 * np.sign(g), rtol=1e-4)
 
     def test_decoupled_weight_decay_applied_before_update(self):
         params, p = self._pset([2.0])
-        p.tensor.grad = np.zeros(1)
+        p.grad = np.zeros(1)
         Adam(params, lr=0.1, weight_decay=0.5).step()
         assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
@@ -133,7 +135,7 @@ class TestAdam:
             v = np.zeros_like(value)
             for t in (1, 2, 3):
                 g = rng.standard_normal((8, 16)).astype(np.float32)
-                p.tensor.grad = g
+                p.grad = g
                 opt.step()
                 if t == 1:
                     m_state, v_state = opt.state["w"]
@@ -157,9 +159,9 @@ class TestAdam:
 
     def test_frozen_parameters_never_in_state(self):
         params = ParameterSet()
-        params.add("frozen", np.ones(2)).trainable = False
+        params.add("frozen", np.ones(2)).requires_grad = False
         live = params.add("live", np.ones(2))
-        live.tensor.grad = np.ones(2)
+        live.grad = np.ones(2)
         opt = Adam(params)
         opt.step()
         assert set(opt.state) == {"live"}
@@ -175,10 +177,45 @@ class TestAdam:
             backward(bce_loss(model.logits_batch(clips), targets))
         trainable = model.params.trainable()
         assert len(trainable) == len(model.params)
-        assert all(p.tensor.grad is not None for p in trainable)
+        assert all(p.grad is not None for p in trainable)
         Adam(model.params).step()
-        assert [p.name for p in trainable if p.tensor.grad is not None] == []
+        assert [p.name for p in trainable if p.grad is not None] == []
 
+    def test_step_replaces_arrays_and_frees_the_old_ones_at_once(self):
+        # a step keeps each Parameter object and its dtype, never writes
+        # the old array, and drops the last reference to the old array and
+        # to the gradient, so nothing waits for the cyclic collector
+        schema = _tiny_schema()
+        model = _tiny_model(schema)
+        model.set_freeze(False)
+        clips = np.stack([t.frames for t in _tiny_tracklets(schema, n=2)])
+        targets = np.array([[1, 0, 1], [0, 1, 0]])
+        opt = Adam(model.params)
+        trainable = model.params.trainable()
+
+        def backward_step():
+            with Tape():
+                backward(bce_loss(model.logits_batch(clips), targets))
+
+        backward_step()
+        before = [(p.data, p.data.copy()) for p in trainable]
+        opt.step()
+        for p, (old, copy) in zip(trainable, before):
+            assert model.params[p.name] is p
+            assert p.grad is None and p.dtype == np.float32, p.name
+            assert p.data is not old, p.name
+            npt.assert_array_equal(old, copy, err_msg=p.name)
+
+        gc.disable()
+        try:
+            backward_step()
+            refs = [(p.name, weakref.ref(p.data), weakref.ref(p.grad)) for p in trainable]
+            opt.step()
+            alive = [name for name, data, grad in refs
+                     if data() is not None or grad() is not None]
+            assert alive == []
+        finally:
+            gc.enable()
 
 def _tiny_schema():
     return AttributeSchema((
