@@ -115,11 +115,13 @@ def _model_config(args, use_fusion: bool = True) -> ModelConfig:
 
 
 def _check_output_dirs(*paths) -> None:
-    """Fail before any work starts if an output file's directory is missing."""
-    for path in filter(None, paths):
-        parent = Path(path).parent
-        if not parent.is_dir():
-            raise FileNotFoundError(f"output directory does not exist: {parent}")
+    """Fail before any work if an output's directory is missing or two outputs are one file."""
+    paths = [Path(p) for p in paths if p]
+    for path in paths:
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {path.parent}")
+    if len({p.resolve() for p in paths}) < len(paths):
+        raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")
 
 
 def _load_data(data_arg: str) -> Dataset:
@@ -160,7 +162,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_output_dirs(args.out)
+    # what with_suffix(".txt") gives, without its ValueError on "--out ."
+    text_out = args.out and Path(args.out).parent / f"{Path(args.out).stem}.txt"
+    _check_output_dirs(args.out, text_out)
     dataset = _load_data(args.data)
     use_fusion = checkpoint_uses_fusion(args.checkpoint)
     config = _model_config(args, use_fusion=use_fusion)
@@ -171,8 +175,7 @@ def cmd_eval(args) -> int:
     print(tsv, end="")
     if args.out:
         Path(args.out).write_text(tsv, encoding="utf-8")
-        Path(args.out).with_suffix(".txt").write_text(report_text(report),
-                                                      encoding="utf-8")
+        text_out.write_text(report_text(report), encoding="utf-8")
     return 0
 
 

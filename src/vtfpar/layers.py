@@ -30,9 +30,10 @@ def check_stack_geometry(section: str, dim: int, heads: int, blocks: int,
 
 class Linear:
     def __init__(self, params: ParameterSet, name: str, fan_in: int, fan_out: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, bias: bool = True):
         self.w = params.normal(f"{name}.weight", (fan_in, fan_out), fan_in ** -0.5, rng)
-        self.b = params.add(f"{name}.bias", np.zeros(fan_out))
+        self.b = (params.add(f"{name}.bias", np.zeros(fan_out)) if bias
+                  else Tensor(np.zeros(fan_out), dtype=params.dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
@@ -47,7 +48,8 @@ class MultiHeadAttention:
     """Pre-norm multi-head self-attention.
 
     Scores are Q K^T / sqrt(c) with c the per-head dim; each score row is
-    softmax-normalized. ``rows``, if given, maps (batch, n, dim) to the
+    softmax-normalized. K has no bias: softmax cancels the q.b it would add
+    to a whole score row. ``rows``, if given, maps (batch, n, dim) to the
     (batch, n', dim) rows whose output is read: queries are taken from
     those rows only, while keys and values span all n, and the output is
     (batch, n', dim). When ``collect`` is a list, the per-head attention
@@ -62,7 +64,7 @@ class MultiHeadAttention:
         self.head_dim = dim // heads
         self.ln_gain, self.ln_bias = _norm_params(params, f"{prefix}.ln", dim)
         self.q = Linear(params, f"{prefix}.q", dim, dim, rng)
-        self.k = Linear(params, f"{prefix}.k", dim, dim, rng)
+        self.k = Linear(params, f"{prefix}.k", dim, dim, rng, bias=False)
         self.v = Linear(params, f"{prefix}.v", dim, dim, rng)
         self.out = Linear(params, f"{prefix}.out", dim, dim, rng)
 

@@ -258,6 +258,48 @@ def test_train_missing_output_dir_exits_2_before_training(
     assert "nodir" in err and err.count("\n") == 1
 
 
+def test_train_checkpoint_and_log_on_one_file_exits_1_before_training(
+        tiny_dataset, tmp_path, capsys, monkeypatch):
+    # the log would overwrite the checkpoint; a later eval then reads the log
+    monkeypatch.setattr(cli_mod, "train",
+                        lambda *a, **k: pytest.fail("training ran"))
+    (tmp_path / "sub").mkdir()
+    same, alias = tmp_path / "out.bin", tmp_path / "sub" / ".." / "out.bin"
+    rc = main(["train", "--data", str(tiny_dataset), "--epochs", "1",
+               "--checkpoint", str(same), "--log", str(alias)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "out.bin" in err and err.count("\n") == 1
+    assert not same.exists()
+
+
+def test_eval_out_with_txt_suffix_exits_1_before_loading(
+        tiny_dataset, tmp_path, capsys, monkeypatch):
+    # --out r.txt: the text report (r.txt) would overwrite the TSV report
+    monkeypatch.setattr(cli_mod, "_load_data",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    out = tmp_path / "r.txt"
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint",
+               str(tmp_path / "m.ckpt"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "r.txt" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsys):
+    # a checkpoint written before keys lost their bias: one extra record,
+    # a valid CRC; refused by the names check, with no compatibility path
+    model = VideoAttributeModel(ModelConfig(), small_schema(), seed=0)
+    model.params.add("fusion.block0.attn.k.bias", np.zeros(model.config.fusion.dim))
+    ckpt = tmp_path / "old.ckpt"
+    model.save(ckpt)
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fusion.block0.attn.k.bias" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["train", "dump-prompts", "gen-data"])
 def test_raw_attribute_of_separators_only_exits_2(command, tiny_dataset, tmp_path, capsys):
     # "_" split-expands to an empty phrase; the schema loader names its line

@@ -52,7 +52,7 @@ class TestSelfAttention:
 
         gain, bias = params["attn.ln.gain"].data, params["attn.ln.bias"].data
         wq, bq = params["attn.q.weight"].data, params["attn.q.bias"].data
-        wk, bk = params["attn.k.weight"].data, params["attn.k.bias"].data
+        wk = params["attn.k.weight"].data  # K has no bias
         wv, bv = params["attn.v.weight"].data, params["attn.v.bias"].data
         wo, bo = params["attn.out.weight"].data, params["attn.out.bias"].data
 
@@ -69,7 +69,7 @@ class TestSelfAttention:
             return [sum(row[k] * w[k][j] for k in range(d)) + b[j] for j in range(d)]
 
         q = [lin(r, wq, bq) for r in xn]
-        k = [lin(r, wk, bk) for r in xn]
+        k = [lin(r, wk, [0.0] * d) for r in xn]
         v = [lin(r, wv, bv) for r in xn]
         expected = []
         for i in range(n):
@@ -103,8 +103,9 @@ class TestSelfAttention:
         x0 = rng.normal(size=(2, 5, 8)).astype(dtype)
         w = Tensor(rng.normal(size=(2, 3 if trim else 5, 8)).astype(dtype))
 
-        def lin(z, name):
-            return linear(z, params[f"attn.{name}.weight"], params[f"attn.{name}.bias"])
+        def lin(z, name, bias=True):
+            b = params[f"attn.{name}.bias"] if bias else Tensor(np.zeros(8, dtype))
+            return linear(z, params[f"attn.{name}.weight"], b)
 
         def split_heads(z):
             return transpose(reshape(z, (2, z.shape[1], 2, 4)), (0, 2, 1, 3))
@@ -113,7 +114,7 @@ class TestSelfAttention:
             xn = layer_norm(x, params["attn.ln.gain"], params["attn.ln.bias"])
             xq = xn if rows is None else rows(xn)
             q = split_heads(lin(xq, "q"))
-            k = split_heads(lin(xn, "k"))
+            k = split_heads(lin(xn, "k", bias=False))
             v = split_heads(lin(xn, "v"))
             scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(4))
             ctx = transpose(matmul(softmax(scores), v), (0, 2, 1, 3))
@@ -131,6 +132,34 @@ class TestSelfAttention:
         assert results[0][0].dtype == dtype
         for got, want in zip(*results):
             npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_a_key_bias_would_be_inert(self, trim):
+        # a constant vector added to every key row shifts each score row by
+        # a constant, which softmax cancels; the same vector on the queries
+        # shifts each row by a different amount per key, so it is not inert
+        attn, _ = _mha(dim=8, heads=2, seed=8)
+        rows = (lambda t: slice_axis(t, 1, 1, 4)) if trim else None
+        rng = np.random.default_rng(9)
+        x0 = rng.normal(size=(2, 5, 8))
+        w = Tensor(rng.normal(size=(2, 3 if trim else 5, 8)))
+        shift = Tensor(rng.normal(size=8))
+
+        def run():
+            x = Tensor(x0, requires_grad=True)
+            with Tape():
+                out = attn(x, rows=rows)
+                backward(tensor_sum(mul(out, w)))
+            return out.data, x.grad
+
+        def moved(got, ref):
+            return max(np.abs(g - r).max() / np.abs(r).max() for g, r in zip(got, ref))
+
+        base = run()  # output and input gradient
+        attn.k.b = shift
+        assert moved(run(), base) <= 1e-12
+        attn.q.b = Tensor(attn.q.b.data + shift.data)
+        assert moved(run(), base) > 1e-3
 
 
 class TestFusionBlock:

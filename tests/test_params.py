@@ -15,9 +15,9 @@ from vtfpar.schema import default_schema
 # IEEE casts, so they are the same on every platform; a change to
 # parameter names, draw order or initial scales moves them.
 DEFAULT_MODEL_SEED0_CHECKPOINT = (
-    "9da4210e585c6132b68f7cde256db8795cd6ea4beca221bf92b95caacc0c04e5")
+    "34ee75c981a5f52ac4e456041f8c2ebbd99203f7a158b4d254a739cccf8b6b08")
 GRADCHECK_MODEL_PARAMETERS = (
-    "1918e942046aacffd2659ca99f491560c92d6540c83e7983dd0f02c46d47e6e1")
+    "309938225c86a78d090e01a59e8019849ebe77536f1a329a20d527b827d48d50")
 
 
 def test_initial_checkpoint_bytes_pinned(tmp_path):

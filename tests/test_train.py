@@ -14,7 +14,7 @@ from vtfpar.errors import UsageError, VerificationError
 from vtfpar.fusion import FusionConfig
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
-from vtfpar.schema import AttributeGroup, AttributeSchema
+from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
 from vtfpar.tensor import (ContractError, DimensionError, Tape, Tensor, add,
                            backward, mul, scale, sigmoid, softplus, tensor_mean)
 from vtfpar.text import TextConfig
@@ -416,6 +416,50 @@ class TestTrainLoop:
         report = evaluate(model, data, frames=2)
         assert [g.name for g in report.groups] == ["shape", "marked"]
         assert report.n_tracklets == 6
+
+
+def _first_step_gradients(model, freeze, monkeypatch):
+    """Each trainable parameter's gradient at ``train``'s first step: one
+    batch of 8 default-size synthetic clips, with Adam's update skipped."""
+    grads = {}
+    monkeypatch.setattr(train_mod.Adam, "step", lambda opt: grads.update(
+        (p.name, p.grad) for p in opt.params.trainable()))
+    spec = SyntheticSpec(n_tracklets=8)
+    data = [Tracklet(f"t{i}", *render_tracklet(spec, model.schema, i)[:2])
+            for i in range(8)]
+    train(model, data, [], TrainConfig(epochs=1, freeze_encoders=freeze))
+    assert len(grads) == len(model.params.trainable())
+    return grads
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_float32_gradients_match_the_float64_tape(freeze, monkeypatch):
+    # the float64 copy holds the float32 model's values, so the two tapes
+    # differ only by rounding; gradcheck verifies the float64 one
+    model32 = VideoAttributeModel(ModelConfig(), default_schema(), seed=0)
+    model64 = VideoAttributeModel(ModelConfig(), default_schema(), seed=0,
+                                  dtype=np.float64)
+    for p in model32.params:
+        model64.params[p.name].set_value(p.data)
+    g32 = _first_step_gradients(model32, freeze, monkeypatch)
+    g64 = _first_step_gradients(model64, freeze, monkeypatch)
+    assert g32.keys() == g64.keys()
+    errs = {name: np.abs(g32[name] - g64[name]).max() / np.abs(g64[name]).max()
+            for name in g64}
+    worst = max(errs, key=errs.get)
+    assert errs[worst] <= 1e-4, f"{worst}: {errs[worst]:.2e}"
+
+
+def test_every_parameter_has_a_gradient(monkeypatch):
+    # an identically zero gradient marks an inert parameter, such as a key
+    # bias, which softmax cancels
+    model = VideoAttributeModel(ModelConfig(), default_schema(), seed=0,
+                                dtype=np.float64)
+    grads = _first_step_gradients(model, False, monkeypatch)
+    assert len(grads) == len(model.params)
+    peaks = {name: np.abs(g).max() for name, g in grads.items()}
+    weakest = min(peaks, key=peaks.get)
+    assert peaks[weakest] > 1e-8, f"{weakest}: {peaks[weakest]:.2e}"
 
 
 class TestChanceLevel:
