@@ -114,20 +114,28 @@ def _model_config(args, use_fusion: bool = True) -> ModelConfig:
     return ModelConfig(use_fusion=use_fusion)
 
 
-def _check_output_dirs(*paths) -> None:
-    """Fail before any work if an output's directory is missing or two outputs are one file."""
+def _check_output_dirs(*paths, reads=()) -> None:
+    """Fail before any work if an output's directory is missing, two outputs
+    are one file, or an output is one of the files in ``reads``."""
     paths = [Path(p) for p in paths if p]
+    inputs = {Path(p).resolve() for p in reads if p}
     for path in paths:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
+        if path.resolve() in inputs:
+            raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):
         raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")
 
 
-def _load_data(data_arg: str) -> Dataset:
+def _manifest(data_arg: str) -> Path:
     """``--data`` is a manifest or the directory holding ``manifest.txt``."""
     path = Path(data_arg)
-    return load_dataset(path / "manifest.txt" if path.is_dir() else path)
+    return path / "manifest.txt" if path.is_dir() else path
+
+
+def _load_data(data_arg: str) -> Dataset:
+    return load_dataset(_manifest(data_arg))
 
 
 def cmd_gen_data(args) -> int:
@@ -143,7 +151,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_output_dirs(args.checkpoint, args.log)
+    _check_output_dirs(args.checkpoint, args.log, reads=(args.config, _manifest(args.data)))
     config = _model_config(args, use_fusion=not args.no_fusion)
     cfg = TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
@@ -164,7 +172,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     # what with_suffix(".txt") gives, without its ValueError on "--out ."
     text_out = args.out and Path(args.out).parent / f"{Path(args.out).stem}.txt"
-    _check_output_dirs(args.out, text_out)
+    _check_output_dirs(args.out, text_out,
+                       reads=(args.checkpoint, args.config, _manifest(args.data)))
     dataset = _load_data(args.data)
     use_fusion = checkpoint_uses_fusion(args.checkpoint)
     config = _model_config(args, use_fusion=use_fusion)
@@ -186,7 +195,7 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}") from None
     if not counts or any(c < 1 for c in counts):
         raise UsageError(f"bad --frames list {args.frames!r}")
-    _check_output_dirs(args.out)
+    _check_output_dirs(args.out, reads=(args.config, _manifest(args.data)))
     config = _model_config(args, use_fusion=not args.no_fusion)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
     dataset = _load_data(args.data)

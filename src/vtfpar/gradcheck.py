@@ -1,8 +1,8 @@
 """Finite-difference verification of every backward rule.
 
 Each registered op kind has a case that builds random float64 inputs and
-a scalar forward function; the analytic gradient from ``backward`` is
-compared against central differences. A full end-to-end model check
+a fixed weighting of the op's output; the analytic gradient of the weighted
+sum is compared against central differences. A full end-to-end model check
 perturbs sampled parameter coordinates: its analytic gradients come from
 one tape pass through the entire pipeline, and each bump recomputes only
 the stage that owns the coordinate (vision encoder, text encoder, or the
@@ -80,14 +80,14 @@ _CASES = {
 
 
 def _case(rng, shapes, make_op):
-    """Random inputs plus a scalar-valued forward for one op kind."""
+    """Random inputs, the op under test and its fixed output weighting."""
     inputs = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
     op = make_op(rng)
     with no_grad():
         out_shape = op(*inputs).shape
     # fixed random weighting makes the scalarization sensitive everywhere
     w = Tensor(rng.standard_normal(out_shape))
-    return inputs, lambda *xs: tensor_sum(mul(op(*xs), w))
+    return inputs, op, w
 
 
 def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
@@ -99,13 +99,14 @@ def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
     worst = 0.0
     checked = 0
     for _ in range(trials):
-        inputs, forward = _case(rng, shapes, make_op)
+        inputs, op, w = _case(rng, shapes, make_op)
         with Tape():
-            loss = forward(*inputs)
-            backward(loss)
+            backward(tensor_sum(mul(op(*inputs), w)))
         for pos, inp in enumerate(inputs):
+            # ``mul``'s and ``tensor_sum``'s own numpy calls: bitwise, one dispatch
             def at(x, pos=pos):
-                return forward(*inputs[:pos], x, *inputs[pos + 1:])
+                y = op(*inputs[:pos], x, *inputs[pos + 1:])
+                return Tensor((y.data * w.data).sum())
 
             numeric = finite_diff_grad(at, inp, DELTA).data.reshape(-1)
             for a, n in zip(inp.grad.reshape(-1), numeric):

@@ -63,6 +63,9 @@ OP_KINDS = (
     "expand_leading",
     "linear",
 )
+_OP_KIND_SET = frozenset(OP_KINDS)
+# np.dtype instances: comparing against scalar types converts them per call
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class DimensionError(UsageError, ValueError):
@@ -87,7 +90,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -198,7 +201,7 @@ class no_grad:
 
 def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
            backward_fn: Callable) -> Tensor:
-    assert op in OP_KINDS, f"unregistered op kind {op!r}"
+    assert op in _OP_KIND_SET, f"unregistered op kind {op!r}"
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is None:
@@ -254,8 +257,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _check_suffix(a_shape, b_shape, op: str) -> None:
-    small, big = sorted((tuple(a_shape), tuple(b_shape)), key=len)
-    if small != big[len(big) - len(small):]:
+    n = min(len(a_shape), len(b_shape))
+    if a_shape[len(a_shape) - n:] != b_shape[len(b_shape) - n:]:
         raise DimensionError(
             f"{op}: shape {a_shape} does not suffix-align with {b_shape}")
 

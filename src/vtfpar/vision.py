@@ -54,11 +54,11 @@ def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     y0, y1, ty = axis_coords(new_h, h)
     x0, x1, tx = axis_coords(new_w, w)
     ty = ty[:, None, None]
-    tx = tx[None, :, None]
-    rows0, rows1 = img[..., y0, :, :], img[..., y1, :, :]
-    top = rows0[..., x0, :] * (1 - tx) + rows0[..., x1, :] * tx
-    bot = rows1[..., x0, :] * (1 - tx) + rows1[..., x1, :] * tx
-    return top * (1 - ty) + bot * ty
+    # columns across every source row, then rows, on contiguous arrays (tx is
+    # (new_w, c)): per output pixel the same products and sums as rows first
+    tx = np.repeat(tx[:, None], img.shape[-1], axis=1)
+    cols = np.take(img, x0, axis=-2) * (1 - tx) + np.take(img, x1, axis=-2) * tx
+    return np.take(cols, y0, axis=-3) * (1 - ty) + np.take(cols, y1, axis=-3) * ty
 
 
 def pad_to_square(frames: np.ndarray, size: int) -> np.ndarray:
@@ -78,6 +78,8 @@ def pad_to_square(frames: np.ndarray, size: int) -> np.ndarray:
     else:
         new_h, new_w = max(1, round(h * size / w)), size
     resized = bilinear_resize(frames, new_h, new_w)
+    if new_h == new_w == size:
+        return resized
     out = np.zeros(frames.shape[:-3] + (size, size, 3), dtype=frames.dtype)
     top = (size - new_h) // 2
     left = (size - new_w) // 2

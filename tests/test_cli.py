@@ -287,6 +287,47 @@ def test_eval_out_with_txt_suffix_exits_1_before_loading(
     assert not out.exists()
 
 
+def _assert_refused_and_unchanged(argv, read, capsys, monkeypatch):
+    """``argv`` names ``read`` as an input and an output: exit 1, file kept."""
+    monkeypatch.setattr(cli_mod, "_load_data",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    before = read.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"output path {read} names a file this command reads" in err
+    assert err.count("\n") == 1
+    assert read.read_bytes() == before
+
+
+def test_train_log_on_the_manifest_exits_1(tiny_dataset, tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    manifest = data / "manifest.txt"
+    _assert_refused_and_unchanged(
+        ["train", "--data", str(data), "--epochs", "1",
+         "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(manifest)],
+        manifest, capsys, monkeypatch)
+
+
+def test_eval_out_on_its_checkpoint_exits_1(tiny_dataset, tmp_path, capsys, monkeypatch):
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(tiny_dataset), "--epochs", "1",
+                 "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.tsv")]) == 0
+    _assert_refused_and_unchanged(
+        ["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
+         "--out", str(ckpt)], ckpt, capsys, monkeypatch)
+
+
+def test_ablate_frames_out_on_its_config_exits_1(tiny_dataset, tmp_path, capsys,
+                                                monkeypatch):
+    config = tmp_path / "model.txt"
+    config.write_text("[fusion]\nblocks = 1\n", encoding="utf-8")
+    _assert_refused_and_unchanged(
+        ["ablate-frames", "--data", str(tiny_dataset), "--frames", "1", "--epochs", "1",
+         "--config", str(config), "--out", str(config)], config, capsys, monkeypatch)
+
+
 def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsys):
     # a checkpoint written before keys lost their bias: one extra record,
     # a valid CRC; refused by the names check, with no compatibility path

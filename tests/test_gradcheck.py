@@ -16,7 +16,8 @@ from vtfpar.data import SyntheticSpec, render_tracklet
 from vtfpar.gradcheck import (_CASES, DELTA, RTOL, CheckResult, check_model, check_op,
                               run_all)
 from vtfpar.model import ENCODER_PREFIXES, VideoAttributeModel
-from vtfpar.tensor import OP_KINDS, Tape, backward, no_grad
+from vtfpar.tensor import (OP_KINDS, Tape, backward, finite_diff_grad, mul, no_grad,
+                           tensor_sum)
 from vtfpar.train import bce_loss
 
 
@@ -90,6 +91,40 @@ def _full_pipeline_check_model(n_coords, seed):
 def test_model_check_equals_full_pipeline_oracle(n_coords, seed):
     result = check_model(n_coords=n_coords, seed=seed)
     expected = _full_pipeline_check_model(n_coords, seed)
+    assert result == expected
+    assert result.max_rel_err.hex() == expected.max_rel_err.hex()
+
+
+def _three_dispatch_check_op(name, trials, seed):
+    """Oracle: each finite difference runs ``tensor_sum(mul(op(*xs), w))``
+    through vtfpar, three op dispatches, as the tape side does."""
+    case_seed, shapes, make_op = _CASES[name]
+    rng = np.random.default_rng([seed, case_seed])
+    worst, checked = 0.0, 0
+    for _ in range(trials):
+        inputs, op, w = gradcheck_mod._case(rng, shapes, make_op)
+
+        def forward(*xs):
+            return tensor_sum(mul(op(*xs), w))
+
+        with Tape():
+            backward(forward(*inputs))
+        for pos, inp in enumerate(inputs):
+            def at(x, pos=pos):
+                return forward(*inputs[:pos], x, *inputs[pos + 1:])
+
+            numeric = finite_diff_grad(at, inp, DELTA).data.reshape(-1)
+            for a, n in zip(inp.grad.reshape(-1), numeric):
+                worst = max(worst, gradcheck_mod._rel_err(float(a), float(n)))
+            checked += numeric.size
+    return CheckResult(name, worst, checked, worst < RTOL)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", OP_KINDS)
+def test_check_op_equals_three_dispatch_oracle(name, seed):
+    result = check_op(name, trials=2, seed=seed)
+    expected = _three_dispatch_check_op(name, 2, seed)
     assert result == expected
     assert result.max_rel_err.hex() == expected.max_rel_err.hex()
 
@@ -187,10 +222,10 @@ def test_case_seeds_pinned(monkeypatch):
     real_case = gradcheck_mod._case
 
     def recording_case(*args):
-        inputs, forward = real_case(*args)
+        inputs, op, w = real_case(*args)
         data = b"".join(t.data.tobytes() for t in inputs)
         digests.append(hashlib.sha256(data).hexdigest()[:16])
-        return inputs, forward
+        return inputs, op, w
 
     monkeypatch.setattr(gradcheck_mod, "_case", recording_case)
     for name in FIRST_INPUTS_SHA256:

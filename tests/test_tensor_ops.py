@@ -299,6 +299,31 @@ class TestElementwiseAndShapeFamily:
         b = Tensor(np.full((2, 3), 3.0))
         npt.assert_array_equal(mul(a, b).data, np.full((4, 2, 3), 6.0))
 
+    # (a, b, aligned): only missing leading dims broadcast
+    SUFFIX_CASES = [
+        ((2, 3), (2, 3), True),
+        ((), (3,), True),
+        ((3, 4), (2, 3, 4), True),
+        ((3, 1), (3, 4), False),  # a size-1 dim does not stretch
+        ((2, 3, 4), (2, 5, 4), False),  # a middle dim differs
+        ((5, 4), (2, 3, 4), False),  # the same, under a missing leading dim
+    ]
+
+    @pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+    @pytest.mark.parametrize("a_shape, b_shape, aligned", SUFFIX_CASES)
+    def test_suffix_alignment_both_orders(self, op, a_shape, b_shape, aligned):
+        # matmul aligns its leading batch dims: append (2, 2) matrices
+        fn, label, tail = {"add": (add, "add", ()), "mul": (mul, "mul", ()),
+                           "matmul": (matmul, "matmul batch dims", (2, 2))}[op]
+        for x, y in ((a_shape, b_shape), (b_shape, a_shape)):
+            a, b = Tensor(np.ones(x + tail)), Tensor(np.ones(y + tail))
+            if aligned:
+                assert fn(a, b).shape == max(x, y, key=len) + tail
+                continue
+            with pytest.raises(DimensionError) as caught:
+                fn(a, b)
+            assert str(caught.value) == f"{label}: shape {x} does not suffix-align with {y}"
+
     def test_softplus_saturation(self):
         assert softplus(Tensor([1000.0], dtype=np.float64)).data[0] == pytest.approx(1000.0)
         assert softplus(Tensor([0.0])).data[0] == pytest.approx(math.log(2.0))

@@ -105,6 +105,36 @@ class TestBilinearResize:
         npt.assert_array_equal(bilinear_resize(images, new_h, new_w),
                                np.stack([one_image(im, new_h, new_w) for im in images]))
 
+    @staticmethod
+    def rows_then_columns(img, new_h, new_w):
+        """Oracle: gather rows, then columns of the row-gathered views."""
+        def axis_coords(n_new, n_old):
+            src = np.clip((np.arange(n_new) + 0.5) * (n_old / n_new) - 0.5,
+                          0.0, n_old - 1.0)
+            lo = np.floor(src).astype(np.int64)
+            return lo, np.minimum(lo + 1, n_old - 1), (src - lo).astype(img.dtype)
+
+        y0, y1, ty = axis_coords(new_h, img.shape[-3])
+        x0, x1, tx = axis_coords(new_w, img.shape[-2])
+        ty, tx = ty[:, None, None], tx[None, :, None]
+        rows0, rows1 = img[..., y0, :, :], img[..., y1, :, :]
+        top = rows0[..., x0, :] * (1 - tx) + rows0[..., x1, :] * tx
+        bot = rows1[..., x0, :] * (1 - tx) + rows1[..., x1, :] * tx
+        return top * (1 - ty) + bot * ty
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("h, w", [(28, 28), (24, 16), (16, 24), (1, 5), (5, 1),
+                                      (1, 1), (7, 3), (4, 4), (33, 2)])
+    def test_bitwise_equals_rows_then_columns(self, h, w, lead, dtype):
+        rng = np.random.default_rng(h * 100 + w)
+        img = rng.random(lead + (h, w, 3)).astype(dtype)
+        for new_h, new_w in [(32, 32), (1, 1), (9, 17), (h, w)]:
+            out = bilinear_resize(img, new_h, new_w)
+            expected = self.rows_then_columns(img, new_h, new_w)
+            assert out.dtype == expected.dtype and out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
 
 class TestPatchify:
     def test_row_major_patch_order(self):
