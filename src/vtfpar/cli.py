@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, ablate-frames, gradcheck,
-dump-prompts. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric-verification failure. All numeric table output uses fixed
-4-decimal formatting so logs diff cleanly.
+dump-prompts. Exit codes: 0 success, 1 usage error or a request too
+large to allocate, 2 data error, 3 numeric-verification failure. All
+numeric table output uses fixed 4-decimal formatting so logs diff
+cleanly.
 """
 
 from __future__ import annotations
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -177,6 +177,10 @@ class SyntheticSpec:
             raise UsageError(f"bad synthetic size {self}")
         if self.height < 2 or self.width < 2:
             raise UsageError("frames must be at least 2x2")
+        if self.frames_per_tracklet * self.height * self.width * 12 > np.iinfo(np.intp).max:
+            # numpy raises a ValueError, not a MemoryError, for a frame array this large
+            raise MemoryError(f"{self.frames_per_tracklet} float32 frames of "
+                              f"{self.height}x{self.width}x3 exceed the address space")
         if not 0.0 <= self.occlusion_p < 1.0:
             raise UsageError(f"occlusion_p must be in [0, 1), got {self.occlusion_p}")
         if not 0.0 <= self.noise_sigma < np.inf:  # NaN fails every comparison

@@ -1,18 +1,18 @@
 """Dense tensor arithmetic with reverse-mode automatic differentiation.
 
 Ops run eagerly on numpy arrays. While a ``Tape`` is active (``with
-Tape():``), every op touching a tracked tensor appends a node holding the
-op kind, the input node ids and a backward closure; creation order is a
-valid topological order because an op can only consume tensors that
-already exist. ``backward`` sweeps the nodes once in reverse and delivers
-gradients to the watched leaves. A tape is swept once: ``backward``
-drops each node's backward closure, and with it the arrays the forward
-saved for it, as the sweep passes the node, so a step's activations are
-freed during the sweep rather than by the cyclic garbage collector. A
-second ``backward`` over a swept tape is a ``ContractError``. A tensor's
-array is never written in place; a parameter (``params.Parameter``, a
-named leaf tensor) gets a new array between tapes, and the old one is
-freed then.
+Tape():``), every op touching a tracked tensor appends a node holding its
+inputs' refs and a backward closure. A ref is an earlier node's id, a
+``requires_grad`` leaf tensor or None: leaves are referenced, not
+recorded, so a tape holds op nodes only, in a valid topological order.
+``backward`` sweeps the nodes once in reverse, dropping each node's
+backward closure, and with it the arrays the forward saved for it, as it
+passes, so a step's activations are freed during the sweep rather than
+by the cyclic garbage collector; it then adds each reached leaf's summed
+gradient to its ``grad``. A second ``backward`` over a swept tape is a
+``ContractError``. A tensor's array is never written in place; a
+parameter (``params.Parameter``, a named leaf tensor) gets a new array
+between tapes, and the old one is freed then.
 
 Broadcasting is deliberately narrow: every op aligns shapes by suffix
 (elementwise ops whole shapes, matmul its leading batch dims), so only
@@ -125,14 +125,12 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "input_ids", "backward_fn", "needs", "leaf")
+    __slots__ = ("inputs", "backward_fn", "needs")
 
-    def __init__(self, op, input_ids, backward_fn, needs, leaf):
-        self.op = op
-        self.input_ids = input_ids
+    def __init__(self, inputs, backward_fn, needs):
+        self.inputs = inputs  # per input: node id, leaf tensor or None
         self.backward_fn = backward_fn
         self.needs = needs
-        self.leaf = leaf  # leaf tensor reference, None for op nodes
 
 
 class _TapeStack(threading.local):
@@ -143,11 +141,6 @@ class _TapeStack(threading.local):
 
 
 _TAPE_STACK = _TapeStack()
-
-
-def _active_tape() -> "Tape | None":
-    entries = _TAPE_STACK.entries
-    return entries[-1] if entries else None
 
 
 class Tape:
@@ -172,21 +165,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _input_id(self, t: Tensor) -> int | None:
-        """``t``'s node id, registering a ``requires_grad`` tensor as a leaf
-        on first use; None for an untracked tensor."""
-        if t.tape is self and t.node_id is not None:
-            return t.node_id
-        if not t.requires_grad:
-            return None
-        t.tape, t.node_id = self, len(self.nodes)
-        self.nodes.append(_Node("leaf", (), None, (), t))
-        return t.node_id
-
-    def _record(self, op, input_ids, backward_fn, needs) -> int:
-        self.nodes.append(_Node(op, input_ids, backward_fn, needs, None))
-        return len(self.nodes) - 1
-
 
 class no_grad:
     """Context that suppresses tape recording (used by oracles and eval)."""
@@ -203,15 +181,17 @@ def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
            backward_fn: Callable) -> Tensor:
     assert op in _OP_KIND_SET, f"unregistered op kind {op!r}"
     out = Tensor(out_data)
-    tape = _active_tape()
+    entries = _TAPE_STACK.entries
+    tape = entries[-1] if entries else None
     if tape is None:
         return out
-    ids = tuple(tape._input_id(t) for t in inputs)
-    needs = tuple(i is not None for i in ids)
+    refs = tuple(t.node_id if t.tape is tape else t if t.requires_grad else None
+                 for t in inputs)
+    needs = tuple(r is not None for r in refs)
     if not any(needs):
         return out
-    out.node_id = tape._record(op, ids, backward_fn, needs)
-    out.tape = tape
+    out.tape, out.node_id = tape, len(tape.nodes)
+    tape.nodes.append(_Node(refs, backward_fn, needs))
     return out
 
 
@@ -231,26 +211,23 @@ def backward(loss: Tensor) -> None:
     if tape.swept:
         raise ContractError("backward over a tape that was already swept")
     tape.swept = True
-    grads: dict[int, np.ndarray] = {
-        loss.node_id: np.ones_like(loss.data)
-    }
+    # keyed by node id, or by the leaf tensor itself (hashed by identity)
+    grads: dict = {loss.node_id: np.ones_like(loss.data)}
     for node_id in range(loss.node_id, -1, -1):
         node = tape.nodes[node_id]
         backward_fn, node.backward_fn = node.backward_fn, None
         g = grads.pop(node_id, None)
         if g is None:
             continue
-        if node.leaf is not None:
-            leaf = node.leaf
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
-            continue
-        for input_id, gi in zip(node.input_ids, backward_fn(g, node.needs)):
-            if input_id is None or gi is None:
+        for ref, gi in zip(node.inputs, backward_fn(g, node.needs)):
+            if ref is None or gi is None:
                 continue
-            if input_id in grads:
-                grads[input_id] = grads[input_id] + gi
+            if ref in grads:
+                grads[ref] = grads[ref] + gi
             else:
-                grads[input_id] = gi
+                grads[ref] = gi
+    for leaf, g in grads.items():
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # -- shape helpers -------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.tensor import (ContractError, Tape, Tensor, backward,
+from vtfpar.tensor import (ContractError, Tape, Tensor, add, backward,
                            finite_diff_grad, gelu, linear, matmul, mul,
                            no_grad, softmax, tensor_sum, transpose)
 
@@ -59,6 +59,20 @@ def test_grad_accumulates_over_reuse():
         backward(loss)
     npt.assert_allclose(w.grad, [4.0])
 
+    # a second tape adds onto the gradient w already holds: its own
+    # contributions are summed in reverse node order, then added to it
+    rng = np.random.default_rng(7)
+    w = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    c1, c2, c3 = (Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+                  for _ in range(3))
+    old = rng.normal(size=(3, 4)).astype(np.float32)
+    w.grad = old
+    with Tape():
+        loss = tensor_sum(add(add(mul(w, c1), mul(w, c2)), mul(w, c3)))
+        backward(loss)
+    assert w.grad.dtype == np.float32
+    npt.assert_array_equal(w.grad, old + ((c3.data + c2.data) + c1.data))
+
 
 def test_second_backward_on_swept_tape_rejected():
     w = Tensor([1.0, 2.0], requires_grad=True)
@@ -89,12 +103,18 @@ def test_backward_frees_saved_activations_without_gc():
 
 def test_tape_topological_order():
     a = Tensor([1.0, 2.0], requires_grad=True)
+    k = Tensor([3.0, 4.0])
     with Tape() as tape:
         b = mul(a, a)
-        c = tensor_sum(mul(b, a))
+        c = tensor_sum(mul(add(b, k), a))
+    assert len(tape) == 4
     for node_id, node in enumerate(tape.nodes):
-        for input_id in node.input_ids:
-            assert input_id is None or input_id < node_id
+        for ref in node.inputs:
+            if isinstance(ref, int):
+                assert ref < node_id
+            elif ref is not None:  # a leaf: never an op output of this tape
+                assert ref.requires_grad and ref.tape is not tape
+    assert a.tape is None and a.node_id is None
 
 
 def test_backward_deterministic_bitwise():

@@ -414,6 +414,37 @@ def test_model_too_large_to_build_exits_1(line, tiny_dataset, tmp_path, capsys):
     assert "the model would exceed 16777216 values" in err and err.count("\n") == 1
 
 
+# petabytes: the first allocation of each run fails before it touches memory
+_PETA = str(10 ** 15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--frames", _PETA],
+    ["eval", "--frames", _PETA],
+    ["ablate-frames", "--epochs", "1", "--frames", _PETA],
+    ["gen-data", "--height", _PETA],
+    ["gen-data", "--frames", _PETA],
+], ids=["train-frames", "eval-frames", "ablate-frames", "gen-data-height",
+        "gen-data-frames"])
+def test_request_too_large_to_allocate_exits_1_with_one_line(argv, tiny_dataset,
+                                                             tmp_path, capsys):
+    if argv[0] == "gen-data":
+        argv = [*argv, "--out", str(tmp_path / "d")]
+    else:
+        argv = [*argv, "--data", str(tiny_dataset)]
+    if argv[0] == "train":
+        argv += ["--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")]
+    if argv[0] == "eval":
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(tiny_dataset), "--epochs", "1",
+                     "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.tsv")]) == 0
+        argv += ["--checkpoint", str(ckpt)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
+
 def test_label_outside_int8_exits_2(tiny_dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)

@@ -418,18 +418,44 @@ class TestTrainLoop:
         assert report.n_tracklets == 6
 
 
+def _default_clips(schema):
+    """8 default-size synthetic clips: one batch, so one ``train`` step."""
+    spec = SyntheticSpec(n_tracklets=8)
+    return [Tracklet(f"t{i}", *render_tracklet(spec, schema, i)[:2])
+            for i in range(8)]
+
+
 def _first_step_gradients(model, freeze, monkeypatch):
     """Each trainable parameter's gradient at ``train``'s first step: one
     batch of 8 default-size synthetic clips, with Adam's update skipped."""
     grads = {}
     monkeypatch.setattr(train_mod.Adam, "step", lambda opt: grads.update(
         (p.name, p.grad) for p in opt.params.trainable()))
-    spec = SyntheticSpec(n_tracklets=8)
-    data = [Tracklet(f"t{i}", *render_tracklet(spec, model.schema, i)[:2])
-            for i in range(8)]
-    train(model, data, [], TrainConfig(epochs=1, freeze_encoders=freeze))
+    train(model, _default_clips(model.schema), [],
+          TrainConfig(epochs=1, freeze_encoders=freeze))
     assert len(grads) == len(model.params.trainable())
     return grads
+
+
+@pytest.mark.parametrize("freeze, nodes", [(True, 55), (False, 162)])
+def test_a_step_records_op_nodes_only(freeze, nodes, monkeypatch):
+    # parameters are referenced by the nodes that read them, never
+    # recorded, so none holds the swept tape after the step
+    lengths = []
+    real_backward = train_mod.backward
+
+    def counted_backward(loss):
+        lengths.append(len(loss.tape))
+        real_backward(loss)
+
+    monkeypatch.setattr(train_mod, "backward", counted_backward)
+    model = VideoAttributeModel(ModelConfig(), default_schema(), seed=0)
+    train(model, _default_clips(model.schema), [],
+          TrainConfig(epochs=1, freeze_encoders=freeze))
+    assert lengths == [nodes]
+    holding = [p.name for p in model.params
+               if p.tape is not None or p.node_id is not None]
+    assert holding == []
 
 
 @pytest.mark.parametrize("freeze", [True, False])
