@@ -258,13 +258,13 @@ def render_tracklet(spec: SyntheticSpec, schema: AttributeSchema, index: int,
 
 def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
     """Write a full synthetic dataset tree; returns the manifest path."""
+    prototypes = class_prototypes(spec, schema)  # first: a failed allocation writes nothing
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise DataError(f"cannot create dataset directory {out}: {e}") from None
     save_schema(schema, out / "schema.txt")
-    prototypes = class_prototypes(spec, schema)
     n_train = spec.n_train
     entries: list[tuple[str, str]] = []
     for i in range(spec.n_tracklets):

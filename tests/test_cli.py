@@ -414,8 +414,10 @@ def test_model_too_large_to_build_exits_1(line, tiny_dataset, tmp_path, capsys):
     assert "the model would exceed 16777216 values" in err and err.count("\n") == 1
 
 
-# petabytes: the first allocation of each run fails before it touches memory
+# petabytes: the first allocation of each run fails before it touches memory;
+# 10**19 frame picks are past what numpy can even size (it raises ValueError)
 _PETA = str(10 ** 15)
+_HUGE = str(10 ** 19)
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,8 +426,12 @@ _PETA = str(10 ** 15)
     ["ablate-frames", "--epochs", "1", "--frames", _PETA],
     ["gen-data", "--height", _PETA],
     ["gen-data", "--frames", _PETA],
+    ["train", "--frames", _HUGE],
+    ["eval", "--frames", _HUGE],
+    ["ablate-frames", "--epochs", "1", "--frames", _HUGE],
 ], ids=["train-frames", "eval-frames", "ablate-frames", "gen-data-height",
-        "gen-data-frames"])
+        "gen-data-frames", "train-frames-1e19", "eval-frames-1e19",
+        "ablate-frames-1e19"])
 def test_request_too_large_to_allocate_exits_1_with_one_line(argv, tiny_dataset,
                                                              tmp_path, capsys):
     if argv[0] == "gen-data":
@@ -443,6 +449,7 @@ def test_request_too_large_to_allocate_exits_1_with_one_line(argv, tiny_dataset,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "d").exists()  # gen-data leaves no partial dataset
 
 
 def test_label_outside_int8_exits_2(tiny_dataset, tmp_path, capsys):

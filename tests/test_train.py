@@ -3,7 +3,11 @@
 import gc
 import importlib
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -262,6 +266,12 @@ class TestFrameSampling:
         with pytest.raises(UsageError):
             sample_frame_indices(0, 1)
 
+    @pytest.mark.parametrize("k", [12 * 10 ** 17, 10 ** 19])
+    def test_index_array_past_the_address_space_is_a_memory_error(self, k):
+        # numpy itself raises ValueError for these, which the CLI does not map
+        with pytest.raises(MemoryError, match="exceed the address space"):
+            sample_frame_indices(3, k)
+
 
 class TestTrainLoop:
     def test_lr_zero_leaves_parameters_bitwise(self):
@@ -486,6 +496,43 @@ def test_every_parameter_has_a_gradient(monkeypatch):
     peaks = {name: np.abs(g).max() for name, g in grads.items()}
     weakest = min(peaks, key=peaks.get)
     assert peaks[weakest] > 1e-8, f"{weakest}: {peaks[weakest]:.2e}"
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc ")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+_CACHE_FAULTS = """
+import resource
+from vtfpar.data import SyntheticSpec, Tracklet, render_tracklet
+from vtfpar.model import ModelConfig, VideoAttributeModel
+from vtfpar.schema import default_schema
+from vtfpar.train import _visual_features
+spec, schema = SyntheticSpec(), default_schema()
+clips = [Tracklet(f"t{i}", *render_tracklet(spec, schema, i)[:2]) for i in range(32)]
+model = VideoAttributeModel(ModelConfig(), schema, seed=0)
+_visual_features(model, clips, 6)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_visual_features(model, clips, 6)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the malloc thresholds are pinned on glibc only")
+def test_second_feature_cache_pass_takes_no_page_fault_storm():
+    # Without the pinned thresholds glibc trims the heap after every chunk,
+    # and each pass over these 32 clips takes about 10,000 minor faults.
+    env = {k: v for k, v in os.environ.items() if k not in
+           ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")}
+    src = str(Path(train_mod.__file__).resolve().parents[1])
+    env.update(VTFPAR_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _CACHE_FAULTS], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 1000
 
 
 class TestChanceLevel:
