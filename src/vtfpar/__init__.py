@@ -14,8 +14,7 @@ from .schema import AttributeGroup, AttributeSchema, default_schema, load_schema
 from .data import Dataset, SyntheticSpec, Tracklet, generate, load_dataset
 from .tensor import (ContractError, DimensionError, Tape, Tensor, backward,
                      finite_diff_grad, no_grad)
-from .text import (TextConfig, TextEncoder, TokenizerVocab,
-                   attribute_sentences, build_vocab, split_expand, tokenize)
+from .text import TextConfig, TextEncoder, attribute_sentences, split_expand
 from .train import Adam, EpochLog, TrainConfig, bce_loss, evaluate, train
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
@@ -27,12 +26,11 @@ __all__ = [
     "FusionConfig", "GroupMetrics", "MetricReport",
     "ModelConfig", "Parameter", "ParameterSet",
     "SyntheticSpec", "Tape", "Tensor", "TextConfig", "TextEncoder",
-    "TokenProjector", "TokenizerVocab", "Tracklet", "TrainConfig",
+    "TokenProjector", "Tracklet", "TrainConfig",
     "UsageError", "VerificationError", "VideoAttributeModel", "VisionEncoder",
     "VitConfig", "VtfError", "attribute_sentences", "backward", "bce_loss",
-    "build_vocab", "decide", "default_schema", "evaluate", "finite_diff_grad",
+    "decide", "default_schema", "evaluate", "finite_diff_grad",
     "generate", "group_metrics", "load_checkpoint", "load_dataset",
     "load_schema", "macro_report", "no_grad", "pad_to_square",
-    "save_checkpoint", "save_schema", "split_expand",
-    "tokenize", "train",
+    "save_checkpoint", "save_schema", "split_expand", "train",
 ]

@@ -23,7 +23,7 @@ from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_
 from .schema import AttributeSchema
 from .tensor import (DEFAULT_DTYPE, ContractError, DimensionError, Tensor, concat,
                      expand_leading, reshape, slice_axis, tensor_mean)
-from .text import TextConfig, TextEncoder, build_vocab, attribute_sentences, token_matrix
+from .text import TextConfig, TextEncoder, attribute_sentences
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
 ENCODER_PREFIXES = ("vision.", "text.")
@@ -44,7 +44,7 @@ class ModelConfig:
 
 
 class VideoAttributeModel:
-    """Bundles parameters, tokenized prompts and the three sub-networks.
+    """Bundles parameters and the three sub-networks; ``text`` holds the tokenized prompts.
 
     ``dtype`` is the parameter dtype, held by ``params``; gradient
     verification builds a float64 model.
@@ -55,14 +55,12 @@ class VideoAttributeModel:
         self.config = config
         self.schema = schema
         self.params = ParameterSet(dtype)
-        vocab = build_vocab(attribute_sentences(schema), config.text.max_len)
 
         def rng(k):
             return np.random.default_rng([seed, k])
 
         self.vision = VisionEncoder(self.params, config.vit, rng(1))
-        self.text = TextEncoder(self.params, config.text, vocab.size, rng(2))
-        self.token_ids = token_matrix(schema, vocab)  # after text.pos has bounded max_len
+        self.text = TextEncoder(self.params, config.text, attribute_sentences(schema), rng(2))
         if config.use_fusion:
             cfg = config.fusion
             self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,
@@ -91,7 +89,7 @@ class VideoAttributeModel:
 
     def text_features(self) -> Tensor:
         """Text tokens (n_classes, d); depends only on schema and parameters."""
-        return self.text.encode(self.token_ids)
+        return self.text.encode()
 
     def fuse_classify(self, visual: Tensor, text: Tensor,
                       collect_attn: list | None = None) -> Tensor:

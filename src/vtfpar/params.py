@@ -112,7 +112,7 @@ def save_checkpoint(params: ParameterSet, path) -> None:
 
 
 def read_checkpoint_arrays(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint into name -> float32 array, verifying the CRC."""
+    """Parse a checkpoint into name -> finite float32 array, verifying the CRC."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -153,6 +153,8 @@ def read_checkpoint_arrays(path) -> dict[str, np.ndarray]:
             arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         except ValueError:  # more dims than numpy allows
             raise DataError(f"checkpoint {path}: {name} has {ndim} dims") from None
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"checkpoint {path}: {name} holds a non-finite value")
     if off != len(payload):
         raise DataError(f"checkpoint {path}: {len(payload) - off} trailing bytes")
     return arrays

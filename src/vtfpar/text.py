@@ -1,5 +1,5 @@
-"""Attribute text pipeline: split/expand, prompt sentences, tokenizer,
-and the small text encoder producing one token per attribute sentence.
+"""Attribute text pipeline: split/expand, prompt sentences, and the small
+text encoder that tokenizes them and produces one token per sentence.
 
 The whole string pipeline is pure: the same raw attribute always yields
 the same sentence and the same token ids, across runs and platforms.
@@ -55,51 +55,9 @@ def attribute_sentences(schema: AttributeSchema) -> list[str]:
 
 
 PAD_ID = 0
-UNK_ID = 1
+UNK_ID = 1  # reserved, never produced: it keeps the embedding table's shape
 START_ID = 2
 END_ID = 3
-
-
-@dataclass(frozen=True)
-class TokenizerVocab:
-    """Word-level vocabulary with reserved pad/unk/start/end ids.
-
-    Built from the schema's own sentences; sorting the word list keeps
-    ids dense and stable across runs for the same schema.
-    """
-
-    word_ids: dict[str, int]
-    max_len: int
-
-    def __post_init__(self):
-        if self.max_len < 3:
-            raise ContractError("tokenizer max_len must be >= 3")
-
-    @property
-    def size(self) -> int:
-        return 4 + len(self.word_ids)
-
-
-def build_vocab(sentences, max_len: int) -> TokenizerVocab:
-    words = sorted({w for s in sentences for w in s.split()})
-    return TokenizerVocab({w: 4 + i for i, w in enumerate(words)}, max_len)
-
-
-def tokenize(sentence: str, vocab: TokenizerVocab) -> np.ndarray:
-    """[start, word ids..., end, pad...] of length ``max_len``.
-
-    Truncation keeps the start and end markers; unknown words map to the
-    unk id.
-    """
-    ids = [vocab.word_ids.get(w, UNK_ID) for w in sentence.split()]
-    ids = [START_ID] + ids[: vocab.max_len - 2] + [END_ID]
-    ids += [PAD_ID] * (vocab.max_len - len(ids))
-    return np.array(ids, dtype=np.int64)
-
-
-def token_matrix(schema: AttributeSchema, vocab: TokenizerVocab) -> np.ndarray:
-    """Token ids for every attribute sentence, shape (n_classes, max_len)."""
-    return np.stack([tokenize(s, vocab) for s in attribute_sentences(schema)])
 
 
 @dataclass(frozen=True)
@@ -117,34 +75,45 @@ class TextConfig:
 
 
 class TextEncoder:
-    """Embedding lookup + positional vectors + transformer blocks.
+    """Tokenizer + embedding lookup + positional vectors + transformer blocks
+    over a fixed list of sentences.
+
+    The vocabulary is the sorted word set of ``sentences``, with word ids
+    from 4 up after the reserved pad/unk/start/end ids, so ids are dense and
+    stable for the same sentence set in any order. Each sentence becomes
+    ``token_ids`` row ``[start, word ids..., end, pad...]`` of length
+    ``max_len``; truncation keeps the start and end markers.
 
     The representation of each sentence is the end-token row after the
     last block, mirroring the usual text-feature convention. The last
     block computes only those rows (``TransformerStack``'s ``rows``).
     """
 
-    def __init__(self, params: ParameterSet, cfg: TextConfig, vocab_size: int,
+    def __init__(self, params: ParameterSet, cfg: TextConfig, sentences: list[str],
                  rng: np.random.Generator):
         self.cfg = cfg
-        d = cfg.dim
-        self.table = params.normal("text.embed", (vocab_size, d), 0.02, rng)
-        self.pos = params.normal("text.pos", (cfg.max_len, d), 0.02, rng)
+        d, length = cfg.dim, cfg.max_len
+        words = sorted({w for s in sentences for w in s.split()})
+        word_ids = {w: 4 + i for i, w in enumerate(words)}
+        self.table = params.normal("text.embed", (4 + len(words), d), 0.02, rng)
+        self.pos = params.normal("text.pos", (length, d), 0.02, rng)
         self.blocks = TransformerStack(params, "text", d, cfg.heads, cfg.blocks,
                                        cfg.mlp_ratio, rng)
+        # built after text.pos, whose draw bounds max_len
+        rows = [[START_ID, *[word_ids[w] for w in s.split()][:length - 2], END_ID]
+                for s in sentences]
+        self.token_ids = np.array([r + [PAD_ID] * (length - len(r)) for r in rows],
+                                  dtype=np.int64)
+        self._ends = (np.arange(len(rows)) * length + [len(r) - 1 for r in rows])[:, None]
 
-    def encode(self, ids: np.ndarray) -> Tensor:
-        """ids (M, L) -> text tokens (M, D)."""
-        m, length = ids.shape
-        if length != self.cfg.max_len:
-            raise ContractError(
-                f"token matrix length {length} != configured max_len {self.cfg.max_len}")
+    def encode(self) -> Tensor:
+        """Text tokens (m, d), one per sentence."""
+        m, length = self.token_ids.shape
         d = self.cfg.dim
-        ends = (np.arange(m) * length + np.argmax(ids == END_ID, axis=1))[:, None]
 
         def end_rows(t: Tensor) -> Tensor:  # (m, L, d) -> (m, 1, d)
-            return take_rows(reshape(t, (m * length, d)), ends)
+            return take_rows(reshape(t, (m * length, d)), self._ends)
 
-        x = self.blocks(add(take_rows(self.table, ids), self.pos),
+        x = self.blocks(add(take_rows(self.table, self.token_ids), self.pos),
                         rows=end_rows)
         return reshape(x, (m, d))

@@ -341,6 +341,20 @@ def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsy
     assert "fusion.block0.attn.k.bias" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_checkpoint_with_a_non_finite_value_exits_2(value, tiny_dataset, tmp_path, capsys):
+    # save() seals the CRC, so only the value check can refuse the record
+    model = VideoAttributeModel(ModelConfig(), small_schema(), seed=0)
+    model.params["vision.block0.mlp.fc1.weight"].data[0, 0] = float(value)
+    ckpt = tmp_path / "bad.ckpt"
+    model.save(ckpt)
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"data error: checkpoint {ckpt}: "
+                            "vision.block0.mlp.fc1.weight holds a non-finite value\n")
+
+
 @pytest.mark.parametrize("command", ["train", "dump-prompts", "gen-data"])
 def test_raw_attribute_of_separators_only_exits_2(command, tiny_dataset, tmp_path, capsys):
     # "_" split-expands to an empty phrase; the schema loader names its line

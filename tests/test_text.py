@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import vtfpar.gradcheck as gradcheck_mod
 from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema, SchemaError, default_schema
 from vtfpar.tensor import ContractError, Tensor, reshape, take_rows
-from vtfpar.text import (END_ID, PAD_ID, START_ID, UNK_ID, TextConfig, TextEncoder, attribute_sentences,
-                         build_vocab, split_expand, token_matrix, tokenize)
+from vtfpar.text import (END_ID, PAD_ID, START_ID, TextConfig, TextEncoder, attribute_sentences,
+                         split_expand)
 from tests.test_fusion import assert_trimmed_matches_full
 
 
@@ -77,36 +78,45 @@ class TestPromptTemplate:
                 _one_class_schema("hat", template=template)
 
 
+def _text_encoder(sentences, seed=0, blocks=1, dtype=np.float32, max_len=8):
+    cfg = TextConfig(dim=16, blocks=blocks, heads=2, max_len=max_len, mlp_ratio=2)
+    params = ParameterSet(dtype)
+    return TextEncoder(params, cfg, sentences, np.random.default_rng(seed)), params
+
+
 class TestTokenizer:
-    def test_empty_sentence(self):
-        vocab = build_vocab(["hello world"], max_len=5)
-        npt.assert_array_equal(tokenize("", vocab),
-                               [START_ID, END_ID, PAD_ID, PAD_ID, PAD_ID])
+    """``TextEncoder.token_ids``: one row per sentence, built from the
+    sentences' own sorted word set."""
 
-    def test_two_known_words(self):
-        vocab = build_vocab(["alpha beta"], max_len=5)
-        ids = tokenize("alpha beta", vocab)
-        assert ids[0] == START_ID and ids[3] == END_ID and ids[4] == PAD_ID
-        assert ids[1] != UNK_ID and ids[2] != UNK_ID
-
-    def test_unknown_maps_to_unk(self):
-        vocab = build_vocab(["alpha"], max_len=5)
-        assert tokenize("zzz", vocab)[1] == UNK_ID
+    def test_start_words_end_pad_layout(self):
+        enc, _ = _text_encoder(["beta alpha", ""], max_len=5)
+        npt.assert_array_equal(enc.token_ids,
+                               [[START_ID, 5, 4, END_ID, PAD_ID],
+                                [START_ID, END_ID, PAD_ID, PAD_ID, PAD_ID]])
+        assert enc.table.shape == (4 + 2, 16)
 
     def test_truncation_keeps_end(self):
-        vocab = build_vocab(["a b c d e f"], max_len=4)
-        ids = tokenize("a b c d e f", vocab)
-        assert len(ids) == 4
-        assert ids[0] == START_ID and ids[-1] == END_ID
+        enc, _ = _text_encoder(["a b c d e f"], max_len=4)
+        npt.assert_array_equal(enc.token_ids, [[START_ID, 4, 5, END_ID]])
 
-    def test_ids_stable_given_schema(self):
+    def test_gradcheck_model_truncates_and_keeps_end(self):
+        text = gradcheck_mod._tiny_model().text
+        lengths = [len(s.split()) + 2 for s in attribute_sentences(gradcheck_mod._tiny_schema())]
+        assert max(lengths) > text.cfg.max_len == text.token_ids.shape[1]
+        npt.assert_array_equal((text.token_ids == END_ID).sum(axis=1), 1)
+        npt.assert_array_equal(np.argmax(text.token_ids == END_ID, axis=1),
+                               np.minimum(lengths, text.cfg.max_len) - 1)
+
+    def test_ids_stable_given_schema_in_any_order(self):
         sentences = attribute_sentences(default_schema())
-        v1, v2 = build_vocab(sentences, max_len=16), build_vocab(sentences, max_len=16)
-        assert v1.word_ids == v2.word_ids
+        a, _ = _text_encoder(sentences, max_len=16)
+        b, _ = _text_encoder(sentences[::-1], max_len=16)
+        assert a.token_ids.shape == (43, 16)
+        npt.assert_array_equal(a.token_ids, b.token_ids[::-1])
 
     def test_min_length_enforced(self):
         with pytest.raises(ContractError):
-            build_vocab(["x"], max_len=2)
+            TextConfig(max_len=2)
 
 
 def _small_schema(order=("a", "b")):
@@ -118,20 +128,16 @@ def _small_schema(order=("a", "b")):
 
 
 class TestTextEncoder:
-    def _encoder(self, schema, seed=0, blocks=1, dtype=np.float32, max_len=8):
-        cfg = TextConfig(dim=16, blocks=blocks, heads=2, max_len=max_len, mlp_ratio=2)
-        vocab = build_vocab(attribute_sentences(schema), cfg.max_len)
-        params = ParameterSet(dtype)
-        enc = TextEncoder(params, cfg, vocab.size, np.random.default_rng(seed))
-        return enc, vocab, params
+    def _encoder(self, schema, **kwargs):
+        return _text_encoder(attribute_sentences(schema), **kwargs)
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_end_rows_match_full_stack(self, blocks):
         # encode() runs the last block on the END rows only; the full stack
         # followed by the END gather gives the same features and gradients
         schema = default_schema()
-        enc, vocab, _ = self._encoder(schema, blocks=blocks, dtype=np.float64, max_len=16)
-        ids = token_matrix(schema, vocab)
+        enc, _ = self._encoder(schema, blocks=blocks, dtype=np.float64, max_len=16)
+        ids = enc.token_ids
         m, length = ids.shape
         ends = np.arange(m) * length + np.argmax(ids == END_ID, axis=1)
         assert len(set(ends % length)) > 1
@@ -141,11 +147,11 @@ class TestTextEncoder:
 
         x = enc.table.data[ids] + enc.pos.data
         full = end_rows(enc.blocks(Tensor(x))).data[:, 0]
-        npt.assert_allclose(enc.encode(ids).data, full, rtol=0, atol=1e-12)
+        npt.assert_allclose(enc.encode().data, full, rtol=0, atol=1e-12)
 
         def build():
-            fresh, _, params = self._encoder(schema, blocks=blocks, dtype=np.float64,
-                                             max_len=16)
+            fresh, params = self._encoder(schema, blocks=blocks, dtype=np.float64,
+                                          max_len=16)
             return fresh.blocks, params
 
         assert_trimmed_matches_full(build, end_rows, x)
@@ -153,34 +159,32 @@ class TestTextEncoder:
     def test_single_attribute_shape(self):
         schema = AttributeSchema(
             (AttributeGroup("g", "binary", ("only",), ("only thing",)),))
-        enc, vocab, _ = self._encoder(schema)
-        out = enc.encode(token_matrix(schema, vocab))
-        assert out.shape == (1, 16)
+        enc, _ = self._encoder(schema)
+        assert enc.encode().shape == (1, 16)
 
     def test_identical_raws_identical_rows(self):
         schema = AttributeSchema((
             AttributeGroup("g1", "binary", ("x",), ("same raw",)),
             AttributeGroup("g2", "binary", ("y",), ("same raw",)),
         ))
-        enc, vocab, _ = self._encoder(schema)
-        out = enc.encode(token_matrix(schema, vocab)).data
+        enc, _ = self._encoder(schema)
+        out = enc.encode().data
         npt.assert_array_equal(out[0], out[1])
 
     def test_schema_permutation_permutes_rows(self):
         s_ab, s_ba = _small_schema(("a", "b")), _small_schema(("b", "a"))
-        sentences = attribute_sentences(s_ab)
-        assert sorted(sentences) == sorted(attribute_sentences(s_ba))
-        # same vocab (built from the same sentence set), same encoder weights
-        enc, vocab, _ = self._encoder(s_ab)
-        out_ab = enc.encode(token_matrix(s_ab, vocab)).data
-        out_ba = enc.encode(token_matrix(s_ba, vocab)).data
-        npt.assert_array_equal(out_ab, out_ba[::-1])
+        assert sorted(attribute_sentences(s_ab)) == sorted(attribute_sentences(s_ba))
+        # same word set, same seed: same vocabulary and same encoder weights
+        enc_ab, params_ab = self._encoder(s_ab)
+        enc_ba, params_ba = self._encoder(s_ba)
+        for name in params_ab.names():
+            npt.assert_array_equal(params_ab[name].data, params_ba[name].data)
+        npt.assert_array_equal(enc_ab.token_ids, enc_ba.token_ids[::-1])
+        npt.assert_array_equal(enc_ab.encode().data, enc_ba.encode().data[::-1])
 
     def test_deterministic_across_calls(self):
-        schema = default_schema()
-        enc, vocab, _ = self._encoder(schema)
-        ids = token_matrix(schema, vocab)
-        npt.assert_array_equal(enc.encode(ids).data, enc.encode(ids).data)
+        enc, _ = self._encoder(default_schema())
+        npt.assert_array_equal(enc.encode().data, enc.encode().data)
 
 
 def test_sentences_pipeline_deterministic():
