@@ -12,7 +12,10 @@ by the cyclic garbage collector; it then adds each reached leaf's summed
 gradient to its ``grad``. A second ``backward`` over a swept tape is a
 ``ContractError``. A tensor's array is never written in place; a
 parameter (``params.Parameter``, a named leaf tensor) gets a new array
-between tapes, and the old one is freed then.
+between tapes, and the old one is freed then. The one exception is
+``finite_diff_grad``'s private buffer, rewritten between calls of ``f``.
+An op wraps the float array it builds as it is, with no conversion
+calls, and under ``no_grad`` records nothing.
 
 Broadcasting is deliberately narrow: every op aligns shapes by suffix
 (elementwise ops whole shapes, matmul its leading batch dims), so only
@@ -64,8 +67,9 @@ OP_KINDS = (
     "linear",
 )
 _OP_KIND_SET = frozenset(OP_KINDS)
-# np.dtype instances: comparing against scalar types converts them per call
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# np.dtype instances: comparing against scalar types converts them per call;
+# a set hashes, where a tuple compares float64 against float32 first
+_FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 class DimensionError(UsageError, ValueError):
@@ -80,18 +84,23 @@ class Tensor:
     """Dense row-major array, optionally tracked on the active tape.
 
     Tensors are value-semantic: ops never mutate their inputs, and no
-    array is written in place; only a parameter's ``data`` is replaced,
-    between tapes. ``grad`` is filled by ``backward`` for watched leaves only.
+    array but ``finite_diff_grad``'s private buffer is written in place;
+    only a parameter's ``data`` is replaced, between tapes. ``grad`` is
+    filled by ``backward`` for watched leaves only.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "tape", "node_id")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
+        # an op's float ndarray is kept as it is, with no conversion calls
+        if dtype is None and type(data) is np.ndarray and data.dtype in _FLOAT_DTYPES:
+            arr = data
+        else:
+            arr = np.asarray(data)
+            if dtype is not None:
+                arr = arr.astype(dtype, copy=False)
+            elif arr.dtype not in _FLOAT_DTYPES:
+                arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -234,6 +243,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _check_suffix(a_shape, b_shape, op: str) -> None:
+    if a_shape == b_shape:
+        return
     n = min(len(a_shape), len(b_shape))
     if a_shape[len(a_shape) - n:] != b_shape[len(b_shape) - n:]:
         raise DimensionError(
@@ -349,10 +360,9 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(ax) for ax in axes)
     if sorted(axes) != list(range(a.ndim)):
         raise DimensionError(f"transpose axes {axes} invalid for shape {a.shape}")
-    inverse = tuple(np.argsort(axes))
 
     def bw(g, needs):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _apply("transpose", np.transpose(a.data, axes), (a,), bw)
 
@@ -396,8 +406,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
-    xn = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xn).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    # np.add.reduce(...) / d is the sum and division np.mean makes, without
+    # its Python wrapper
+    xn = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(np.square(xn), axis=-1, keepdims=True) / d
+                        + LAYER_NORM_EPS)
     xn *= inv
     out = xn * gain.data + bias.data
     gain_data = gain.data
@@ -406,8 +419,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx = ggain = gbias = None
         if needs[0]:
             gxn = g * gain_data
-            m1 = gxn.mean(axis=-1, keepdims=True)
-            m2 = (gxn * xn).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gxn, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(gxn * xn, axis=-1, keepdims=True) / d
             gx = inv * (gxn - m1 - xn * m2)
         if needs[1]:
             ggain = _reduce_to(g * xn, gain_data.shape)
@@ -533,7 +546,7 @@ def tensor_mean(a: Tensor, axis: int | None = None) -> Tensor:
         g = g / n
         return (np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape),)
 
-    return _apply("mean", a.data.mean(axis=ax), (a,), bw)
+    return _apply("mean", np.add.reduce(a.data, axis=ax) / n, (a,), bw)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -643,17 +656,27 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor,
 
     Independent oracle for the analytic backward rules: evaluates
     ``(f(x + d e_i) - f(x - d e_i)) / 2d`` per coordinate, outside any
-    tape.
+    tape. ``f`` is called on one tensor over a private copy of ``x``,
+    bumped in place and restored around each coordinate's two calls, so
+    ``f`` must not keep its argument (or a view of it) between calls.
+    ``x`` itself is not written.
     """
-    if delta <= 0:
-        raise ContractError("finite_diff_grad delta must be positive")
-    base = x.data
-    out = np.zeros_like(base)
-    flat = out.reshape(-1)
+    # a range, so that NaN and +-inf fail it
+    if not 0 < delta < math.inf:
+        raise ContractError(
+            f"finite_diff_grad delta must be positive and finite, got {delta}")
+    buf = x.data.copy()  # C order, so its and ``out``'s flat reshapes are views
+    flat = buf.reshape(-1)
+    out = np.zeros_like(buf)
+    out_flat = out.reshape(-1)
+    bumped = Tensor(buf)
     with no_grad():
-        for i in range(base.size):
-            up, down = base.copy(), base.copy()
-            up.flat[i] += delta
-            down.flat[i] -= delta
-            flat[i] = (f(Tensor(up)).item() - f(Tensor(down)).item()) / (2.0 * delta)
+        for i in range(flat.size):
+            value = flat[i]
+            flat[i] = value + delta
+            up = f(bumped).item()
+            flat[i] = value - delta
+            down = f(bumped).item()
+            flat[i] = value
+            out_flat[i] = (up - down) / (2.0 * delta)
     return Tensor(out)

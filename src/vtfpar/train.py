@@ -5,6 +5,7 @@ decay, frozen-encoder policy, and the evaluation harness.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,12 +136,28 @@ def _label_matrix(tracklets: list[Tracklet]) -> np.ndarray:
 CHUNK = 16  # clips per off-tape chunk: bitwise the same at any size; 4 and 8 time alike, 32 slower
 
 
+@contextmanager
+def _raising_overflow(stage: str):
+    """Run an off-tape forward with numpy overflow and invalid results
+    raised, as a ``VerificationError`` naming ``stage``.
+
+    Layer norm can turn an overflow into a finite row, so a check of the
+    outputs alone would not see it. numpy's error state is per thread:
+    a worker function must enter this itself.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise VerificationError(f"{stage}: {e}") from None
+
+
 def _visual_features(model: VideoAttributeModel, tracklets: list[Tracklet],
                      k: int) -> np.ndarray:
     """Visual tokens (n, n_v, d) of ``tracklets``, off-tape."""
     def one_chunk(ci: int) -> np.ndarray:
         chunk = tracklets[ci * CHUNK:(ci + 1) * CHUNK]
-        with no_grad():
+        with no_grad(), _raising_overflow("visual features"):
             return model.visual_features_batch(_clip_batch(chunk, k)).data
     return np.concatenate(map_indexed(one_chunk, -(-len(tracklets) // CHUNK)))
 
@@ -152,7 +169,7 @@ def predict_logits(model: VideoAttributeModel, tracklets: list[Tracklet],
     time; ``visual`` is their visual tokens when already known."""
     if visual is None:
         visual = _visual_features(model, tracklets, frames)
-    with no_grad():
+    with no_grad(), _raising_overflow("text features and fusion"):
         text = model.text_features()
         return np.concatenate(
             [model.fuse_classify(Tensor(visual[i:i + batch_size]), text).data
@@ -200,7 +217,7 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     if frozen:
         visual_cache = _visual_features(model, train_set + heldout, cfg.frames)
         visual_cache, heldout_visual = visual_cache[:n], visual_cache[n:]
-        with no_grad():
+        with no_grad(), _raising_overflow("text features"):
             text_cache = model.text_features().data
     clips = None if frozen else _clip_batch(train_set, cfg.frames)
     trainable = model.params.trainable()

@@ -8,7 +8,7 @@ import pytest
 
 from vtfpar.tensor import (ContractError, Tape, Tensor, add, backward,
                            finite_diff_grad, gelu, linear, matmul, mul,
-                           no_grad, softmax, tensor_sum, transpose)
+                           no_grad, reshape, softmax, tensor_sum, transpose)
 
 
 def test_backward_sum_gives_ones():
@@ -140,34 +140,47 @@ class TestFiniteDiff:
                               Tensor(np.array([3.0])), delta=1e-5)
         assert abs(fd.data[0] - 6.0) < 1e-6
 
-    def test_rejects_nonpositive_delta(self):
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_delta(self, delta):
         with pytest.raises(ContractError):
-            finite_diff_grad(tensor_sum, Tensor([1.0]), delta=0.0)
+            finite_diff_grad(tensor_sum, Tensor([1.0, 2.0, 3.0]), delta=delta)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("transposed", [False, True])
-    def test_equals_zero_array_bump_formula_bitwise(self, dtype, transposed):
+    @pytest.mark.parametrize("view", [None, "reshape", "transpose"])
+    def test_equals_zero_array_bump_formula_bitwise(self, dtype, transposed, view):
+        # f may read its argument through a view of the bumped buffer
+        read = {None: lambda t: t,
+                "reshape": lambda t: reshape(t, (12,)),
+                "transpose": lambda t: transpose(t, (1, 0))}[view]
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3)).astype(dtype)
         x = x.T if transposed else x
-        w = Tensor(rng.normal(size=x.shape).astype(dtype))
+        before = x.copy()
+        w = Tensor(rng.normal(size=read(Tensor(x)).shape).astype(dtype))
 
         def f(t):
-            return tensor_sum(mul(gelu(t), w))
+            return tensor_sum(mul(gelu(read(t)), w))
 
         delta = 1e-5
-        expected = np.zeros_like(x)
+        # C order, so that reshape(-1) is a view and coordinate i is the
+        # C-order index i of x
+        expected = np.zeros(x.shape, dtype=dtype)
         with no_grad():
             for i in range(x.size):
-                bump = np.zeros_like(x).reshape(-1)
+                bump = np.zeros(x.size, dtype=dtype)
                 bump[i] = delta
                 bump = bump.reshape(x.shape)
                 fp = f(Tensor(x + bump)).item()
                 fm = f(Tensor(x - bump)).item()
                 expected.reshape(-1)[i] = (fp - fm) / (2.0 * delta)
-        got = finite_diff_grad(f, Tensor(x), delta).data
+        assert np.count_nonzero(expected) == x.size
+        xt = Tensor(x)
+        got = finite_diff_grad(f, xt, delta).data
         assert got.dtype == dtype
         npt.assert_array_equal(got, expected)
+        assert xt.data is x
+        npt.assert_array_equal(x, before)
 
     def test_matmul_gradients_match_oracle(self):
         rng = np.random.default_rng(3)

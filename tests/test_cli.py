@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,22 @@ def test_checkpoint_with_a_non_finite_value_exits_2(value, tiny_dataset, tmp_pat
     assert rc == 2 and captured.out == ""
     assert captured.err == (f"data error: checkpoint {ckpt}: "
                             "vision.block0.mlp.fc1.weight holds a non-finite value\n")
+
+
+def test_checkpoint_with_a_huge_finite_value_exits_3(tiny_dataset, tmp_path, capsys):
+    # finite, so the checkpoint loads; layer norm's square overflows, and
+    # the row it normalizes comes out finite
+    model = VideoAttributeModel(ModelConfig(), small_schema(), seed=0)
+    model.params["vision.block0.mlp.fc1.weight"].data[0, 0] = 1e38
+    ckpt = tmp_path / "huge.ckpt"
+    model.save(ckpt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == ("verification failure: visual features: "
+                            "overflow encountered in square\n")
 
 
 @pytest.mark.parametrize("command", ["train", "dump-prompts", "gen-data"])

@@ -8,11 +8,12 @@ import numpy.testing as npt
 import pytest
 from scipy.special import erf, expit
 
-from vtfpar.tensor import (LAYER_NORM_EPS, DimensionError, Tape, Tensor, add,
-                           backward, concat, expand_leading, gelu, layer_norm,
-                           linear, matmul, mul, sigmoid, slice_axis, softmax,
-                           softplus, stack, take_rows, tensor_mean, tensor_sum,
-                           transpose)
+from vtfpar.gradcheck import _CASES
+from vtfpar.tensor import (LAYER_NORM_EPS, OP_KINDS, DimensionError, Tape, Tensor,
+                           add, backward, concat, expand_leading, gelu, layer_norm,
+                           linear, matmul, mul, no_grad, sigmoid, slice_axis,
+                           softmax, softplus, stack, take_rows, tensor_mean,
+                           tensor_sum, transpose)
 
 
 class TestMatmul:
@@ -244,14 +245,15 @@ class TestLayerNorm:
             layer_norm(Tensor(np.ones((3, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_written_out_formula_bitwise(self, dtype):
-        # the gradients read the forward's normalized rows and inverse
-        # std, so they pin those bitwise too
+    @pytest.mark.parametrize("shape", [(2, 17, 96), (8, 60, 96), (96, 17, 96)])
+    def test_matches_written_out_formula_bitwise(self, dtype, shape):
+        # the np.mean forms; the gradients read the forward's normalized
+        # rows and inverse std, so they pin those bitwise too
         rng = np.random.default_rng(2)
-        x = rng.normal(1.0, 2.0, (2, 17, 96)).astype(dtype)
+        x = rng.normal(1.0, 2.0, shape).astype(dtype)
         gain = rng.normal(1.0, 0.5, 96).astype(dtype)
         bias = rng.normal(0.0, 0.5, 96).astype(dtype)
-        g = rng.standard_normal((2, 17, 96)).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
         xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
         with Tape():
             out = layer_norm(xt, gt, bt)
@@ -266,6 +268,31 @@ class TestLayerNorm:
                                                 - xn * (gxn * xn).mean(axis=-1, keepdims=True)))
         npt.assert_array_equal(gt.grad, (g * xn).sum(axis=0).sum(axis=0))
         npt.assert_array_equal(bt.grad, g.sum(axis=0).sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 60, 96), (96, 17, 96)])
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_mean_matches_np_mean_bitwise(dtype, shape, axis):
+    x = np.random.default_rng(5).normal(1.0, 2.0, shape).astype(dtype)
+    out = tensor_mean(Tensor(x), axis=axis).data
+    expected = np.asarray(x.mean(axis=axis))
+    assert out.dtype == expected.dtype == dtype
+    npt.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", OP_KINDS + ("full mean", "full sum"))
+def test_no_grad_output_is_an_ndarray_of_the_input_dtype(dtype, kind):
+    full = {"full mean": tensor_mean, "full sum": tensor_sum}
+    case_seed, shapes, make_op = _CASES.get(kind, (0, ((3, 4),), lambda rng: full[kind]))
+    rng = np.random.default_rng(case_seed)
+    inputs = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+              for shape in shapes]
+    with no_grad():
+        out = make_op(rng)(*inputs)
+    assert type(out.data) is np.ndarray and out.dtype == dtype
+    assert out.tape is None and out.node_id is None
 
 
 class TestElementwiseAndShapeFamily:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -368,6 +369,19 @@ class TestTrainLoop:
             train(model, data, [], TrainConfig(epochs=2, batch_size=2, frames=2))
         for p in model.params:
             npt.assert_array_equal(p.data, before[p.name], err_msg=p.name)
+
+    @pytest.mark.parametrize("name, stage", [("vision.pos", "visual"), ("text.pos", "text")])
+    def test_overflow_in_the_frozen_feature_cache_stops_training(self, name, stage):
+        # finite, so only numpy's raised overflow can tell: block 0's
+        # layer norm squares it
+        schema = _tiny_schema()
+        model = _tiny_model(schema)
+        model.params[name].data[0, 0] = 1e38
+        with pytest.raises(VerificationError, match=f"^{stage} features: overflow "), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            train(model, _tiny_tracklets(schema, n=4), [],
+                  TrainConfig(epochs=1, batch_size=2, frames=2))
 
     def test_frozen_heldout_encoded_once_per_train_call(self, monkeypatch):
         schema = _tiny_schema()
