@@ -284,9 +284,15 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
         frames, labels, _ = render_tracklet(spec, schema, i, prototypes)
         tdir = os.path.join(out, rel)  # str paths: cheaper than a Path per file
         os.makedirs(tdir, exist_ok=True)
-        for f in range(frames.shape[0]):
-            write_frame(f"{tdir}/{f:06d}.vtf", frames[f])
+        names = [f"{f:06d}.vtf" for f in range(frames.shape[0])]
+        for name, frame in zip(names, frames):
+            write_frame(f"{tdir}/{name}", frame)
         write_labels(f"{tdir}/labels.txt", f"t{i:05d}", labels, schema)
+        # the loader reads every .vtf file, so a frame left by an earlier run must go
+        with os.scandir(tdir) as listing:
+            stale = [e.path for e in listing if e.name.endswith(".vtf") and e.name not in names]
+        for path in stale:
+            os.remove(path)
 
     map_indexed(build, spec.n_tracklets)
 

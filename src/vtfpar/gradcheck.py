@@ -2,13 +2,9 @@
 
 Each registered op kind has a case that builds random float64 inputs and
 a fixed weighting of the op's output; the analytic gradient of the weighted
-sum is compared against central differences. A full end-to-end model check
-perturbs sampled parameter coordinates: its analytic gradients come from
-one tape pass through the entire pipeline, and each bump recomputes only
-the stage that owns the coordinate (vision encoder, text encoder, or the
-fusion stack, heads and loss), reusing the other stages' features. That
-can turn a parameter read outside its stage into a false failure, never
-into a false pass.
+sum is compared against central differences. ``check_model`` does the same
+end to end for sampled parameter coordinates. Every check compares whole
+arrays by their largest relative error, and a NaN or inf gradient fails.
 """
 
 from __future__ import annotations
@@ -48,8 +44,12 @@ class CheckResult:
     passed: bool
 
 
-def _rel_err(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+def _max_rel_err(analytic, numeric, worst: float = 0.0) -> float:
+    """Max of ``worst`` and each ``|a - n| / max(|a|, |n|, 1e-6)``; NaN after a NaN or inf."""
+    a, n = np.asarray(analytic), np.asarray(numeric)
+    with np.errstate(all="ignore"):  # inf - inf and inf / inf give NaN, which np.max keeps
+        err = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
+        return float(np.max(err, initial=worst))
 
 
 # op kind -> (case seed, input shapes, rng -> op); each row owns its seed,
@@ -80,14 +80,9 @@ _CASES = {
 
 
 def _case(rng, shapes, make_op):
-    """Random inputs, the op under test and its fixed output weighting."""
+    """Random inputs and the op under test; the rng then draws its weighting."""
     inputs = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
-    op = make_op(rng)
-    with no_grad():
-        out_shape = op(*inputs).shape
-    # fixed random weighting makes the scalarization sensitive everywhere
-    w = Tensor(rng.standard_normal(out_shape))
-    return inputs, op, w
+    return inputs, make_op(rng)
 
 
 def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
@@ -99,18 +94,20 @@ def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
     worst = 0.0
     checked = 0
     for _ in range(trials):
-        inputs, op, w = _case(rng, shapes, make_op)
+        inputs, op = _case(rng, shapes, make_op)
         with Tape():
-            backward(tensor_sum(mul(op(*inputs), w)))
+            out = op(*inputs)
+            # fixed random weighting makes the scalarization sensitive everywhere
+            w = Tensor(rng.standard_normal(out.shape))
+            backward(tensor_sum(mul(out, w)))
         for pos, inp in enumerate(inputs):
             # ``mul``'s and ``tensor_sum``'s own numpy calls: bitwise, one dispatch
             def at(x, pos=pos):
                 y = op(*inputs[:pos], x, *inputs[pos + 1:])
                 return Tensor((y.data * w.data).sum())
 
-            numeric = finite_diff_grad(at, inp, DELTA).data.reshape(-1)
-            for a, n in zip(inp.grad.reshape(-1), numeric):
-                worst = max(worst, _rel_err(float(a), float(n)))
+            numeric = finite_diff_grad(at, inp, DELTA).data
+            worst = _max_rel_err(inp.grad, numeric, worst)
             checked += numeric.size
     return CheckResult(name, worst, checked, worst < RTOL)
 
@@ -151,10 +148,9 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     """
     model = _tiny_model()
     model.set_freeze(False)
-    schema = model.schema
     spec = SyntheticSpec(n_tracklets=2, frames_per_tracklet=2, height=12,
                          width=9, noise_sigma=0.05, occlusion_p=0.0, seed=seed)
-    rendered = [render_tracklet(spec, schema, i) for i in range(2)]
+    rendered = [render_tracklet(spec, model.schema, i) for i in range(2)]
     clips = np.stack([frames for frames, _, _ in rendered])
     targets = np.stack([labels for _, labels, _ in rendered])
     # one encoder per ENCODER_PREFIXES entry, in its order
@@ -163,20 +159,18 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     def loss_of(visual: Tensor, text: Tensor) -> Tensor:
         return bce_loss(model.fuse_classify(visual, text), targets)
 
+    coords = [(p.name, i) for p in model.params.trainable() for i in range(p.size)]
+    if len(coords) > n_coords:
+        picked = np.random.default_rng(seed).choice(len(coords), size=n_coords, replace=False)
+        coords = [coords[i] for i in picked]
+
     with Tape():
-        loss = loss_of(*(encode() for encode in encoders))
-        backward(loss)
-    grads = {p.name: p.grad for p in model.params.trainable()}
+        backward(loss_of(*(encode() for encode in encoders)))
+    analytic = [model.params[name].grad.reshape(-1)[i] for name, i in coords]
     with no_grad():
         features = [encode() for encode in encoders]
 
-    coords = [(p.name, i) for p in model.params.trainable() for i in range(p.size)]
-    rng = np.random.default_rng(seed)
-    if len(coords) > n_coords:
-        picked = rng.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[i] for i in picked]
-
-    worst = 0.0
+    numeric = []
     for name, i in coords:
         p = model.params[name]
         original = p.data.copy()
@@ -192,9 +186,9 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
                 return loss_of(*inputs).item()
 
         x0 = float(original.reshape(-1)[i])
-        numeric = (loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA)
+        numeric.append((loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA))
         p.set_value(original)
-        worst = max(worst, _rel_err(float(grads[name].reshape(-1)[i]), numeric))
+    worst = _max_rel_err(analytic, numeric)
     return CheckResult("full_model", worst, len(coords), worst < RTOL)
 
 

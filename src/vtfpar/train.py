@@ -257,10 +257,9 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
         heldout_f1 = evaluate(model, heldout, cfg.frames,
                               visual=heldout_visual).macro_f1 if heldout else 0.0
         logs.append(EpochLog(epoch, loss_sum / n, heldout_f1))
-        if checkpoint_path and cfg.save_every and epoch % cfg.save_every == 0:
+        if checkpoint_path and (epoch == cfg.epochs
+                                or cfg.save_every and epoch % cfg.save_every == 0):
             model.save(checkpoint_path)
-    if checkpoint_path:
-        model.save(checkpoint_path)
     return logs
 
 

@@ -655,6 +655,18 @@ def test_gradcheck_corrupted_rule_exits_3(monkeypatch, capsys):
     assert "gelu" in capsys.readouterr().err
 
 
+def test_gradcheck_nan_gradient_exits_3_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(tensor_mod, "_gelu_grad", lambda x, cdf: np.full_like(x, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc = main(["gradcheck", "--trials", "1", "--model-coords", "20"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert re.search(r"^gelu\tnan\t\d+\tFAIL$", captured.out, re.MULTILINE), captured.out
+    assert captured.err == ("verification failure: gradient check failed for: "
+                            "gelu, full_model\n")
+
+
 class TestDumpPrompts:
     def test_worked_example_line(self, capsys):
         assert main(["dump-prompts"]) == 0

@@ -218,6 +218,20 @@ class TestGenerateLoad:
         generate(small_spec(seed=2), schema, d2)
         assert tree_digest(d1) != tree_digest(d2)
 
+    def test_regenerating_with_fewer_frames_removes_the_stale_ones(self, tmp_path):
+        schema = small_schema()
+        out = tmp_path / "data"
+        generate(small_spec(frames_per_tracklet=4, seed=1), schema, out)
+        note = out / "train" / "t00000" / "notes.txt"  # not a frame: stays
+        note.write_text("kept\n", encoding="utf-8")
+        manifest = generate(small_spec(frames_per_tracklet=2, seed=2), schema, out)
+        ds = load_dataset(manifest)
+        assert {t.frames.shape[0] for t in ds.split("train") + ds.split("test")} == {2}
+        assert note.read_text(encoding="utf-8") == "kept\n"
+        note.unlink()
+        generate(small_spec(frames_per_tracklet=2, seed=2), schema, tmp_path / "fresh")
+        assert tree_digest(out) == tree_digest(tmp_path / "fresh")
+
     def test_truncated_frame_detected_on_load(self, tmp_path):
         schema = small_schema()
         manifest = generate(small_spec(), schema, tmp_path / "data")

@@ -2,6 +2,7 @@
 deliberately corrupted backward rule."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from vtfpar.data import SyntheticSpec, render_tracklet
 from vtfpar.gradcheck import (_CASES, DELTA, RTOL, CheckResult, check_model, check_op,
                               run_all)
 from vtfpar.model import ENCODER_PREFIXES, VideoAttributeModel
-from vtfpar.tensor import (OP_KINDS, Tape, backward, finite_diff_grad, mul, no_grad,
-                           tensor_sum)
+from vtfpar.tensor import (OP_KINDS, Tape, Tensor, backward, finite_diff_grad, mul,
+                           no_grad, tensor_sum)
 from vtfpar.train import bce_loss
 
 
@@ -39,6 +40,10 @@ def test_op_gradients_verify(name):
 def test_model_gradients_verify():
     result = check_model(n_coords=80, seed=0)
     assert result.passed, f"max rel err {result.max_rel_err:.3e}"
+
+
+def _rel_err(analytic, numeric):
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
 
 
 def _sampled_coords(model, n_coords, seed):
@@ -82,8 +87,7 @@ def _full_pipeline_check_model(n_coords, seed):
         x0 = float(original.reshape(-1)[i])
         numeric = (loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA)
         p.set_value(original)
-        worst = max(worst, gradcheck_mod._rel_err(float(grads[name].reshape(-1)[i]),
-                                                  numeric))
+        worst = max(worst, _rel_err(float(grads[name].reshape(-1)[i]), numeric))
     return CheckResult("full_model", worst, len(coords), worst < RTOL)
 
 
@@ -102,20 +106,22 @@ def _three_dispatch_check_op(name, trials, seed):
     rng = np.random.default_rng([seed, case_seed])
     worst, checked = 0.0, 0
     for _ in range(trials):
-        inputs, op, w = gradcheck_mod._case(rng, shapes, make_op)
+        inputs, op = gradcheck_mod._case(rng, shapes, make_op)
+        with Tape():
+            out = op(*inputs)
+            w = Tensor(rng.standard_normal(out.shape))
+            backward(tensor_sum(mul(out, w)))
 
         def forward(*xs):
             return tensor_sum(mul(op(*xs), w))
 
-        with Tape():
-            backward(forward(*inputs))
         for pos, inp in enumerate(inputs):
             def at(x, pos=pos):
                 return forward(*inputs[:pos], x, *inputs[pos + 1:])
 
             numeric = finite_diff_grad(at, inp, DELTA).data.reshape(-1)
             for a, n in zip(inp.grad.reshape(-1), numeric):
-                worst = max(worst, gradcheck_mod._rel_err(float(a), float(n)))
+                worst = max(worst, _rel_err(float(a), float(n)))
             checked += numeric.size
     return CheckResult(name, worst, checked, worst < RTOL)
 
@@ -165,6 +171,35 @@ def test_corrupted_backward_rule_is_caught(monkeypatch):
     monkeypatch.setattr(tensor_mod, "_gelu_grad", lambda x, cdf: np.ones_like(x))
     result = check_op("gelu", trials=2, seed=0)
     assert not result.passed
+
+
+# a poisoned weighting ``mul`` or ``sum`` sums inf and -inf on the tape
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", OP_KINDS)
+def test_non_finite_backward_rule_is_caught(name, bad, monkeypatch):
+    # every gradient the op's backward returns becomes NaN or inf
+    real_apply = tensor_mod._apply
+
+    def poisoned_apply(op, out_data, inputs, backward_fn):
+        if op == name:
+            def bad_backward(g, needs):
+                return [None if gi is None else np.full_like(gi, bad)
+                        for gi in backward_fn(g, needs)]
+            return real_apply(op, out_data, inputs, bad_backward)
+        return real_apply(op, out_data, inputs, backward_fn)
+
+    monkeypatch.setattr(tensor_mod, "_apply", poisoned_apply)
+    result = check_op(name, trials=1, seed=0)
+    assert not result.passed
+    assert math.isnan(result.max_rel_err)
+
+
+def test_nan_model_gradient_is_caught(monkeypatch):
+    monkeypatch.setattr(tensor_mod, "_gelu_grad", lambda x, cdf: np.full_like(x, np.nan))
+    result = check_model(n_coords=20, seed=0)
+    assert not result.passed
+    assert math.isnan(result.max_rel_err)
 
 
 def test_run_all_reports_every_kind_plus_model():
@@ -222,10 +257,10 @@ def test_case_seeds_pinned(monkeypatch):
     real_case = gradcheck_mod._case
 
     def recording_case(*args):
-        inputs, op, w = real_case(*args)
+        inputs, op = real_case(*args)
         data = b"".join(t.data.tobytes() for t in inputs)
         digests.append(hashlib.sha256(data).hexdigest()[:16])
-        return inputs, op, w
+        return inputs, op
 
     monkeypatch.setattr(gradcheck_mod, "_case", recording_case)
     for name in FIRST_INPUTS_SHA256:

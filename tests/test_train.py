@@ -569,7 +569,10 @@ class TestChanceLevel:
         assert 0.25 < float(np.mean(scores)) < 0.45, scores
 
 
-def test_checkpoints_written_every_k_epochs_and_at_end(tmp_path, monkeypatch):
+# after epochs 2 and 3; after epochs 2 and 4, the last written once
+@pytest.mark.parametrize("epochs, n_saves", [(3, 2), (4, 2)])
+def test_checkpoints_written_every_k_epochs_and_at_end(epochs, n_saves, tmp_path,
+                                                        monkeypatch):
     schema = _tiny_schema()
     model = _tiny_model(schema)
     data = _tiny_tracklets(schema, n=4)
@@ -577,7 +580,7 @@ def test_checkpoints_written_every_k_epochs_and_at_end(tmp_path, monkeypatch):
     real_save = model.save
     monkeypatch.setattr(model, "save", lambda path: (saves.append(str(path)), real_save(path)))
     ckpt = tmp_path / "m.ckpt"
-    train(model, data, [], TrainConfig(epochs=3, batch_size=2, frames=2, save_every=2),
+    train(model, data, [], TrainConfig(epochs=epochs, batch_size=2, frames=2, save_every=2),
           checkpoint_path=ckpt)
-    assert len(saves) == 2  # after epoch 2, plus the final save
+    assert len(saves) == n_saves
     assert ckpt.exists()
