@@ -52,7 +52,11 @@ class MultiHeadAttention:
     to a whole score row. ``rows``, if given, maps (batch, n, dim) to the
     (batch, n', dim) rows whose output is read: queries are taken from
     those rows only, while keys and values span all n, and the output is
-    (batch, n', dim). When ``collect`` is a list, the per-head attention
+    (batch, n', dim). ``mask``, if given, is an additive (n, n) constant
+    (0 where a query may attend, -inf where it may not) added to the
+    scaled scores before the softmax; with ``rows``, only the mask rows
+    of the kept queries are added, ``rows`` applied to the mask as a
+    (1, n, n) tensor. When ``collect`` is a list, the per-head attention
     probabilities (numpy, shape (batch, heads, n', n); n' = n without
     ``rows``, so every block but a stack's last records (batch, heads,
     n, n)) are appended to it.
@@ -69,7 +73,7 @@ class MultiHeadAttention:
         self.out = Linear(params, f"{prefix}.out", dim, dim, rng)
 
     def __call__(self, x: Tensor, collect: list | None = None,
-                 rows=None) -> Tensor:
+                 rows=None, mask: Tensor | None = None) -> Tensor:
         if x.ndim != 3:
             raise DimensionError(f"attention expects (batch, n, dim), got {x.shape}")
         b, n, d = x.shape
@@ -87,6 +91,10 @@ class MultiHeadAttention:
         v = split_heads(self.v(xn), n)
 
         scores = scale(matmul(q, kt), 1.0 / math.sqrt(hd))
+        if mask is not None:
+            if rows is not None:
+                mask = reshape(rows(reshape(mask, (1, n, n))), (nq, n))
+            scores = add(scores, mask)
         probs = softmax(scores)
         if collect is not None:
             collect.append(probs.data)
@@ -120,8 +128,8 @@ class TransformerBlock:
         self.mlp = FeedForward(params, f"{prefix}.mlp", dim, mlp_ratio, rng)
 
     def __call__(self, x: Tensor, collect: list | None = None,
-                 rows=None) -> Tensor:
-        a = self.attn(x, collect, rows)
+                 rows=None, mask: Tensor | None = None) -> Tensor:
+        a = self.attn(x, collect, rows, mask)
         y = add(x if rows is None else rows(x), a)
         return add(y, self.mlp(y))
 
@@ -135,7 +143,9 @@ class TransformerStack:
     last block is trimmed: it still takes LN1, keys and values over all n
     rows, but computes queries, the attention output, the residual and
     the MLP for the n' rows alone. Every earlier block feeds the last
-    one's keys and values, so it runs on all rows.
+    one's keys and values, so it runs on all rows. ``mask``, if given, is
+    the additive (n, n) attention mask of every block (see
+    ``MultiHeadAttention``).
     """
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
@@ -144,9 +154,9 @@ class TransformerStack:
                                         mlp_ratio, rng) for i in range(blocks)]
 
     def __call__(self, x: Tensor, collect: list | None = None,
-                 rows=None) -> Tensor:
+                 rows=None, mask: Tensor | None = None) -> Tensor:
         if not self.blocks:
             return x if rows is None else rows(x)
         for blk in self.blocks[:-1]:
-            x = blk(x, collect)
-        return self.blocks[-1](x, collect, rows)
+            x = blk(x, collect, mask=mask)
+        return self.blocks[-1](x, collect, rows, mask)

@@ -54,8 +54,9 @@ def attribute_sentences(schema: AttributeSchema) -> list[str]:
             for raw in schema.raw_strings]
 
 
+# pad and unk are reserved, never produced: they keep the embedding table's shape
 PAD_ID = 0
-UNK_ID = 1  # reserved, never produced: it keeps the embedding table's shape
+UNK_ID = 1
 START_ID = 2
 END_ID = 3
 
@@ -75,18 +76,30 @@ class TextConfig:
 
 
 class TextEncoder:
-    """Tokenizer + embedding lookup + positional vectors + transformer blocks
-    over a fixed list of sentences.
+    """Tokenizer + embedding lookup + positional vectors + causal
+    transformer blocks over a fixed list of sentences.
 
     The vocabulary is the sorted word set of ``sentences``, with word ids
     from 4 up after the reserved pad/unk/start/end ids, so ids are dense and
     stable for the same sentence set in any order. Each sentence becomes
-    ``token_ids`` row ``[start, word ids..., end, pad...]`` of length
-    ``max_len``; truncation keeps the start and end markers.
+    the token sequence ``[start, word ids..., end]`` of at most ``max_len``
+    tokens; truncation keeps the start and end markers. The pad id is
+    never produced; like the unknown-word id it only keeps the embedding
+    table's shape.
 
-    The representation of each sentence is the end-token row after the
-    last block, mirroring the usual text-feature convention. The last
-    block computes only those rows (``TransformerStack``'s ``rows``).
+    Attention is causal, as in CLIP's text transformer, and the
+    representation of each sentence is its end token's row after the last
+    block. Under a causal mask a token's activations depend only on its
+    own prefix, so the sentences are encoded together as one prefix tree:
+    one node per distinct prefix, in order of first appearance (sentence
+    order, then token order), each with its token id (``node_ids``), its
+    position, which is its depth (``node_pos``), and a row of the additive
+    (n, n) ``mask`` that is 0 on its ancestors and itself and -inf
+    elsewhere. ``encode()`` runs the stack once over the (1, n, d) node
+    sequence, which computes exactly what encoding each sentence alone
+    with an (L, L) causal mask computes; the last block computes only the
+    ``end_nodes`` rows (``TransformerStack``'s ``rows``). Equal sentences
+    share their end node.
     """
 
     def __init__(self, params: ParameterSet, cfg: TextConfig, sentences: list[str],
@@ -99,21 +112,29 @@ class TextEncoder:
         self.pos = params.normal("text.pos", (length, d), 0.02, rng)
         self.blocks = TransformerStack(params, "text", d, cfg.heads, cfg.blocks,
                                        cfg.mlp_ratio, rng)
-        # built after text.pos, whose draw bounds max_len
-        rows = [[START_ID, *[word_ids[w] for w in s.split()][:length - 2], END_ID]
-                for s in sentences]
-        self.token_ids = np.array([r + [PAD_ID] * (length - len(r)) for r in rows],
-                                  dtype=np.int64)
-        self._ends = (np.arange(len(rows)) * length + [len(r) - 1 for r in rows])[:, None]
+        nodes: dict[tuple[int, ...], int] = {}  # prefix -> node index
+        ends = []
+        for s in sentences:
+            tokens = (START_ID, *[word_ids[w] for w in s.split()][:length - 2], END_ID)
+            for k in range(1, len(tokens) + 1):
+                nodes.setdefault(tokens[:k], len(nodes))
+            ends.append(nodes[tokens])
+        mask = np.full((len(nodes), len(nodes)), -np.inf)
+        for prefix, i in nodes.items():
+            mask[i, [nodes[prefix[:k]] for k in range(1, len(prefix) + 1)]] = 0.0
+        self.node_ids = np.array([p[-1] for p in nodes], dtype=np.int64)
+        self.node_pos = np.array([len(p) - 1 for p in nodes], dtype=np.int64)
+        self.end_nodes = np.array(ends, dtype=np.int64)
+        self.mask = Tensor(mask, dtype=params.dtype)
 
     def encode(self) -> Tensor:
         """Text tokens (m, d), one per sentence."""
-        m, length = self.token_ids.shape
-        d = self.cfg.dim
+        ends = self.end_nodes[None]
 
-        def end_rows(t: Tensor) -> Tensor:  # (m, L, d) -> (m, 1, d)
-            return take_rows(reshape(t, (m * length, d)), self._ends)
+        def end_rows(t: Tensor) -> Tensor:  # (1, n, k) -> (1, m, k)
+            return take_rows(reshape(t, t.shape[1:]), ends)
 
-        x = self.blocks(add(take_rows(self.table, self.token_ids), self.pos),
-                        rows=end_rows)
-        return reshape(x, (m, d))
+        x = add(take_rows(self.table, self.node_ids[None]),
+                take_rows(self.pos, self.node_pos[None]))
+        x = self.blocks(x, rows=end_rows, mask=self.mask)
+        return reshape(x, x.shape[1:])

@@ -379,7 +379,7 @@ def test_diverging_training_exits_3_with_one_line(tiny_dataset, tmp_path, capsys
     ckpt = tmp_path / "m.ckpt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-        rc = main(["train", "--data", str(tiny_dataset), "--epochs", "3", "--lr", "1e3",
+        rc = main(["train", "--data", str(tiny_dataset), "--epochs", "3", "--lr", "1e4",
                    "--checkpoint", str(ckpt), "--log", str(tmp_path / "log.tsv")])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""

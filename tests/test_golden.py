@@ -25,19 +25,19 @@ from tests.test_cli import _subprocess_env
 PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
 
 PINS = {
-    "frozen.ckpt": "0d595f4256c896eb0ad9923d1562bd884e4a8575a889ed0a06b411b3f2fa9b7e",
-    "frozen.tsv": "58801067c8ba6c3c7222ad8458a45f352bb709d535453f18f94763a4ebca2004",
-    "frozen_eval.tsv": "a50615c0d7acc7befd9eb6a81ec6da8418b5b7bbc17198895ba7c8b61b523328",
-    "frozen_eval.txt": "d22881f9fd74178d4df706d926d729c466aacebc5bda2811cc2f9d870709dff8",
-    "unfrozen.ckpt": "ce2b1ce8364b4a7675100a13e69b6c732378b9dda6c092e90726742b73825775",
-    "unfrozen.tsv": "f1ca84212a029c46061e7f6805ddae93ca248ae6d65e5696020f6e047fcb6f15",
-    "unfrozen_eval.tsv": "7e06674d867ea7f0b48b00341336642a6a792d84a08214ab01956e9e77a431e0",
-    "unfrozen_eval.txt": "1487ec529387099cb01b2f48d6452a9010a1579898314e9695477f01fa456edc",
-    "nofusion.ckpt": "0a7f59e43aa04bcf0f9d6602fd29226d481114269e197251060c17092f364a22",
-    "nofusion.tsv": "8fc4ca5f43040b5a832b8c2c694a07c96e2e2566a43e4af57dbc9d38249f5c44",
-    "nofusion_eval.tsv": "4074d33298c9853bf43109da8fc5244cbdd174a60ccd3f4f168b64d67a1ceada",
-    "nofusion_eval.txt": "a748ff1222187e4cf17c5fa7ed54c931125683a19c4fd62646830b238518d27a",
-    "gradcheck.tsv": "ac5c5804349f66e4624c608df597b0f90b4f1fbfddad25d71bcd9f516c31ba4d",
+    "frozen.ckpt": "5f72b53b11d66c12f5eab6e77f88853b5b760f2a9142e84c9137bd78a52f78a1",
+    "frozen.tsv": "1e39cb1cd6804089e7867a088ace1c1a11b2d533054925bb9bcdb7ec638804cd",
+    "frozen_eval.tsv": "ba6d8dc353fd3c98f3661466b5c4ba910569b3d2040412705f84215d22915c88",
+    "frozen_eval.txt": "ea9984f59ac41fc60ec2b79635959b7d3ac1932c128be33a9aadd98633d88355",
+    "unfrozen.ckpt": "e730cfad4139e99ed9c786e087a80b805d3e1391d5700e0cd8aaa0acc85b5086",
+    "unfrozen.tsv": "96e8d7a22a37532c04d00469f12868d1a31bc5c06a403315a1d5ee68260fedb7",
+    "unfrozen_eval.tsv": "4a8e2b4dd20392356753c981272a26d3c8643c001639c7e594398c813fd8e357",
+    "unfrozen_eval.txt": "a91f0fbf8fa25b458f90d2528373aae7f2a2006bea495b7cb9f022a1d499133b",
+    "nofusion.ckpt": "1157fa7cbbfe7d376e745c5c44423409004a2b449c4b14a5823982b7a6a0c209",
+    "nofusion.tsv": "05465f47faae43e916219ceafa0eb14afff37c95e947d9ed2edf1f0b8eee9790",
+    "nofusion_eval.tsv": "73b91bbb5b9b95581e8bb17a197131258305ac4a153780f864c7e4e3918bde92",
+    "nofusion_eval.txt": "a90b49954fdce1a6cb5376d428c944c359fdc676881941de7549389a7ba8f87c",
+    "gradcheck.tsv": "51042bef361a698115f6f60624d308f953894466d1205d54ab625c34543b6a8a",
     "prompts.tsv": "85efeba979fa05a0b307620a405cc2635c562d0a827fe7bdf47c824eb6404557",
     "data": "460221b71cb06b49c1f0b8995e3d56fd31e132b3bd3d43a24fd776d0604ea2a7",
 }

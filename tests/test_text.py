@@ -7,10 +7,10 @@ import pytest
 import vtfpar.gradcheck as gradcheck_mod
 from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema, SchemaError, default_schema
-from vtfpar.tensor import ContractError, Tensor, reshape, take_rows
+from vtfpar.tensor import (ContractError, Tape, Tensor, add, backward, concat, mul, reshape,
+                           slice_axis, take_rows, tensor_sum)
 from vtfpar.text import (END_ID, PAD_ID, START_ID, TextConfig, TextEncoder, attribute_sentences,
                          split_expand)
-from tests.test_fusion import assert_trimmed_matches_full
 
 
 class TestSplitExpand:
@@ -84,35 +84,49 @@ def _text_encoder(sentences, seed=0, blocks=1, dtype=np.float32, max_len=8):
     return TextEncoder(params, cfg, sentences, np.random.default_rng(seed)), params
 
 
-class TestTokenizer:
-    """``TextEncoder.token_ids``: one row per sentence, built from the
-    sentences' own sorted word set."""
+def _paths(enc):
+    """Each sentence's token ids, read off its end node's mask row: the
+    tree order puts every ancestor before its descendants."""
+    return [tuple(enc.node_ids[enc.mask.data[e] == 0]) for e in enc.end_nodes]
 
-    def test_start_words_end_pad_layout(self):
-        enc, _ = _text_encoder(["beta alpha", ""], max_len=5)
-        npt.assert_array_equal(enc.token_ids,
-                               [[START_ID, 5, 4, END_ID, PAD_ID],
-                                [START_ID, END_ID, PAD_ID, PAD_ID, PAD_ID]])
+
+class TestTokenizer:
+    """``TextEncoder``'s prefix tree: one node per distinct token prefix of
+    the sentences, built from their own sorted word set."""
+
+    def test_prefix_tree_nodes_and_mask(self):
+        enc, _ = _text_encoder(["beta alpha", "", "beta"], max_len=5)
+        npt.assert_array_equal(enc.node_ids, [START_ID, 5, 4, END_ID, END_ID, END_ID])
+        npt.assert_array_equal(enc.node_pos, [0, 1, 2, 3, 1, 2])
+        npt.assert_array_equal(enc.end_nodes, [3, 4, 5])
+        ancestors = [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 4], [0, 1, 5]]
+        expected = np.full((6, 6), -np.inf, dtype=np.float32)
+        for i, row in enumerate(ancestors):
+            expected[i, row] = 0.0
+        npt.assert_array_equal(enc.mask.data, expected)
+        assert enc.mask.dtype == np.float32 and not enc.mask.requires_grad
         assert enc.table.shape == (4 + 2, 16)
 
     def test_truncation_keeps_end(self):
         enc, _ = _text_encoder(["a b c d e f"], max_len=4)
-        npt.assert_array_equal(enc.token_ids, [[START_ID, 4, 5, END_ID]])
+        assert _paths(enc) == [(START_ID, 4, 5, END_ID)]
 
     def test_gradcheck_model_truncates_and_keeps_end(self):
         text = gradcheck_mod._tiny_model().text
         lengths = [len(s.split()) + 2 for s in attribute_sentences(gradcheck_mod._tiny_schema())]
-        assert max(lengths) > text.cfg.max_len == text.token_ids.shape[1]
-        npt.assert_array_equal((text.token_ids == END_ID).sum(axis=1), 1)
-        npt.assert_array_equal(np.argmax(text.token_ids == END_ID, axis=1),
-                               np.minimum(lengths, text.cfg.max_len) - 1)
+        assert max(lengths) > text.cfg.max_len > text.node_pos.max()
+        paths = _paths(text)
+        assert [len(p) for p in paths] == np.minimum(lengths, text.cfg.max_len).tolist()
+        assert all(p[0] == START_ID and p[-1] == END_ID and END_ID not in p[1:-1]
+                   for p in paths)
 
     def test_ids_stable_given_schema_in_any_order(self):
         sentences = attribute_sentences(default_schema())
         a, _ = _text_encoder(sentences, max_len=16)
         b, _ = _text_encoder(sentences[::-1], max_len=16)
-        assert a.token_ids.shape == (43, 16)
-        npt.assert_array_equal(a.token_ids, b.token_ids[::-1])
+        assert len(a.node_ids) == len(b.node_ids) == 111
+        assert _paths(a) == _paths(b)[::-1]
+        assert PAD_ID not in a.node_ids
 
     def test_min_length_enforced(self):
         with pytest.raises(ContractError):
@@ -131,30 +145,56 @@ class TestTextEncoder:
     def _encoder(self, schema, **kwargs):
         return _text_encoder(attribute_sentences(schema), **kwargs)
 
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_end_rows_match_full_stack(self, blocks):
-        # encode() runs the last block on the END rows only; the full stack
-        # followed by the END gather gives the same features and gradients
-        schema = default_schema()
-        enc, _ = self._encoder(schema, blocks=blocks, dtype=np.float64, max_len=16)
-        ids = enc.token_ids
-        m, length = ids.shape
-        ends = np.arange(m) * length + np.argmax(ids == END_ID, axis=1)
-        assert len(set(ends % length)) > 1
+    @staticmethod
+    def _alone(enc, sentences):
+        """The reference: each sentence encoded alone over its own tokens
+        [start, words..., end] with an (n, n) causal mask, through the
+        whole stack, and its last row read; (m, d)."""
+        words = sorted({w for s in sentences for w in s.split()})
+        length = enc.cfg.max_len
+        rows = []
+        for s in sentences:
+            ids = [START_ID, *[4 + words.index(w) for w in s.split()][:length - 2], END_ID]
+            n = len(ids)
+            x = add(take_rows(enc.table, np.array([ids])),
+                    take_rows(enc.pos, np.arange(n)[None]))
+            causal = Tensor(np.triu(np.full((n, n), -np.inf), 1))
+            rows.append(reshape(slice_axis(enc.blocks(x, mask=causal), 1, n - 1, n),
+                                (1, enc.cfg.dim)))
+        return concat(rows, axis=0)
 
-        def end_rows(t):
-            return take_rows(reshape(t, (m * length, 16)), ends[:, None])
-
-        x = enc.table.data[ids] + enc.pos.data
-        full = end_rows(enc.blocks(Tensor(x))).data[:, 0]
-        npt.assert_allclose(enc.encode().data, full, rtol=0, atol=1e-12)
-
-        def build():
-            fresh, params = self._encoder(schema, blocks=blocks, dtype=np.float64,
-                                          max_len=16)
-            return fresh.blocks, params
-
-        assert_trimmed_matches_full(build, end_rows, x)
+    @pytest.mark.parametrize("schema, blocks, max_len, nodes, ends", [
+        (default_schema(), 1, 16, 111, 43),
+        (default_schema(), 2, 16, 111, 43),
+        # the phrase first: prompts share START and leading phrase words only
+        (AttributeSchema(default_schema().groups, template="{} is seen"), 2, 16, 192, 43),
+        # three prompts truncate to one sentence, two to another: 3 END nodes
+        (gradcheck_mod._tiny_schema(), 2, 8, 12, 3),
+    ], ids=["default-1block", "default-2blocks", "template-first", "equal-truncated"])
+    def test_end_rows_match_each_sentence_encoded_alone(self, schema, blocks, max_len,
+                                                        nodes, ends):
+        # one causal pass over the prefix tree, last block on the END nodes
+        # only, against each sentence through its own causal stack: features
+        # and every parameter gradient of sum(features * g). PAD enters
+        # neither, so the features cannot depend on it.
+        sentences = attribute_sentences(schema)
+        g = np.random.default_rng(1).normal(size=(len(sentences), 16))
+        results = []
+        for encode in (lambda enc: enc.encode(),
+                       lambda enc: self._alone(enc, sentences)):
+            enc, params = _text_encoder(sentences, blocks=blocks, dtype=np.float64,
+                                        max_len=max_len)
+            assert (len(enc.node_ids), len(set(enc.end_nodes))) == (nodes, ends)
+            with Tape():
+                out = encode(enc)
+                backward(tensor_sum(mul(out, Tensor(g))))
+            results.append((out.data, {p.name: p.grad for p in params}))
+        (tree, tree_grads), (alone, alone_grads) = results
+        npt.assert_allclose(tree, alone, rtol=0, atol=1e-12)
+        assert tree_grads.keys() == alone_grads.keys()
+        for name, grad in alone_grads.items():
+            assert grad is not None, name
+            npt.assert_allclose(tree_grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
 
     def test_single_attribute_shape(self):
         schema = AttributeSchema(
@@ -179,7 +219,7 @@ class TestTextEncoder:
         enc_ba, params_ba = self._encoder(s_ba)
         for name in params_ab.names():
             npt.assert_array_equal(params_ab[name].data, params_ba[name].data)
-        npt.assert_array_equal(enc_ab.token_ids, enc_ba.token_ids[::-1])
+        assert _paths(enc_ab) == _paths(enc_ba)[::-1]
         npt.assert_array_equal(enc_ab.encode().data, enc_ba.encode().data[::-1])
 
     def test_deterministic_across_calls(self):
