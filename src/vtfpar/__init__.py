@@ -5,7 +5,7 @@ evaluation harnesses.
 """
 
 from .errors import DataError, UsageError, VerificationError, VtfError
-from .fusion import ClassificationHeads, FusionConfig, TokenProjector
+from .fusion import ClassificationHeads, FusionConfig
 from .metrics import (GroupMetrics, MetricReport, decide, group_metrics,
                       macro_report)
 from .model import ModelConfig, VideoAttributeModel
@@ -26,7 +26,7 @@ __all__ = [
     "FusionConfig", "GroupMetrics", "MetricReport",
     "ModelConfig", "Parameter", "ParameterSet",
     "SyntheticSpec", "Tape", "Tensor", "TextConfig", "TextEncoder",
-    "TokenProjector", "Tracklet", "TrainConfig",
+    "Tracklet", "TrainConfig",
     "UsageError", "VerificationError", "VideoAttributeModel", "VisionEncoder",
     "VitConfig", "VtfError", "attribute_sentences", "backward", "bce_loss",
     "decide", "default_schema", "evaluate", "finite_diff_grad",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
@@ -22,7 +23,7 @@ from .model import (ModelConfig, VideoAttributeModel, checkpoint_uses_fusion,
 from .parallel import worker_count
 from .schema import default_schema, load_schema
 from .text import attribute_sentences, split_expand
-from .train import TrainConfig, evaluate, train, write_log
+from .train import TrainConfig, evaluate, run_arm, train, write_log
 
 # Flag defaults come from the dataclasses and modules they feed.
 _SPEC = SyntheticSpec()
@@ -102,17 +103,18 @@ def _add_model_flags(p, allow_no_fusion: bool = True) -> None:
     p.add_argument("--config", default=None, help="model architecture file")
     if allow_no_fusion:
         p.add_argument("--no-fusion", action="store_true",
-                       help="replace the fusion stack with a shared linear layer")
+                       help="zero fusion blocks: heads read text + mean visual token")
 
 
 def _load_schema_arg(arg):
     return load_schema(arg) if arg else default_schema()
 
 
-def _model_config(args, use_fusion: bool = True) -> ModelConfig:
-    if args.config:
-        return load_model_config(args.config, use_fusion=use_fusion)
-    return ModelConfig(use_fusion=use_fusion)
+def _model_config(args) -> ModelConfig:
+    config = load_model_config(args.config) if args.config else ModelConfig()
+    if args.no_fusion:
+        return replace(config, fusion=replace(config.fusion, blocks=0))
+    return config
 
 
 def _check_output_dirs(*paths, reads=()) -> None:
@@ -153,7 +155,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     _check_output_dirs(args.checkpoint, args.log, reads=(args.config, _manifest(args.data)))
-    config = _model_config(args, use_fusion=not args.no_fusion)
+    config = _model_config(args)
     cfg = TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed, frames=args.frames,
@@ -176,8 +178,8 @@ def cmd_eval(args) -> int:
     _check_output_dirs(args.out, text_out,
                        reads=(args.checkpoint, args.config, _manifest(args.data)))
     dataset = _load_data(args.data)
-    use_fusion = checkpoint_uses_fusion(args.checkpoint)
-    config = _model_config(args, use_fusion=use_fusion)
+    args.no_fusion = not checkpoint_uses_fusion(args.checkpoint)
+    config = _model_config(args)
     model = VideoAttributeModel(config, dataset.schema, seed=0)
     model.load(args.checkpoint)
     report = evaluate(model, dataset.split(args.split), args.frames)
@@ -197,15 +199,13 @@ def cmd_ablate_frames(args) -> int:
     if not counts or any(c < 1 for c in counts):
         raise UsageError(f"bad --frames list {args.frames!r}")
     _check_output_dirs(args.out, reads=(args.config, _manifest(args.data)))
-    config = _model_config(args, use_fusion=not args.no_fusion)
+    config = _model_config(args)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
     dataset = _load_data(args.data)
     lines = ["frames\tprecision\trecall\tf1"]
-    for k, cfg in zip(counts, cfgs):
-        model = VideoAttributeModel(config, dataset.schema, seed=args.seed)
-        train(model, dataset.split("train"), [], cfg)
-        report = evaluate(model, dataset.split("test"), k)
-        lines.append(f"{k}\t{report.macro_precision:.4f}"
+    for cfg in cfgs:
+        report = run_arm(config, dataset, cfg)[0]
+        lines.append(f"{cfg.frames}\t{report.macro_precision:.4f}"
                      f"\t{report.macro_recall:.4f}\t{report.macro_f1:.4f}")
     table = "\n".join(lines) + "\n"
     print(table, end="")

@@ -5,8 +5,9 @@ first; after the fusion blocks, head m reads the enhanced text token m
 and produces one logit. Only the text tokens are read, so the last
 fusion block computes only those rows; the visual tokens still serve it
 as keys and values.
-The no-fusion ablation replaces the transformer stack with one shared
-linear layer applied to every token the heads read.
+The no-fusion ablation is a stack of zero blocks: head m then reads text
+token m plus the clip's mean visual token, a linear probe on the pooled
+features (``VideoAttributeModel.fuse_classify``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .layers import Linear, check_stack_geometry
+from .layers import check_stack_geometry
 from .params import ParameterSet
 from .tensor import Tensor, add, mul, tensor_sum
 
@@ -30,18 +31,6 @@ class FusionConfig:
 
     def __post_init__(self):
         check_stack_geometry("fusion", self.dim, self.heads, self.blocks, self.mlp_ratio)
-
-
-class TokenProjector:
-    """No-fusion variant: one shared linear layer applied per token, to
-    the ``rows`` the caller reads (all tokens without ``rows``)."""
-
-    def __init__(self, params: ParameterSet, dim: int, rng: np.random.Generator):
-        self.linear = Linear(params, "nofusion.proj", dim, dim, rng)
-
-    def __call__(self, x: Tensor, collect: list | None = None,
-                 rows=None) -> Tensor:
-        return self.linear(x if rows is None else rows(x))
 
 
 class ClassificationHeads:

@@ -6,6 +6,9 @@ tape pass:
     pad -> per-frame encode -> temporal average -> [F_v, F_t] ->
     fusion blocks -> per-attribute heads -> logits (batch, n_classes)
 
+With zero fusion blocks (the no-fusion ablation) head m reads text
+token m plus the mean visual token.
+
 A single tracklet is a batch of one.
 """
 
@@ -16,13 +19,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError, UsageError
-from .fusion import ClassificationHeads, FusionConfig, TokenProjector
+from .fusion import ClassificationHeads, FusionConfig
 from .kvfile import keyed, read_sections
 from .layers import TransformerStack
 from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from .schema import AttributeSchema
-from .tensor import (DEFAULT_DTYPE, ContractError, DimensionError, Tensor, concat,
-                     expand_leading, reshape, slice_axis, tensor_mean)
+from .tensor import (DEFAULT_DTYPE, ContractError, DimensionError, Tensor, add, concat,
+                     expand_leading, reshape, slice_axis, tensor_mean, transpose)
 from .text import TextConfig, TextEncoder, attribute_sentences
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
@@ -34,7 +37,6 @@ class ModelConfig:
     vit: VitConfig = field(default_factory=VitConfig)
     text: TextConfig = field(default_factory=TextConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    use_fusion: bool = True
 
     def __post_init__(self):
         if not (self.vit.dim == self.text.dim == self.fusion.dim):
@@ -61,14 +63,10 @@ class VideoAttributeModel:
 
         self.vision = VisionEncoder(self.params, config.vit, rng(1))
         self.text = TextEncoder(self.params, config.text, attribute_sentences(schema), rng(2))
-        if config.use_fusion:
-            cfg = config.fusion
-            self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,
-                                           cfg.blocks, cfg.mlp_ratio, rng(3))
-        else:
-            self.fusion = TokenProjector(self.params, config.fusion.dim, rng(3))
-        self.heads = ClassificationHeads(self.params, schema.n_classes,
-                                         config.fusion.dim, rng(4))
+        cfg = config.fusion
+        self.fusion = TransformerStack(self.params, "fusion", cfg.dim, cfg.heads,
+                                       cfg.blocks, cfg.mlp_ratio, rng(3))
+        self.heads = ClassificationHeads(self.params, schema.n_classes, cfg.dim, rng(4))
 
     # -- geometry ---------------------------------------------------------
 
@@ -99,8 +97,11 @@ class VideoAttributeModel:
                 f"fuse_classify expects visual tokens (b, n_v, d), got {visual.shape}")
         b, n_v = visual.shape[:2]
         m = text.shape[0]
-        tokens = self.fusion(concat([visual, expand_leading(text, b)], axis=1),
-                             collect_attn, rows=lambda t: slice_axis(t, 1, n_v, n_v + m))
+        if self.fusion.blocks:
+            tokens = self.fusion(concat([visual, expand_leading(text, b)], axis=1),
+                                 collect_attn, rows=lambda t: slice_axis(t, 1, n_v, n_v + m))
+        else:  # no fusion: head m reads text token m + the mean visual token
+            tokens = add(transpose(expand_leading(tensor_mean(visual, 1), m), (1, 0, 2)), text)
         return self.heads(tokens)
 
     def logits_batch(self, clips: np.ndarray) -> Tensor:
@@ -125,9 +126,8 @@ class VideoAttributeModel:
 
 
 def checkpoint_uses_fusion(path) -> bool:
-    """Detect the variant from parameter names stored in a checkpoint."""
-    names = read_checkpoint_arrays(path).keys()
-    return not any(n.startswith("nofusion.") for n in names)
+    """Whether a checkpoint holds fusion blocks (``fusion.*`` names)."""
+    return any(n.startswith("fusion.") for n in read_checkpoint_arrays(path))
 
 
 # -- model config file ----------------------------------------------------
@@ -137,7 +137,7 @@ def checkpoint_uses_fusion(path) -> bool:
 _CONFIG_SECTIONS = {"vision": VitConfig, "text": TextConfig, "fusion": FusionConfig}
 
 
-def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
+def load_model_config(path) -> ModelConfig:
     """Read architecture settings from ``[vision]``/``[text]``/``[fusion]``
     sections of integer ``key = value`` entries (``vtfpar.kvfile``).
 
@@ -169,4 +169,4 @@ def load_model_config(path, use_fusion: bool = True) -> ModelConfig:
     vit = VitConfig(**given.get("vision", {}))
     text = TextConfig(dim=vit.dim, **given.get("text", {}))
     fusion = FusionConfig(dim=vit.dim, **given.get("fusion", {}))
-    return ModelConfig(vit=vit, text=text, fusion=fusion, use_fusion=use_fusion)
+    return ModelConfig(vit=vit, text=text, fusion=fusion)

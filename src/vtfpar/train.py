@@ -5,16 +5,17 @@ decay, frozen-encoder policy, and the evaluation harness.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Tracklet
+from .data import Dataset, Tracklet
 from .errors import UsageError, VerificationError
 from .metrics import MetricReport, decide, macro_report
-from .model import VideoAttributeModel
+from .model import ModelConfig, VideoAttributeModel
 from .params import ParameterSet
 from .parallel import map_indexed
 from .tensor import (ContractError, DimensionError, Tape, Tensor, add, backward,
@@ -129,11 +130,9 @@ def _clip_batch(tracklets: list[Tracklet], k: int) -> np.ndarray:
     return np.stack(clips)
 
 
-def _label_matrix(tracklets: list[Tracklet]) -> np.ndarray:
-    return np.stack([t.labels for t in tracklets]).astype(np.float32)
-
-
-CHUNK = 16  # clips per off-tape chunk: bitwise the same at any size; 4 and 8 time alike, 32 slower
+# clips per off-tape chunk: 4 and 8 time alike, 32 slower. Features keep their
+# bits at any size on OpenBLAS's SkylakeX kernel only (README, Determinism)
+CHUNK = 16
 
 
 @contextmanager
@@ -210,7 +209,7 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
         raise UsageError("train: empty dataset")
     model.set_freeze(cfg.freeze_encoders)
     opt = Adam(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    targets = _label_matrix(train_set)
+    targets = np.stack([t.labels for t in train_set]).astype(np.float32)
 
     frozen = cfg.freeze_encoders
     n = len(train_set)
@@ -261,6 +260,17 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
                                 or cfg.save_every and epoch % cfg.save_every == 0):
             model.save(checkpoint_path)
     return logs
+
+
+def run_arm(config: ModelConfig, dataset: Dataset,
+            cfg: TrainConfig) -> tuple[MetricReport, float]:
+    """Train a ``config`` model (seed ``cfg.seed``) on the train split, then
+    evaluate it on the test split; returns the report and training seconds."""
+    model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
+    start = time.monotonic()
+    train(model, dataset.split("train"), [], cfg)
+    seconds = time.monotonic() - start
+    return evaluate(model, dataset.split("test"), cfg.frames), seconds
 
 
 def write_log(logs: list[EpochLog], path) -> None:

@@ -19,7 +19,7 @@ from vtfpar.data import SyntheticSpec, load_dataset, read_frame, write_frame
 from vtfpar.errors import UsageError
 from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
-from vtfpar.params import read_checkpoint_arrays
+from vtfpar.params import ParameterSet, read_checkpoint_arrays, save_checkpoint
 from vtfpar.schema import default_schema, save_schema
 from vtfpar.tensor import ContractError, DimensionError
 from vtfpar.train import TrainConfig, evaluate, train
@@ -531,8 +531,7 @@ def test_no_fusion_checkpoint_lacks_fusion_names(tiny_dataset, tmp_path):
                "--log", str(tmp_path / "l.tsv")])
     assert rc == 0
     names = list(read_checkpoint_arrays(ckpt))
-    assert not any(n.startswith("fusion.") for n in names)
-    assert any(n.startswith("nofusion.") for n in names)
+    assert not any(n.startswith(("fusion.", "nofusion.")) for n in names)
 
 
 def test_eval_prints_table_and_writes_tsv(tiny_dataset, tmp_path, capsys):
@@ -559,6 +558,29 @@ def test_eval_auto_detects_no_fusion_variant(tiny_dataset, tmp_path, capsys):
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
                "--frames", "3"])
     assert rc == 0
+
+
+def test_eval_of_projector_checkpoint_exits_2_naming_extras(tiny_dataset, tmp_path, capsys):
+    # a no-fusion checkpoint of the old shared-projector arm: nofusion.proj.*
+    # besides the encoders and heads, and no fusion.* names
+    ckpt = tmp_path / "nf.ckpt"
+    assert main(["train", "--data", str(tiny_dataset), "--epochs", "1",
+                 "--no-fusion", "--checkpoint", str(ckpt),
+                 "--log", str(tmp_path / "l.tsv")]) == 0
+    params = ParameterSet(np.float32)
+    for name, arr in read_checkpoint_arrays(ckpt).items():
+        params.add(name, arr)
+    d = ModelConfig().fusion.dim
+    params.add("nofusion.proj.weight", np.eye(d))
+    params.add("nofusion.proj.bias", np.zeros(d))
+    save_checkpoint(params, ckpt)
+    capsys.readouterr()
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
+               "--frames", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "extra=['nofusion.proj.bias', 'nofusion.proj.weight']" in captured.err
 
 
 def test_eval_schema_mismatch_exits_2(tmp_path, capsys):

@@ -306,14 +306,13 @@ class TestClassify:
             heads(Tensor(np.zeros((1, 5, 8))))
 
 
-def _desk_model(seed=0, use_fusion=True, fusion_blocks=2):
+def _desk_model(seed=0, fusion_blocks=2, dtype=np.float32):
     config = ModelConfig(
         vit=VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2, mlp_ratio=2),
         text=TextConfig(dim=16, blocks=1, heads=2, max_len=16, mlp_ratio=2),
         fusion=FusionConfig(dim=16, heads=2, blocks=fusion_blocks, mlp_ratio=2),
-        use_fusion=use_fusion,
     )
-    return VideoAttributeModel(config, default_schema(), seed=seed)
+    return VideoAttributeModel(config, default_schema(), seed=seed, dtype=dtype)
 
 
 class TestForward:
@@ -341,12 +340,24 @@ class TestForward:
         six = model.logits_batch(np.repeat(frame, 6, axis=0)[None]).data
         assert np.abs(six - one).max() < 1e-6
 
-    def test_zero_blocks_ignores_video(self):
+    def test_zero_blocks_sees_the_clip(self):
+        # the no-fusion arm is not a constant predictor: each logit moves with the clip
         model = _desk_model(fusion_blocks=0)
         rng = np.random.default_rng(3)
         a = model.logits_batch(rng.random((1, 2, 12, 9, 3)).astype(np.float32)).data
         b = model.logits_batch(rng.random((1, 2, 12, 9, 3)).astype(np.float32)).data
-        npt.assert_array_equal(a, b)
+        assert (a != b).all()
+
+    def test_zero_blocks_head_reads_text_plus_mean_visual_token(self):
+        # head m of the no-fusion arm, in numpy: w_m . (text_m + mean_v visual) + b_m
+        model = _desk_model(fusion_blocks=0, dtype=np.float64)
+        n_v, m, d = model.config.vit.n_tokens, model.n_classes, model.config.fusion.dim
+        rng = np.random.default_rng(6)
+        visual, text = rng.normal(size=(3, n_v, d)), rng.normal(size=(m, d))
+        logits = model.fuse_classify(Tensor(visual), Tensor(text)).data
+        tokens = text[None] + visual.mean(axis=1)[:, None]
+        expected = (tokens * model.heads.weight.data).sum(axis=-1) + model.heads.bias.data
+        npt.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
     def test_forward_deterministic_bitwise(self):
         rng = np.random.default_rng(4)
@@ -376,8 +387,8 @@ class TestForward:
         with pytest.raises(UsageError):
             decide(np.zeros(model.n_classes), model.schema)
 
-    def test_no_fusion_variant_has_no_block_params(self):
-        model = _desk_model(use_fusion=False)
-        names = model.params.names()
-        assert not any(n.startswith("fusion.block") for n in names)
-        assert any(n.startswith("nofusion.") for n in names)
+    def test_zero_blocks_have_no_fusion_params(self):
+        names = _desk_model(fusion_blocks=0).params.names()
+        assert not any(n.startswith(("fusion.", "nofusion.")) for n in names)
+        assert [n for n in names if not n.startswith(("vision.", "text."))] == [
+            "heads.weight", "heads.bias"]

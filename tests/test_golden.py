@@ -33,10 +33,10 @@ PINS = {
     "unfrozen.tsv": "96e8d7a22a37532c04d00469f12868d1a31bc5c06a403315a1d5ee68260fedb7",
     "unfrozen_eval.tsv": "4a8e2b4dd20392356753c981272a26d3c8643c001639c7e594398c813fd8e357",
     "unfrozen_eval.txt": "a91f0fbf8fa25b458f90d2528373aae7f2a2006bea495b7cb9f022a1d499133b",
-    "nofusion.ckpt": "1157fa7cbbfe7d376e745c5c44423409004a2b449c4b14a5823982b7a6a0c209",
-    "nofusion.tsv": "05465f47faae43e916219ceafa0eb14afff37c95e947d9ed2edf1f0b8eee9790",
-    "nofusion_eval.tsv": "73b91bbb5b9b95581e8bb17a197131258305ac4a153780f864c7e4e3918bde92",
-    "nofusion_eval.txt": "a90b49954fdce1a6cb5376d428c944c359fdc676881941de7549389a7ba8f87c",
+    "nofusion.ckpt": "52e5051996b3f0d184e1a741fe25f0665c0e46e5d02198d89efd2af2db0cfd18",
+    "nofusion.tsv": "b515c10c65fa51be550d9449060cc228faf2d622afbe3c3fcce6323eacb25b86",
+    "nofusion_eval.tsv": "0f1b6c22d8ac9bd587f2ffd4559e985f5b1a67f83c77a6eb87becd687ba7b834",
+    "nofusion_eval.txt": "5db44c082f930b4c75b6d32ab17b980c488ae33a92faeb399791b3628bb7db97",
     "gradcheck.tsv": "51042bef361a698115f6f60624d308f953894466d1205d54ab625c34543b6a8a",
     "prompts.tsv": "85efeba979fa05a0b307620a405cc2635c562d0a827fe7bdf47c824eb6404557",
     "data": "460221b71cb06b49c1f0b8995e3d56fd31e132b3bd3d43a24fd776d0604ea2a7",

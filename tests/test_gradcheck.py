@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +92,17 @@ def _full_pipeline_check_model(n_coords, seed):
     return CheckResult("full_model", worst, len(coords), worst < RTOL)
 
 
+@pytest.mark.parametrize("blocks", [1, 0])
 @pytest.mark.parametrize("n_coords, seed", [(80, 0), (20, 2)])
-def test_model_check_equals_full_pipeline_oracle(n_coords, seed):
+def test_model_check_equals_full_pipeline_oracle(n_coords, seed, blocks, monkeypatch):
+    if not blocks:  # the no-fusion arm: heads read text + the mean visual token
+        tiny = gradcheck_mod._tiny_model()
+        config = replace(tiny.config, fusion=replace(tiny.config.fusion, blocks=0))
+        monkeypatch.setattr(gradcheck_mod, "_tiny_model", lambda: VideoAttributeModel(
+            config, tiny.schema, seed=3, dtype=np.float64))
     result = check_model(n_coords=n_coords, seed=seed)
     expected = _full_pipeline_check_model(n_coords, seed)
-    assert result == expected
+    assert result == expected and result.passed
     assert result.max_rel_err.hex() == expected.max_rel_err.hex()
 
 

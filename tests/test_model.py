@@ -1,7 +1,5 @@
 """Model assembly, config files, checkpoint integration."""
 
-from dataclasses import replace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,12 +14,11 @@ from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
 
-def _small_config(use_fusion=True):
+def _small_config(blocks=1):
     return ModelConfig(
         vit=VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2, mlp_ratio=2),
         text=TextConfig(dim=16, blocks=1, heads=2, max_len=16, mlp_ratio=2),
-        fusion=FusionConfig(dim=16, heads=2, blocks=1, mlp_ratio=2),
-        use_fusion=use_fusion,
+        fusion=FusionConfig(dim=16, heads=2, blocks=blocks, mlp_ratio=2),
     )
 
 
@@ -57,20 +54,20 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_checkpoint_variant_detection(tmp_path):
-    full = VideoAttributeModel(_small_config(True), default_schema(), seed=0)
-    nofusion = VideoAttributeModel(_small_config(False), default_schema(), seed=0)
+    full = VideoAttributeModel(_small_config(1), default_schema(), seed=0)
+    nofusion = VideoAttributeModel(_small_config(0), default_schema(), seed=0)
     full.save(tmp_path / "full.ckpt")
     nofusion.save(tmp_path / "nf.ckpt")
     assert checkpoint_uses_fusion(tmp_path / "full.ckpt")
     assert not checkpoint_uses_fusion(tmp_path / "nf.ckpt")
 
 
-@pytest.mark.parametrize("use_fusion,blocks", [(True, 1), (True, 2), (False, 1)])
-def test_fuse_classify_matches_heads_on_full_output(use_fusion, blocks):
-    # the last fusion block (or the no-fusion projector) computes only the
-    # text rows; slicing the full output before the heads gives the same logits
-    config = replace(_small_config(use_fusion),
-                     fusion=FusionConfig(dim=16, heads=2, blocks=blocks, mlp_ratio=2))
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_fuse_classify_matches_heads_on_full_output(blocks):
+    # the last fusion block computes only the text rows; slicing the full
+    # output before the heads gives the same logits. With zero blocks the
+    # stack is the identity, and the heads read text + the mean visual token
+    config = _small_config(blocks)
     model = VideoAttributeModel(config, default_schema(), seed=0, dtype=np.float64)
     n_v, m, d = config.vit.n_tokens, model.n_classes, config.fusion.dim
     rng = np.random.default_rng(0)
@@ -78,11 +75,14 @@ def test_fuse_classify_matches_heads_on_full_output(use_fusion, blocks):
     collect = []
     logits = model.fuse_classify(Tensor(visual), Tensor(text), collect).data
     x = np.concatenate([visual, np.broadcast_to(text, (3, m, d))], axis=1)
-    full = model.heads(Tensor(model.fusion(Tensor(x)).data[:, n_v:])).data
+    read = model.fusion(Tensor(x)).data[:, n_v:]
+    if not blocks:
+        read = read + visual.mean(axis=1, keepdims=True)
+    full = model.heads(Tensor(read)).data
     npt.assert_allclose(logits, full, rtol=0, atol=1e-12)
     n = n_v + m
     assert [c.shape for c in collect] == (
-        [(3, 2, n, n)] * (blocks - 1) + [(3, 2, m, n)] if use_fusion else [])
+        [(3, 2, n, n)] * (blocks - 1) + [(3, 2, m, n)] if blocks else [])
 
 
 class TestModelConfigFile:

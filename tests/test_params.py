@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vtfpar.fusion import FusionConfig
 from vtfpar.gradcheck import _tiny_model
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
@@ -55,10 +56,11 @@ def test_add_casts_to_the_set_dtype(dtype):
     assert params.add("f64", np.ones(2)).data.dtype == dtype
 
 
-@pytest.mark.parametrize("use_fusion", [True, False])
+@pytest.mark.parametrize("blocks", [2, 0])
 @pytest.mark.parametrize("kwargs,dtype", [({}, np.float32), ({"dtype": np.float64}, np.float64)])
-def test_model_parameters_all_take_the_model_dtype(kwargs, dtype, use_fusion):
-    model = VideoAttributeModel(ModelConfig(use_fusion=use_fusion), default_schema(), **kwargs)
+def test_model_parameters_all_take_the_model_dtype(kwargs, dtype, blocks):
+    model = VideoAttributeModel(ModelConfig(fusion=FusionConfig(blocks=blocks)),
+                                default_schema(), **kwargs)
     assert model.params.dtype == dtype
     assert {p.data.dtype for p in model.params} == {np.dtype(dtype)}
     clips = np.zeros((1, 1, 8, 6, 3), dtype=np.float32)
