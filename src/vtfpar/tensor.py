@@ -263,14 +263,14 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; the leading batch dims align by suffix."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    _check_suffix(a.shape[:-2], b.shape[:-2], "matmul batch dims")
-    out = np.matmul(a.data, b.data)
     a_data, b_data = a.data, b.data
-    a_shape, b_shape = a.shape, b.shape
+    a_shape, b_shape = a_data.shape, b_data.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise DimensionError(f"matmul needs matrices, got {a_shape} @ {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
+        raise DimensionError(f"matmul inner dims disagree: {a_shape} @ {b_shape}")
+    _check_suffix(a_shape[:-2], b_shape[:-2], "matmul batch dims")
+    out = np.matmul(a_data, b_data)
 
     def bw(g, needs):
         ga = gb = None
@@ -296,14 +296,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     rounding, not bitwise, because that form sums the weight gradient per
     batch item.
     """
-    if x.ndim < 2 or w.ndim != 2:
+    x_shape, w_data = x.data.shape, w.data
+    if len(x_shape) < 2 or w_data.ndim != 2:
         raise DimensionError(
-            f"linear needs x (..., k) and w (k, n), got {x.shape}, {w.shape}")
-    k, n = w.shape
-    if x.shape[-1] != k or b.shape != (n,):
+            f"linear needs x (..., k) and w (k, n), got {x_shape}, {w_data.shape}")
+    k, n = w_data.shape
+    if x_shape[-1] != k or b.data.shape != (n,):
         raise DimensionError(
-            f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    x_shape, w_data = x.shape, w.data
+            f"linear shapes disagree: x {x_shape}, w {w_data.shape}, b {b.data.shape}")
     x2 = x.data.reshape(-1, k)
     out = np.matmul(x2, w_data)
     out += b.data
@@ -323,8 +323,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_suffix(a.shape, b.shape, "add")
-    a_shape, b_shape = a.shape, b.shape
+    a_shape, b_shape = a.data.shape, b.data.shape
+    _check_suffix(a_shape, b_shape, "add")
 
     def bw(g, needs):
         return (_reduce_to(g, a_shape) if needs[0] else None,
@@ -335,8 +335,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product (suffix-aligned broadcast only)."""
-    _check_suffix(a.shape, b.shape, "mul")
     a_data, b_data = a.data, b.data
+    _check_suffix(a_data.shape, b_data.shape, "mul")
 
     def bw(g, needs):
         ga = _reduce_to(g * b_data, a_data.shape) if needs[0] else None
@@ -356,28 +356,38 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Permute axes: output axis i is input axis ``axes[i]``."""
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise DimensionError(f"transpose axes {axes} invalid for shape {a.shape}")
+    """Permute axes: output axis i is input axis ``axes[i]``.
+
+    ``axes`` is a permutation of 0 .. ndim - 1; numpy checks the length,
+    range and repeats, and a negative axis, which numpy would accept, is
+    rejected here.
+    """
+    axes = tuple(axes)
+    try:
+        out = a.data.transpose(axes)
+    except (ValueError, TypeError):
+        out = None
+    if out is None or (axes and min(axes) < 0):
+        raise DimensionError(f"transpose axes {axes} invalid for shape {a.data.shape}")
 
     def bw(g, needs):
-        return (np.transpose(g, np.argsort(axes)),)
+        return (g.transpose(np.argsort(axes)),)
 
-    return _apply("transpose", np.transpose(a.data, axes), (a,), bw)
+    return _apply("transpose", out, (a,), bw)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    old_shape = a.shape
+    """Same elements in a new shape, given as integer sizes; one may be -1
+    (numpy reads any negative size as -1)."""
+    old_shape = a.data.shape
+    try:
+        out = a.data.reshape(shape)
+    except (ValueError, TypeError):
+        raise DimensionError(f"cannot reshape {old_shape} to {shape}") from None
 
     def bw(g, needs):
         return (g.reshape(old_shape),)
 
-    try:
-        out = a.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"cannot reshape {old_shape} to {shape}") from None
     return _apply("reshape", out, (a,), bw)
 
 
@@ -400,12 +410,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     Uses population variance with ``LAYER_NORM_EPS`` inside the square
     root. The last axis must have length >= 2.
     """
-    d = x.shape[-1]
+    d = x.data.shape[-1]
     if d < 2:
-        raise DimensionError(f"layer_norm needs last dim >= 2, got shape {x.shape}")
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
+        raise DimensionError(f"layer_norm needs last dim >= 2, got shape {x.data.shape}")
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise DimensionError(f"layer_norm gain/bias must have shape ({d},), "
+                             f"got {gain.data.shape}/{bias.data.shape}")
     # np.add.reduce(...) / d is the sum and division np.mean makes, without
     # its Python wrapper
     xn = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
@@ -538,9 +548,9 @@ def _norm_axis(axis: int, ndim: int) -> int:
 
 
 def tensor_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    ax = None if axis is None else _norm_axis(axis, a.ndim)
-    n = a.data.size if ax is None else a.shape[ax]
-    shape = a.shape
+    shape = a.data.shape
+    ax = None if axis is None else _norm_axis(axis, len(shape))
+    n = a.data.size if ax is None else shape[ax]
 
     def bw(g, needs):
         g = g / n
@@ -550,32 +560,30 @@ def tensor_mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    ax = None if axis is None else _norm_axis(axis, a.ndim)
-    shape = a.shape
+    shape = a.data.shape
+    ax = None if axis is None else _norm_axis(axis, len(shape))
 
     def bw(g, needs):
         return (np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape),)
 
-    return _apply("sum", a.data.sum(axis=ax), (a,), bw)
+    return _apply("sum", np.add.reduce(a.data, axis=ax), (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
-    ax = _norm_axis(axis, tensors[0].ndim)
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or other[:ax] + other[ax + 1:] != base[:ax] + base[ax + 1:]:
-            raise DimensionError(
-                f"concat shapes {tensors[0].shape} vs {t.shape} on axis {axis}")
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    ax = _norm_axis(axis, tensors[0].data.ndim)
+    # numpy checks that the ranks and every size off ``ax`` agree
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=ax)
+    except ValueError:
+        raise DimensionError(f"concat shapes {[t.data.shape for t in tensors]} "
+                             f"disagree off axis {axis}") from None
+    sizes = [t.data.shape[ax] for t in tensors]
 
     def bw(g, needs):
-        return tuple(np.split(g, offsets, axis=ax))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=ax))
 
-    out = np.concatenate([t.data for t in tensors], axis=ax)
     return _apply("concat", out, tuple(tensors), bw)
 
 
@@ -599,7 +607,8 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
     """Repeat a tensor ``n`` times along a new leading axis."""
     if n < 1:
         raise DimensionError(f"expand_leading needs n >= 1, got {n}")
-    out = np.ascontiguousarray(np.broadcast_to(a.data, (n,) + a.shape))
+    out = np.empty((n,) + a.data.shape, dtype=a.data.dtype)
+    out[...] = a.data
 
     def bw(g, needs):
         return (g.sum(axis=0),)
@@ -632,12 +641,12 @@ def take_rows(a: Tensor, indices) -> Tensor:
     scatter-adds, so repeated indices accumulate.
     """
     idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":  # numpy's signed and unsigned integers
         raise DimensionError("take_rows indices must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    shape = a.data.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
         raise DimensionError(
-            f"take_rows indices out of range for leading dim {a.shape[0]}")
-    shape = a.shape
+            f"take_rows indices out of range for leading dim {shape[0]}")
 
     def bw(g, needs):
         full = np.zeros(shape, dtype=g.dtype)
@@ -650,16 +659,18 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # -- finite differences ---------------------------------------------------
 
 
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor,
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor,
                      delta: float = 1e-5) -> Tensor:
-    """Central-difference gradient of scalar ``f`` at ``x``.
+    """Central-difference gradient of the float-valued ``f`` at ``x``.
 
     Independent oracle for the analytic backward rules: evaluates
     ``(f(x + d e_i) - f(x - d e_i)) / 2d`` per coordinate, outside any
-    tape. ``f`` is called on one tensor over a private copy of ``x``,
-    bumped in place and restored around each coordinate's two calls, so
-    ``f`` must not keep its argument (or a view of it) between calls.
-    ``x`` itself is not written.
+    tape. ``f`` returns a Python float (``np.float64`` is one), for
+    example ``tensor_sum(...).item()``; anything else is a
+    ``ContractError``. It is called on one tensor over a private copy of
+    ``x``, bumped in place and restored around each coordinate's two
+    calls, so ``f`` must not keep its argument (or a view of it) between
+    calls. ``x`` itself is not written.
     """
     # a range, so that NaN and +-inf fail it
     if not 0 < delta < math.inf:
@@ -670,13 +681,17 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor,
     out = np.zeros_like(buf)
     out_flat = out.reshape(-1)
     bumped = Tensor(buf)
+    two_delta = 2.0 * delta
     with no_grad():
         for i in range(flat.size):
             value = flat[i]
             flat[i] = value + delta
-            up = f(bumped).item()
+            up = f(bumped)
             flat[i] = value - delta
-            down = f(bumped).item()
+            down = f(bumped)
             flat[i] = value
-            out_flat[i] = (up - down) / (2.0 * delta)
+            if not isinstance(up, float):
+                raise ContractError(
+                    f"finite_diff_grad needs f to return a float, got {type(up).__name__}")
+            out_flat[i] = (up - down) / two_delta
     return Tensor(out)

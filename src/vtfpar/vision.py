@@ -5,6 +5,7 @@ over a batch of frames. The model averages the per-frame tokens over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,30 +36,35 @@ class VitConfig:
         return (self.image_size // self.patch_size) ** 2 + 1
 
 
+@lru_cache(maxsize=64)
+def _axis_weights(n_new: int, n_old: int, dtype: np.dtype, channels: int):
+    """Source rows ``lo``, ``hi`` and weights ``1 - t``, ``t`` (each weight
+    ``(n_new, channels)``) of one resampled axis; read-only, as they are
+    shared between calls."""
+    src = (np.arange(n_new) + 0.5) * (n_old / n_new) - 0.5
+    src = np.clip(src, 0.0, n_old - 1.0)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n_old - 1)
+    t = np.repeat((src - lo).astype(dtype)[:, None], channels, axis=1)
+    out = lo, hi, 1 - t, t
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resample of (..., h, w, c) images.
 
     An unchanged size takes the same path: every weight is then 0, so
     finite pixels come back exactly.
     """
-    h, w = img.shape[-3:-1]
-
-    def axis_coords(n_new, n_old):
-        src = (np.arange(n_new) + 0.5) * (n_old / n_new) - 0.5
-        src = np.clip(src, 0.0, n_old - 1.0)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_old - 1)
-        t = (src - lo).astype(img.dtype)
-        return lo, hi, t
-
-    y0, y1, ty = axis_coords(new_h, h)
-    x0, x1, tx = axis_coords(new_w, w)
-    ty = ty[:, None, None]
+    h, w, c = img.shape[-3:]
+    y0, y1, sy, ty = _axis_weights(new_h, h, img.dtype, 1)
+    x0, x1, sx, tx = _axis_weights(new_w, w, img.dtype, c)
     # columns across every source row, then rows, on contiguous arrays (tx is
     # (new_w, c)): per output pixel the same products and sums as rows first
-    tx = np.repeat(tx[:, None], img.shape[-1], axis=1)
-    cols = np.take(img, x0, axis=-2) * (1 - tx) + np.take(img, x1, axis=-2) * tx
-    return np.take(cols, y0, axis=-3) * (1 - ty) + np.take(cols, y1, axis=-3) * ty
+    cols = np.take(img, x0, axis=-2) * sx + np.take(img, x1, axis=-2) * tx
+    return np.take(cols, y0, axis=-3) * sy[:, None] + np.take(cols, y1, axis=-3) * ty[:, None]
 
 
 def pad_to_square(frames: np.ndarray, size: int) -> np.ndarray:

@@ -132,18 +132,26 @@ def test_backward_deterministic_bitwise():
 
 class TestFiniteDiff:
     def test_sum_gradient_is_ones(self):
-        fd = finite_diff_grad(tensor_sum, Tensor(np.array([4.0, -1.0, 0.5])))
+        fd = finite_diff_grad(lambda t: tensor_sum(t).item(),
+                              Tensor(np.array([4.0, -1.0, 0.5])))
         npt.assert_allclose(fd.data, np.ones(3), atol=1e-9)
 
     def test_square_closed_form(self):
-        fd = finite_diff_grad(lambda t: tensor_sum(mul(t, t)),
+        fd = finite_diff_grad(lambda t: tensor_sum(mul(t, t)).item(),
                               Tensor(np.array([3.0])), delta=1e-5)
         assert abs(fd.data[0] - 6.0) < 1e-6
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_delta(self, delta):
         with pytest.raises(ContractError):
-            finite_diff_grad(tensor_sum, Tensor([1.0, 2.0, 3.0]), delta=delta)
+            finite_diff_grad(lambda t: tensor_sum(t).item(), Tensor([1.0, 2.0, 3.0]),
+                             delta=delta)
+
+    @pytest.mark.parametrize("f", [tensor_sum, lambda t: tensor_sum(t).data,
+                                   lambda t: np.float32(tensor_sum(t).item())])
+    def test_rejects_f_that_returns_no_float(self, f):
+        with pytest.raises(ContractError, match="return a float"):
+            finite_diff_grad(f, Tensor(np.array([1.0, 2.0])))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("transposed", [False, True])
@@ -176,7 +184,7 @@ class TestFiniteDiff:
                 expected.reshape(-1)[i] = (fp - fm) / (2.0 * delta)
         assert np.count_nonzero(expected) == x.size
         xt = Tensor(x)
-        got = finite_diff_grad(f, xt, delta).data
+        got = finite_diff_grad(lambda t: f(t).item(), xt, delta).data
         assert got.dtype == dtype
         npt.assert_array_equal(got, expected)
         assert xt.data is x
@@ -188,8 +196,8 @@ class TestFiniteDiff:
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         with Tape():
             backward(tensor_sum(matmul(a, b)))
-        fd_a = finite_diff_grad(lambda t: tensor_sum(matmul(t, b)), Tensor(a.data))
-        fd_b = finite_diff_grad(lambda t: tensor_sum(matmul(a, t)), Tensor(b.data))
+        fd_a = finite_diff_grad(lambda t: tensor_sum(matmul(t, b)).item(), Tensor(a.data))
+        fd_b = finite_diff_grad(lambda t: tensor_sum(matmul(a, t)).item(), Tensor(b.data))
         npt.assert_allclose(a.grad, fd_a.data, rtol=1e-4)
         npt.assert_allclose(b.grad, fd_b.data, rtol=1e-4)
 
@@ -204,7 +212,7 @@ class TestFiniteDiff:
 
         with Tape():
             backward(f(x))
-        fd = finite_diff_grad(f, Tensor(x.data))
+        fd = finite_diff_grad(lambda t: f(t).item(), Tensor(x.data))
         rel = np.abs(x.grad - fd.data) / np.maximum(np.abs(fd.data), 1e-6)
         assert rel.max() < 1e-4
 

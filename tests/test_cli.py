@@ -235,6 +235,31 @@ def test_gradcheck_table_same_at_1_and_2_blas_threads():
     assert len(tables[0]) == 2 + len(tensor_mod.OP_KINDS)
 
 
+def _cpu_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            return any(line.startswith("flags") and "avx2" in line.split() for line in f)
+    except OSError:
+        return False
+
+
+# OpenBLAS picks its Haswell kernel on x86 CPUs with AVX2 but no AVX-512, and
+# OPENBLAS_CORETYPE forces it in the one process that sets it. Its GEMMs round
+# differently, so the numbers (and the gradcheck.tsv golden pin) differ there:
+# only the verdicts are asserted.
+@pytest.mark.skipif(not _cpu_has_avx2(), reason="OpenBLAS's Haswell kernel needs AVX2")
+def test_gradcheck_passes_on_the_haswell_blas_kernel():
+    done = subprocess.run(
+        [sys.executable, "-m", "vtfpar", "gradcheck", "--trials", "2", "--model-coords", "60"],
+        env=_subprocess_env(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    header, *rows, elapsed = [line.split("\t") for line in done.stdout.splitlines()]
+    assert header == ["op", "max_rel_err", "checked", "status"] and elapsed[0] == "elapsed"
+    assert [row[0] for row in rows] == list(tensor_mod.OP_KINDS) + ["full_model"]
+    assert all(row[3] == "ok" for row in rows)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_gen_data_non_finite_noise_exits_1_before_writing(value, tmp_path, capsys):
     out = tmp_path / "d"

@@ -124,7 +124,7 @@ def _three_dispatch_check_op(name, trials, seed):
 
         for pos, inp in enumerate(inputs):
             def at(x, pos=pos):
-                return forward(*inputs[:pos], x, *inputs[pos + 1:])
+                return forward(*inputs[:pos], x, *inputs[pos + 1:]).item()
 
             numeric = finite_diff_grad(at, inp, DELTA).data.reshape(-1)
             for a, n in zip(inp.grad.reshape(-1), numeric):

@@ -11,7 +11,7 @@ from scipy.special import erf, expit
 from vtfpar.gradcheck import _CASES
 from vtfpar.tensor import (LAYER_NORM_EPS, OP_KINDS, DimensionError, Tape, Tensor,
                            add, backward, concat, expand_leading, gelu, layer_norm,
-                           linear, matmul, mul, no_grad, sigmoid, slice_axis,
+                           linear, matmul, mul, no_grad, reshape, sigmoid, slice_axis,
                            softmax, softplus, stack, take_rows, tensor_mean,
                            tensor_sum, transpose)
 
@@ -401,6 +401,27 @@ class TestElementwiseAndShapeFamily:
         x = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
         out = transpose(x, (2, 0, 1))
         npt.assert_array_equal(out.data, np.transpose(x.data, (2, 0, 1)))
+
+    # numpy accepts (2, -3, 1); here every axis must lie in [0, ndim)
+    @pytest.mark.parametrize("axes", [(2, -3, 1), (0, -1, 1), (1, 1, 0), (0, 1),
+                                      (0, 1, 2, 3), (0, 1, 3), (0, 1.5, 2)])
+    def test_transpose_rejects_non_permutations(self, axes):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(DimensionError, match=r"transpose axes .* shape \(2, 3, 4\)"):
+            transpose(x, axes)
+
+    @pytest.mark.parametrize("shape", [(2.7, 6), (2.5, 4.9), (2, 6.0), (5, 3)])
+    def test_reshape_rejects_bad_sizes_naming_the_request(self, shape):
+        # a non-integer size is an error, not truncated to an integer
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(DimensionError) as caught:
+            reshape(x, shape)
+        assert str(caught.value) == f"cannot reshape (3, 4) to {shape}"
+
+    def test_reshape_infers_one_size(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        assert reshape(x, (2, -1)).shape == (2, 6)
+        assert reshape(x, (np.int64(4), 3)).shape == (4, 3)
 
     def test_stack_and_slice(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))
