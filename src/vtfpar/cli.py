@@ -18,9 +18,9 @@ from . import gradcheck as gradcheck_mod
 from .data import Dataset, SyntheticSpec, generate, load_dataset
 from .errors import DataError, UsageError, VerificationError
 from .metrics import report_text, report_tsv
-from .model import (ModelConfig, VideoAttributeModel, checkpoint_uses_fusion,
-                    load_model_config)
+from .model import ModelConfig, VideoAttributeModel, load_model_config
 from .parallel import worker_count
+from .params import load_checkpoint, read_checkpoint_arrays
 from .schema import default_schema, load_schema
 from .text import attribute_sentences, split_expand
 from .train import TrainConfig, evaluate, run_arm, train, write_log
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default="train_log.tsv")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_model_flags(p, allow_no_fusion=False)
+    p.add_argument("--config", default=None, help="model architecture file")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
@@ -99,20 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_model_flags(p, allow_no_fusion: bool = True) -> None:
+def _add_model_flags(p) -> None:
     p.add_argument("--config", default=None, help="model architecture file")
-    if allow_no_fusion:
-        p.add_argument("--no-fusion", action="store_true",
-                       help="zero fusion blocks: heads read text + mean visual token")
+    p.add_argument("--no-fusion", action="store_true",
+                   help="zero fusion blocks: heads read text + mean visual token")
 
 
 def _load_schema_arg(arg):
     return load_schema(arg) if arg else default_schema()
 
 
-def _model_config(args) -> ModelConfig:
+def _model_config(args, no_fusion: bool) -> ModelConfig:
     config = load_model_config(args.config) if args.config else ModelConfig()
-    if args.no_fusion:
+    if no_fusion:
         return replace(config, fusion=replace(config.fusion, blocks=0))
     return config
 
@@ -155,7 +154,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     _check_output_dirs(args.checkpoint, args.log, reads=(args.config, _manifest(args.data)))
-    config = _model_config(args)
+    config = _model_config(args, args.no_fusion)
     cfg = TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed, frames=args.frames,
@@ -178,10 +177,11 @@ def cmd_eval(args) -> int:
     _check_output_dirs(args.out, text_out,
                        reads=(args.checkpoint, args.config, _manifest(args.data)))
     dataset = _load_data(args.data)
-    args.no_fusion = not checkpoint_uses_fusion(args.checkpoint)
-    config = _model_config(args)
-    model = VideoAttributeModel(config, dataset.schema, seed=0)
-    model.load(args.checkpoint)
+    # a checkpoint without fusion.* names is of the no-fusion variant
+    names = read_checkpoint_arrays(args.checkpoint)
+    no_fusion = not any(n.startswith("fusion.") for n in names)
+    model = VideoAttributeModel(_model_config(args, no_fusion), dataset.schema, seed=0)
+    load_checkpoint(model.params, args.checkpoint)
     report = evaluate(model, dataset.split(args.split), args.frames)
     tsv = report_tsv(report)
     print(tsv, end="")
@@ -199,7 +199,7 @@ def cmd_ablate_frames(args) -> int:
     if not counts or any(c < 1 for c in counts):
         raise UsageError(f"bad --frames list {args.frames!r}")
     _check_output_dirs(args.out, reads=(args.config, _manifest(args.data)))
-    config = _model_config(args)
+    config = _model_config(args, args.no_fusion)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
     dataset = _load_data(args.data)
     lines = ["frames\tprecision\trecall\tf1"]

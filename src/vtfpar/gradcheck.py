@@ -20,7 +20,7 @@ from .errors import UsageError, VerificationError
 from .fusion import FusionConfig
 from .model import ENCODER_PREFIXES, ModelConfig, VideoAttributeModel
 from .schema import AttributeGroup, AttributeSchema
-from .tensor import (OP_KINDS, Tape, Tensor, backward, concat, expand_leading,
+from .tensor import (FD_STEP, OP_KINDS, Tape, Tensor, backward, concat, expand_leading,
                      finite_diff_grad, gelu, layer_norm, linear, matmul, add, mul,
                      no_grad, scale, sigmoid, slice_axis, softmax, softplus,
                      stack, take_rows, tensor_mean, tensor_sum, transpose, reshape)
@@ -28,7 +28,6 @@ from .text import TextConfig
 from .train import bce_loss
 from .vision import VitConfig
 
-DELTA = 1e-5
 RTOL = 1e-4
 # run_all's and the ``vtfpar gradcheck`` flags' defaults
 OP_TRIALS = 100
@@ -79,12 +78,6 @@ _CASES = {
 }
 
 
-def _case(rng, shapes, make_op):
-    """Random inputs and the op under test; the rng then draws its weighting."""
-    inputs = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
-    return inputs, make_op(rng)
-
-
 def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
     """Compare analytic and central-difference gradients over random trials."""
     if name not in _CASES:
@@ -93,7 +86,8 @@ def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
     rng = np.random.default_rng([seed, case_seed])
     analytic, numeric = [], []  # flat per input and trial; compared once, at the end
     for _ in range(trials):
-        inputs, op = _case(rng, shapes, make_op)
+        inputs = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+        op = make_op(rng)  # the rng then draws the weighting
         with Tape():
             out = op(*inputs)
             # fixed random weighting makes the scalarization sensitive everywhere
@@ -106,7 +100,7 @@ def check_op(name: str, trials: int, seed: int = SEED) -> CheckResult:
                 return float(np.add.reduce(op(*before, x, *after).data * w_data, axis=None))
 
             analytic.append(inp.grad.reshape(-1))
-            numeric.append(finite_diff_grad(at, inp, DELTA).data.reshape(-1))
+            numeric.append(finite_diff_grad(at, inp).data.reshape(-1))
     worst = _max_rel_err(np.concatenate(analytic), np.concatenate(numeric))
     return CheckResult(name, worst, sum(n.size for n in numeric), worst < RTOL)
 
@@ -185,7 +179,7 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
                 return loss_of(*inputs).item()
 
         x0 = float(original.reshape(-1)[i])
-        numeric.append((loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA))
+        numeric.append((loss_with(x0 + FD_STEP) - loss_with(x0 - FD_STEP)) / (2 * FD_STEP))
         p.set_value(original)
     worst = _max_rel_err(analytic, numeric)
     return CheckResult("full_model", worst, len(coords), worst < RTOL)

@@ -22,13 +22,13 @@ class Section:
     entries: list[tuple[int, str, str]]  # (lineno, key, value) in file order
 
 
-def read_sections(path, what: str, error=DataError) -> list[Section]:
+def read_sections(path, what: str) -> list[Section]:
     """The preamble, then one section per header, in file order."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        raise error(f"cannot read {what} {path}: {e}") from None
+        raise DataError(f"cannot read {what} {path}: {e}") from None
     sections = [Section((), 0, [])]
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -39,17 +39,17 @@ def read_sections(path, what: str, error=DataError) -> list[Section]:
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
-            raise error(f"{path}:{lineno}: expected [header] or 'key = value', got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected [header] or 'key = value', got {line!r}")
         sections[-1].entries.append((lineno, key, value))
     return sections
 
 
-def keyed(section: Section, path, error=DataError) -> dict[str, tuple[int, str]]:
+def keyed(section: Section, path) -> dict[str, tuple[int, str]]:
     """``key -> (lineno, value)`` in file order; a repeated key is an error."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, key, value in section.entries:
         if key in out:
-            raise error(f"{path}:{lineno}: duplicate key {key!r} "
-                        f"(first on line {out[key][0]})")
+            raise DataError(f"{path}:{lineno}: duplicate key {key!r} "
+                            f"(first on line {out[key][0]})")
         out[key] = (lineno, value)
     return out

@@ -22,7 +22,7 @@ from .errors import DataError, UsageError
 from .fusion import ClassificationHeads, FusionConfig
 from .kvfile import keyed, read_sections
 from .layers import TransformerStack
-from .params import ParameterSet, load_checkpoint, read_checkpoint_arrays, save_checkpoint
+from .params import ParameterSet
 from .schema import AttributeSchema
 from .tensor import (DEFAULT_DTYPE, ContractError, DimensionError, Tensor, add, concat,
                      expand_leading, reshape, slice_axis, tensor_mean, transpose)
@@ -117,17 +117,6 @@ class VideoAttributeModel:
 
     def encoder_parameters(self):
         return [p for p in self.params if p.name.startswith(ENCODER_PREFIXES)]
-
-    def save(self, path) -> None:
-        save_checkpoint(self.params, path)
-
-    def load(self, path) -> None:
-        load_checkpoint(self.params, path)
-
-
-def checkpoint_uses_fusion(path) -> bool:
-    """Whether a checkpoint holds fusion blocks (``fusion.*`` names)."""
-    return any(n.startswith("fusion.") for n in read_checkpoint_arrays(path))
 
 
 # -- model config file ----------------------------------------------------

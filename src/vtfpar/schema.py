@@ -27,10 +27,6 @@ GROUP_KINDS = ("exclusive", "binary")
 DEFAULT_TEMPLATE = "the pedestrian has an attribute {}"
 
 
-class SchemaError(DataError):
-    """Schema file violates the format or an invariant."""
-
-
 def _has_no_words(raw: str) -> bool:
     """True for a raw attribute string made only of separators (blanks and
     underscores), which split-expands to an empty phrase."""
@@ -39,7 +35,7 @@ def _has_no_words(raw: str) -> bool:
 
 def _fail(path, lineno: int | None, msg: str):
     where = f"{path}:{lineno}: " if lineno is not None else f"{path}: "
-    raise SchemaError(where + msg)
+    raise DataError(where + msg)
 
 
 @dataclass(frozen=True)
@@ -51,18 +47,18 @@ class AttributeGroup:
 
     def __post_init__(self):
         if self.kind not in GROUP_KINDS:
-            raise SchemaError(f"group {self.name}: unknown group kind {self.kind!r}")
+            raise DataError(f"group {self.name}: unknown group kind {self.kind!r}")
         if len(self.classes) != len(self.raws):
-            raise SchemaError(f"group {self.name}: classes and raw strings differ in count")
+            raise DataError(f"group {self.name}: classes and raw strings differ in count")
         if not self.classes:
-            raise SchemaError(f"group {self.name}: empty group")
+            raise DataError(f"group {self.name}: empty group")
         if self.kind == "exclusive" and len(self.classes) < 2:
-            raise SchemaError(f"group {self.name}: exclusive group needs >= 2 classes")
+            raise DataError(f"group {self.name}: exclusive group needs >= 2 classes")
         if len(set(self.classes)) != len(self.classes):
-            raise SchemaError(f"group {self.name}: duplicate class names")
+            raise DataError(f"group {self.name}: duplicate class names")
         for raw in self.raws:
             if _has_no_words(raw):
-                raise SchemaError(
+                raise DataError(
                     f"group {self.name}: raw attribute string {raw!r} has no words")
 
     @property
@@ -77,12 +73,12 @@ class AttributeSchema:
 
     def __post_init__(self):
         if not self.groups:
-            raise SchemaError("schema has no groups")
+            raise DataError("schema has no groups")
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
-            raise SchemaError("duplicate group names")
+            raise DataError("duplicate group names")
         if self.template.count("{}") != 1:
-            raise SchemaError("template must contain exactly one {} placeholder")
+            raise DataError("template must contain exactly one {} placeholder")
 
     @property
     def n_classes(self) -> int:
@@ -149,9 +145,9 @@ def save_schema(schema: AttributeSchema, path) -> None:
 
 
 def load_schema(path) -> AttributeSchema:
-    preamble, *sections = read_sections(path, "schema", SchemaError)
+    preamble, *sections = read_sections(path, "schema")
     template, template_line = DEFAULT_TEMPLATE, None
-    for key, (lineno, value) in keyed(preamble, path, SchemaError).items():
+    for key, (lineno, value) in keyed(preamble, path).items():
         if key != "template":
             _fail(path, lineno, f"unexpected key {key!r} before first group")
         template, template_line = value, lineno
@@ -164,7 +160,7 @@ def load_schema(path) -> AttributeSchema:
         _, name, kind = section.header
         if any(g.name == name for g in groups):
             _fail(path, section.lineno, f"duplicate group name {name!r}")
-        classes = keyed(section, path, SchemaError)
+        classes = keyed(section, path)
         for cls, (lineno, raw) in classes.items():
             if _has_no_words(raw):
                 _fail(path, lineno,
@@ -172,12 +168,12 @@ def load_schema(path) -> AttributeSchema:
         try:
             groups.append(AttributeGroup(name, kind, tuple(classes),
                                          tuple(raw for _, raw in classes.values())))
-        except SchemaError as e:
+        except DataError as e:
             _fail(path, section.lineno, str(e))
 
     if not groups:
         _fail(path, None, "schema defines no groups")
     try:
         return AttributeSchema(tuple(groups), template)
-    except SchemaError as e:
+    except DataError as e:
         _fail(path, template_line, str(e))

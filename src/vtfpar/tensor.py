@@ -377,11 +377,12 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """Same elements in a new shape, given as integer sizes; one may be -1
-    (numpy reads any negative size as -1)."""
+    """Same elements in a new shape, given as integer sizes; one may be -1."""
     old_shape = a.data.shape
     try:
         out = a.data.reshape(shape)
+        if min(shape, default=0) < -1:  # numpy reads any negative size as -1
+            raise ValueError
     except (ValueError, TypeError):
         raise DimensionError(f"cannot reshape {old_shape} to {shape}") from None
 
@@ -659,35 +660,34 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # -- finite differences ---------------------------------------------------
 
 
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor,
-                     delta: float = 1e-5) -> Tensor:
+# the central-difference step d, the acceptance spec's delta
+FD_STEP = 1e-5
+
+
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor) -> Tensor:
     """Central-difference gradient of the float-valued ``f`` at ``x``.
 
     Independent oracle for the analytic backward rules: evaluates
-    ``(f(x + d e_i) - f(x - d e_i)) / 2d`` per coordinate, outside any
-    tape. ``f`` returns a Python float (``np.float64`` is one), for
+    ``(f(x + d e_i) - f(x - d e_i)) / 2d`` per coordinate, ``d = FD_STEP``,
+    outside any tape. ``f`` returns a Python float (``np.float64`` is one), for
     example ``tensor_sum(...).item()``; anything else is a
     ``ContractError``. It is called on one tensor over a private copy of
     ``x``, bumped in place and restored around each coordinate's two
     calls, so ``f`` must not keep its argument (or a view of it) between
     calls. ``x`` itself is not written.
     """
-    # a range, so that NaN and +-inf fail it
-    if not 0 < delta < math.inf:
-        raise ContractError(
-            f"finite_diff_grad delta must be positive and finite, got {delta}")
     buf = x.data.copy()  # C order, so its and ``out``'s flat reshapes are views
     flat = buf.reshape(-1)
     out = np.zeros_like(buf)
     out_flat = out.reshape(-1)
     bumped = Tensor(buf)
-    two_delta = 2.0 * delta
+    two_delta = 2.0 * FD_STEP
     with no_grad():
         for i in range(flat.size):
             value = flat[i]
-            flat[i] = value + delta
+            flat[i] = value + FD_STEP
             up = f(bumped)
-            flat[i] = value - delta
+            flat[i] = value - FD_STEP
             down = f(bumped)
             flat[i] = value
             if not isinstance(up, float):

@@ -16,7 +16,7 @@ from .data import Dataset, Tracklet
 from .errors import UsageError, VerificationError
 from .metrics import MetricReport, decide, macro_report
 from .model import ModelConfig, VideoAttributeModel
-from .params import ParameterSet
+from .params import ParameterSet, save_checkpoint
 from .parallel import map_indexed
 from .tensor import (ContractError, DimensionError, Tape, Tensor, add, backward,
                      mul, no_grad, softplus, tensor_mean)
@@ -234,14 +234,12 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
             with _raising_overflow(f"training {where}", invalid=None):
                 with Tape():
                     if frozen:
-                        visual = Tensor(visual_cache[idx])
-                        text = Tensor(text_cache)
+                        logits = model.fuse_classify(Tensor(visual_cache[idx]),
+                                                     Tensor(text_cache))
                     else:
                         # each step gathers its own clips: no stacked copy of the set
-                        visual = model.visual_features_batch(
+                        logits = model.logits_batch(
                             _clip_batch([train_set[i] for i in idx], cfg.frames))
-                        text = model.text_features()
-                    logits = model.fuse_classify(visual, text)
                     loss = bce_loss(logits, targets[idx])
                     backward(loss)
                 step_loss = loss.item()
@@ -258,7 +256,7 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
         logs.append(EpochLog(epoch, loss_sum / n, heldout_f1))
         if checkpoint_path and (epoch == cfg.epochs
                                 or cfg.save_every and epoch % cfg.save_every == 0):
-            model.save(checkpoint_path)
+            save_checkpoint(model.params, checkpoint_path)
     return logs
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.tensor import (ContractError, Tape, Tensor, add, backward,
+from vtfpar.tensor import (FD_STEP, ContractError, Tape, Tensor, add, backward,
                            finite_diff_grad, gelu, linear, matmul, mul,
                            no_grad, reshape, softmax, tensor_sum, transpose)
 
@@ -138,14 +138,8 @@ class TestFiniteDiff:
 
     def test_square_closed_form(self):
         fd = finite_diff_grad(lambda t: tensor_sum(mul(t, t)).item(),
-                              Tensor(np.array([3.0])), delta=1e-5)
+                              Tensor(np.array([3.0])))
         assert abs(fd.data[0] - 6.0) < 1e-6
-
-    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_nonpositive_delta(self, delta):
-        with pytest.raises(ContractError):
-            finite_diff_grad(lambda t: tensor_sum(t).item(), Tensor([1.0, 2.0, 3.0]),
-                             delta=delta)
 
     @pytest.mark.parametrize("f", [tensor_sum, lambda t: tensor_sum(t).data,
                                    lambda t: np.float32(tensor_sum(t).item())])
@@ -170,7 +164,7 @@ class TestFiniteDiff:
         def f(t):
             return tensor_sum(mul(gelu(read(t)), w))
 
-        delta = 1e-5
+        delta = FD_STEP
         # C order, so that reshape(-1) is a view and coordinate i is the
         # C-order index i of x
         expected = np.zeros(x.shape, dtype=dtype)
@@ -184,7 +178,7 @@ class TestFiniteDiff:
                 expected.reshape(-1)[i] = (fp - fm) / (2.0 * delta)
         assert np.count_nonzero(expected) == x.size
         xt = Tensor(x)
-        got = finite_diff_grad(lambda t: f(t).item(), xt, delta).data
+        got = finite_diff_grad(lambda t: f(t).item(), xt).data
         assert got.dtype == dtype
         npt.assert_array_equal(got, expected)
         assert xt.data is x

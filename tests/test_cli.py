@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,8 @@ def _cpu_has_avx2() -> bool:
 
 # OpenBLAS picks its Haswell kernel on x86 CPUs with AVX2 but no AVX-512, and
 # OPENBLAS_CORETYPE forces it in the one process that sets it. Its GEMMs round
-# differently, so the numbers (and the gradcheck.tsv golden pin) differ there:
-# only the verdicts are asserted.
+# differently, so the numbers differ there (the golden test pins that table's
+# bits): here only the verdicts are asserted.
 @pytest.mark.skipif(not _cpu_has_avx2(), reason="OpenBLAS's Haswell kernel needs AVX2")
 def test_gradcheck_passes_on_the_haswell_blas_kernel():
     done = subprocess.run(
@@ -361,7 +362,7 @@ def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsy
     model = VideoAttributeModel(ModelConfig(), small_schema(), seed=0)
     model.params.add("fusion.block0.attn.k.bias", np.zeros(model.config.fusion.dim))
     ckpt = tmp_path / "old.ckpt"
-    model.save(ckpt)
+    save_checkpoint(model.params, ckpt)
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -370,11 +371,11 @@ def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsy
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_checkpoint_with_a_non_finite_value_exits_2(value, tiny_dataset, tmp_path, capsys):
-    # save() seals the CRC, so only the value check can refuse the record
+    # save_checkpoint seals the CRC, so only the value check can refuse the record
     model = VideoAttributeModel(ModelConfig(), small_schema(), seed=0)
     model.params["vision.block0.mlp.fc1.weight"].data[0, 0] = float(value)
     ckpt = tmp_path / "bad.ckpt"
-    model.save(ckpt)
+    save_checkpoint(model.params, ckpt)
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
@@ -388,7 +389,7 @@ def test_checkpoint_with_a_huge_finite_value_exits_3(tiny_dataset, tmp_path, cap
     model = VideoAttributeModel(ModelConfig(), small_schema(), seed=0)
     model.params["vision.block0.mlp.fc1.weight"].data[0, 0] = 1e38
     ckpt = tmp_path / "huge.ckpt"
-    model.save(ckpt)
+    save_checkpoint(model.params, ckpt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
         rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt)])
@@ -583,6 +584,42 @@ def test_eval_auto_detects_no_fusion_variant(tiny_dataset, tmp_path, capsys):
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
                "--frames", "3"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("blocks", [ModelConfig().fusion.blocks, 0])
+def test_eval_builds_the_variant_its_checkpoint_names(tiny_dataset, tmp_path, capsys,
+                                                     monkeypatch, blocks):
+    # the fusion.* names alone pick the variant; the saved values are loaded
+    config = ModelConfig()
+    config = replace(config, fusion=replace(config.fusion, blocks=blocks))
+    saved = VideoAttributeModel(config, load_dataset(tiny_dataset / "manifest.txt").schema,
+                                seed=4)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(saved.params, ckpt)
+    built = []
+
+    class Recording(VideoAttributeModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli_mod, "VideoAttributeModel", Recording)
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
+               "--frames", "3"])
+    assert rc == 0
+    (model,) = built
+    assert model.config.fusion.blocks == blocks
+    assert sorted(model.params.names()) == sorted(saved.params.names())
+    for p in saved.params:
+        np.testing.assert_array_equal(model.params[p.name].data, p.data)
+
+
+def test_eval_has_no_no_fusion_flag(tiny_dataset, tmp_path, capsys):
+    # the checkpoint, not a flag, says whether fusion blocks are present
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint",
+               str(tmp_path / "m.ckpt"), "--no-fusion"])
+    assert rc == 1
+    assert "--no-fusion" in capsys.readouterr().err
 
 
 def test_eval_of_projector_checkpoint_exits_2_naming_extras(tiny_dataset, tmp_path, capsys):

@@ -15,11 +15,10 @@ import pytest
 import vtfpar.gradcheck as gradcheck_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.data import SyntheticSpec, render_tracklet
-from vtfpar.gradcheck import (_CASES, DELTA, RTOL, CheckResult, check_model, check_op,
-                              run_all)
+from vtfpar.gradcheck import _CASES, RTOL, CheckResult, check_model, check_op, run_all
 from vtfpar.model import ENCODER_PREFIXES, VideoAttributeModel
-from vtfpar.tensor import (OP_KINDS, Tape, Tensor, backward, finite_diff_grad, mul,
-                           no_grad, tensor_sum)
+from vtfpar.tensor import (FD_STEP, OP_KINDS, Tape, Tensor, backward, finite_diff_grad,
+                           mul, no_grad, tensor_sum)
 from vtfpar.train import bce_loss
 
 
@@ -86,7 +85,7 @@ def _full_pipeline_check_model(n_coords, seed):
                 return loss_value().item()
 
         x0 = float(original.reshape(-1)[i])
-        numeric = (loss_with(x0 + DELTA) - loss_with(x0 - DELTA)) / (2 * DELTA)
+        numeric = (loss_with(x0 + FD_STEP) - loss_with(x0 - FD_STEP)) / (2 * FD_STEP)
         p.set_value(original)
         worst = max(worst, _rel_err(float(grads[name].reshape(-1)[i]), numeric))
     return CheckResult("full_model", worst, len(coords), worst < RTOL)
@@ -113,7 +112,8 @@ def _three_dispatch_check_op(name, trials, seed):
     rng = np.random.default_rng([seed, case_seed])
     worst, checked = 0.0, 0
     for _ in range(trials):
-        inputs, op = gradcheck_mod._case(rng, shapes, make_op)
+        inputs = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+        op = make_op(rng)
         with Tape():
             out = op(*inputs)
             w = Tensor(rng.standard_normal(out.shape))
@@ -126,7 +126,7 @@ def _three_dispatch_check_op(name, trials, seed):
             def at(x, pos=pos):
                 return forward(*inputs[:pos], x, *inputs[pos + 1:]).item()
 
-            numeric = finite_diff_grad(at, inp, DELTA).data.reshape(-1)
+            numeric = finite_diff_grad(at, inp).data.reshape(-1)
             for a, n in zip(inp.grad.reshape(-1), numeric):
                 worst = max(worst, _rel_err(float(a), float(n)))
             checked += numeric.size
@@ -260,16 +260,22 @@ FIRST_INPUTS_SHA256 = {
 
 
 def test_case_seeds_pinned(monkeypatch):
-    digests = []
-    real_case = gradcheck_mod._case
+    digests = {}
 
-    def recording_case(*args):
-        inputs, op = real_case(*args)
-        data = b"".join(t.data.tobytes() for t in inputs)
-        digests.append(hashlib.sha256(data).hexdigest()[:16])
-        return inputs, op
+    def recording(name, make_op):
+        def make(rng):
+            op = make_op(rng)
 
-    monkeypatch.setattr(gradcheck_mod, "_case", recording_case)
+            def op_recording_first_inputs(*inputs):
+                # a trial's first call is its tape run, on the drawn inputs
+                data = b"".join(t.data.tobytes() for t in inputs)
+                digests.setdefault(name, hashlib.sha256(data).hexdigest()[:16])
+                return op(*inputs)
+            return op_recording_first_inputs
+        return make
+
     for name in FIRST_INPUTS_SHA256:
+        case_seed, shapes, make_op = _CASES[name]
+        monkeypatch.setitem(_CASES, name, (case_seed, shapes, recording(name, make_op)))
         check_op(name, trials=1, seed=0)
-    assert dict(zip(FIRST_INPUTS_SHA256, digests)) == FIRST_INPUTS_SHA256
+    assert digests == FIRST_INPUTS_SHA256

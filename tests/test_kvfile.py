@@ -8,22 +8,22 @@ from vtfpar.data import load_dataset, read_labels
 from vtfpar.errors import DataError
 from vtfpar.kvfile import keyed, read_sections
 from vtfpar.model import load_model_config
-from vtfpar.schema import SchemaError, load_schema
+from vtfpar.schema import load_schema
 from tests.test_data import small_schema
 
-# name -> (loader, error class, body with a repeated key and its line,
-#          body with a line that has no "=" and its line)
+# name -> (loader, body with a repeated key and its line,
+#          body with a line that has no "=" and its line); each raises DataError
 LOADERS = {
-    "schema": (load_schema, SchemaError,
+    "schema": (load_schema,
                ("[group g binary]\na = one\na = two\n", 3),
                ("[group g binary]\na = one\nnonsense\n", 3)),
-    "labels": (lambda p: read_labels(p, small_schema()), DataError,
+    "labels": (lambda p: read_labels(p, small_schema()),
                ("tracklet = t\nlabels = 1 0 1\nlabels = 0 1 1\n", 3),
                ("tracklet = t\nlabels\n", 2)),
-    "manifest": (load_dataset, DataError,
+    "manifest": (load_dataset,
                  ("schema = schema.txt\nschema = other.txt\n[split train]\n", 2),
                  ("schema = schema.txt\n[split train]\ntracklet train/t0\n", 3)),
-    "model config": (load_model_config, DataError,
+    "model config": (load_model_config,
                      ("[vision]\ndim = 32\nheads = 2\ndim = 64\n", 4),
                      ("# config\n[vision]\nnonsense line\n", 3)),
 }
@@ -35,27 +35,27 @@ def _line_error(path, lineno):
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_repeated_key_is_a_line_error(tmp_path, name):
-    load, error, (body, lineno), _ = LOADERS[name]
+    load, (body, lineno), _ = LOADERS[name]
     path = tmp_path / "file.txt"
     path.write_text(body, encoding="utf-8")
-    with pytest.raises(error, match=_line_error(path, lineno) + "duplicate key"):
+    with pytest.raises(DataError, match=_line_error(path, lineno) + "duplicate key"):
         load(path)
 
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_line_without_equals_is_a_line_error(tmp_path, name):
-    load, error, _, (body, lineno) = LOADERS[name]
+    load, _, (body, lineno) = LOADERS[name]
     path = tmp_path / "file.txt"
     path.write_text(body, encoding="utf-8")
-    with pytest.raises(error, match=_line_error(path, lineno)):
+    with pytest.raises(DataError, match=_line_error(path, lineno)):
         load(path)
 
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_missing_file_names_the_path(tmp_path, name):
-    load, error, _, _ = LOADERS[name]
+    load, _, _ = LOADERS[name]
     path = tmp_path / "absent.txt"
-    with pytest.raises(error, match=re.escape(f"cannot read {name} {path}")):
+    with pytest.raises(DataError, match=re.escape(f"cannot read {name} {path}")):
         load(path)
 
 

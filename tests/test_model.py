@@ -6,8 +6,8 @@ import pytest
 
 from vtfpar.errors import DataError, UsageError
 from vtfpar.fusion import FusionConfig
-from vtfpar.model import (ModelConfig, VideoAttributeModel,
-                          checkpoint_uses_fusion, load_model_config)
+from vtfpar.model import ModelConfig, VideoAttributeModel, load_model_config
+from vtfpar.params import load_checkpoint, save_checkpoint
 from vtfpar.schema import default_schema
 from vtfpar.tensor import ContractError, Tensor
 from vtfpar.text import TextConfig
@@ -42,24 +42,15 @@ def test_parameter_names_unique_and_partitioned():
 def test_save_load_roundtrip(tmp_path):
     model = VideoAttributeModel(_small_config(), default_schema(), seed=3)
     path = tmp_path / "m.ckpt"
-    model.save(path)
+    save_checkpoint(model.params, path)
     other = VideoAttributeModel(_small_config(), default_schema(), seed=9)
-    other.load(path)
+    load_checkpoint(other.params, path)
     for p in model.params:
         npt.assert_array_equal(other.params[p.name].data, p.data)
     rng = np.random.default_rng(0)
     clip = rng.random((2, 12, 9, 3)).astype(np.float32)
     npt.assert_array_equal(model.logits_batch(clip[None]).data,
                            other.logits_batch(clip[None]).data)
-
-
-def test_checkpoint_variant_detection(tmp_path):
-    full = VideoAttributeModel(_small_config(1), default_schema(), seed=0)
-    nofusion = VideoAttributeModel(_small_config(0), default_schema(), seed=0)
-    full.save(tmp_path / "full.ckpt")
-    nofusion.save(tmp_path / "nf.ckpt")
-    assert checkpoint_uses_fusion(tmp_path / "full.ckpt")
-    assert not checkpoint_uses_fusion(tmp_path / "nf.ckpt")
 
 
 @pytest.mark.parametrize("blocks", [0, 1, 2])

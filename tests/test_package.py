@@ -1,9 +1,13 @@
-"""Package surface: every exported name resolves; the import needs only numpy."""
+"""Package surface: every exported name resolves; the import needs only
+numpy; what the benchmark binds still works."""
 
 import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import vtfpar
 
@@ -29,3 +33,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=os.environ.copy())
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_fast_tests_pass():
+    # perfbench/ calls src/ by name (op kinds, logits_batch, config fields,
+    # traced callables), so a change that breaks one fails here
+    root = Path(vtfpar.__file__).resolve().parents[2]
+    if not (root / "perfbench" / "tests").is_dir():
+        pytest.skip(f"no perfbench/tests in {root}")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench/tests", "-m", "not slow"],
+        cwd=root, capture_output=True, text=True, env=os.environ.copy())
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]

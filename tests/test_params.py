@@ -9,7 +9,7 @@ import pytest
 from vtfpar.fusion import FusionConfig
 from vtfpar.gradcheck import _tiny_model
 from vtfpar.model import ModelConfig, VideoAttributeModel
-from vtfpar.params import ParameterSet
+from vtfpar.params import ParameterSet, save_checkpoint
 from vtfpar.schema import default_schema
 
 # SHA-256 of the initial parameters. Both depend only on PCG64 draws and
@@ -23,7 +23,8 @@ GRADCHECK_MODEL_PARAMETERS = (
 
 def test_initial_checkpoint_bytes_pinned(tmp_path):
     path = tmp_path / "init.ckpt"
-    VideoAttributeModel(ModelConfig(), default_schema(), seed=0).save(path)
+    model = VideoAttributeModel(ModelConfig(), default_schema(), seed=0)
+    save_checkpoint(model.params, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_MODEL_SEED0_CHECKPOINT
 
 

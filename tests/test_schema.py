@@ -1,10 +1,12 @@
 """Schema invariants and the schema file loader."""
 
+import re
+
 import pytest
 
-from vtfpar.schema import (AttributeGroup, AttributeSchema, SchemaError,
-                           default_schema, load_schema, render_schema,
-                           save_schema)
+from vtfpar.errors import DataError
+from vtfpar.schema import (AttributeGroup, AttributeSchema, default_schema,
+                           load_schema, render_schema, save_schema)
 
 
 def test_default_schema_shape():
@@ -26,23 +28,23 @@ def test_group_slices_partition():
 
 def test_duplicate_group_names_rejected():
     g = AttributeGroup("g", "binary", ("x",), ("x",))
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="duplicate group names"):
         AttributeSchema((g, g))
 
 
 def test_exclusive_group_needs_two_classes():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="exclusive group needs >= 2 classes"):
         AttributeGroup("g", "exclusive", ("only",), ("only",))
 
 
 @pytest.mark.parametrize("raw", ["", " ", "_", "_ _"])
 def test_raw_without_words_rejected(raw):
-    with pytest.raises(SchemaError, match="no words"):
+    with pytest.raises(DataError, match="no words"):
         AttributeGroup("g", "binary", ("a",), (raw,))
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="unknown group kind 'multi'"):
         AttributeGroup("g", "multi", ("a", "b"), ("a", "b"))
 
 
@@ -70,49 +72,50 @@ class TestLoaderErrors:
 
     def test_duplicate_class_line_numbered(self, tmp_path):
         body = "[group g binary]\na = one\na = two\n"
-        with pytest.raises(SchemaError, match=r"schema\.txt:3"):
+        with pytest.raises(DataError, match=r"schema\.txt:3"):
             self._load(tmp_path, body)
 
     def test_duplicate_group_line_numbered(self, tmp_path):
         body = "[group g binary]\na = one\n[group g binary]\nb = two\n"
-        with pytest.raises(SchemaError, match=r"schema\.txt:3"):
+        with pytest.raises(DataError, match=r"schema\.txt:3"):
             self._load(tmp_path, body)
 
     def test_bad_header(self, tmp_path):
-        with pytest.raises(SchemaError, match=r"schema\.txt:1"):
+        with pytest.raises(DataError, match=r"schema\.txt:1"):
             self._load(tmp_path, "[grp g binary]\na = one\n")
 
     def test_bad_kind(self, tmp_path):
-        with pytest.raises(SchemaError, match="unknown group kind"):
+        with pytest.raises(DataError, match="unknown group kind"):
             self._load(tmp_path, "[group g fuzzy]\na = one\n")
 
     def test_empty_raw(self, tmp_path):
-        with pytest.raises(SchemaError, match=r"schema\.txt:2"):
+        with pytest.raises(DataError, match=r"schema\.txt:2"):
             self._load(tmp_path, "[group g binary]\na =\n")
 
     @pytest.mark.parametrize("raw", ["_", "__", "_ _"])
     def test_raw_of_separators_only_line_numbered(self, tmp_path, raw):
         # split-expands to an empty phrase, so no prompt can be built
         body = f"[group g binary]\na = one\nb = {raw}\n"
-        with pytest.raises(SchemaError, match=r"schema\.txt:3: class 'b'.*no words"):
+        with pytest.raises(DataError, match=r"schema\.txt:3: class 'b'.*no words"):
             self._load(tmp_path, body)
 
     def test_key_before_group(self, tmp_path):
-        with pytest.raises(SchemaError, match=r"schema\.txt:1"):
+        with pytest.raises(DataError, match=r"schema\.txt:1"):
             self._load(tmp_path, "a = one\n")
 
     def test_bad_template_placeholder(self, tmp_path):
-        with pytest.raises(SchemaError, match="placeholder"):
+        with pytest.raises(DataError, match="placeholder"):
             self._load(tmp_path, "template = no slot\n[group g binary]\na = one\n")
 
     def test_exclusive_single_class_reports_header_line(self, tmp_path):
         body = "# comment\n[group g exclusive]\nonly = one\n"
-        with pytest.raises(SchemaError, match=r"schema\.txt:2"):
+        with pytest.raises(DataError, match=r"schema\.txt:2"):
             self._load(tmp_path, body)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(SchemaError):
-            load_schema(tmp_path / "nope.txt")
+        path = tmp_path / "nope.txt"
+        with pytest.raises(DataError, match=re.escape(f"cannot read schema {path}")):
+            load_schema(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         body = "# header\n\ntemplate = a {} b\n\n[group g binary]\n# note\nx = raw x\n"

@@ -73,11 +73,12 @@ class TestLinear:
         return [out.data] + [t.grad for t in inputs]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forward_bitwise_equal_to_matmul_plus_bias(self, dtype):
-        x, w, b = (Tensor(a) for a in self._inputs(dtype)[0])
-        fused, pair = linear(x, w, b).data, add(matmul(x, w), b).data
-        assert fused.dtype == pair.dtype == dtype
-        npt.assert_array_equal(fused, pair)
+    def test_forward_is_the_flat_formula(self, dtype):
+        # one GEMM over all rows, then the bias
+        x, w, b = self._inputs(dtype)[0]
+        out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == self.ROWS + (self.N,) and out.dtype == dtype
+        npt.assert_array_equal(out, (x.reshape(-1, self.K) @ w + b).reshape(out.shape))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradients_are_the_flat_formulas(self, dtype):
@@ -102,14 +103,15 @@ class TestLinear:
         npt.assert_array_equal(grouped[3], flat[3])
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    def test_gradients_close_to_matmul_plus_bias(self, dtype, rtol):
-        # the two-op form sums the weight gradient per batch item, so it
-        # rounds differently; a sum of 102 products can cancel to near 0,
-        # so the tolerance is relative to each gradient's largest entry
+    def test_output_and_gradients_close_to_matmul_plus_bias(self, dtype, rtol):
+        # the two-op form runs batched GEMMs and sums the weight gradient
+        # per batch item, so it rounds differently; a sum of 102 products
+        # can cancel to near 0, so the tolerance is relative to each
+        # array's largest entry
         arrays, g = self._inputs(dtype)
         fused = self._run(linear, arrays, g)
         pair = self._run(lambda x, w, b: add(matmul(x, w), b), arrays, g)
-        for a, c in zip(fused[1:], pair[1:]):
+        for a, c in zip(fused, pair):
             assert a.dtype == c.dtype
             npt.assert_allclose(a, c, rtol=rtol, atol=rtol * np.abs(c).max())
 
@@ -410,9 +412,11 @@ class TestElementwiseAndShapeFamily:
         with pytest.raises(DimensionError, match=r"transpose axes .* shape \(2, 3, 4\)"):
             transpose(x, axes)
 
-    @pytest.mark.parametrize("shape", [(2.7, 6), (2.5, 4.9), (2, 6.0), (5, 3)])
+    @pytest.mark.parametrize("shape", [(2.7, 6), (2.5, 4.9), (2, 6.0), (5, 3),
+                                       (-7, 3), (-2, 6)])
     def test_reshape_rejects_bad_sizes_naming_the_request(self, shape):
-        # a non-integer size is an error, not truncated to an integer
+        # a non-integer size is an error, not truncated to an integer, and
+        # a size below -1 is not read as -1
         x = Tensor(np.arange(12.0).reshape(3, 4))
         with pytest.raises(DimensionError) as caught:
             reshape(x, shape)

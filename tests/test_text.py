@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import vtfpar.gradcheck as gradcheck_mod
+from vtfpar.errors import DataError
 from vtfpar.params import ParameterSet
-from vtfpar.schema import AttributeGroup, AttributeSchema, SchemaError, default_schema
+from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
 from vtfpar.tensor import (ContractError, Tape, Tensor, add, backward, concat, mul, reshape,
                            slice_axis, take_rows, tensor_sum)
 from vtfpar.text import (END_ID, PAD_ID, START_ID, TextConfig, TextEncoder, attribute_sentences,
@@ -74,7 +75,7 @@ class TestPromptTemplate:
 
     def test_bad_templates_fail_at_construction(self):
         for template in ("no placeholder", "two {} slots {}"):
-            with pytest.raises(SchemaError, match="exactly one"):
+            with pytest.raises(DataError, match="exactly one"):
                 _one_class_schema("hat", template=template)
 
 

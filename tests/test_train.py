@@ -577,8 +577,9 @@ def test_checkpoints_written_every_k_epochs_and_at_end(epochs, n_saves, tmp_path
     model = _tiny_model(schema)
     data = _tiny_tracklets(schema, n=4)
     saves = []
-    real_save = model.save
-    monkeypatch.setattr(model, "save", lambda path: (saves.append(str(path)), real_save(path)))
+    real_save = train_mod.save_checkpoint
+    monkeypatch.setattr(train_mod, "save_checkpoint", lambda params, path: (
+        saves.append(str(path)), real_save(params, path)))
     ckpt = tmp_path / "m.ckpt"
     train(model, data, [], TrainConfig(epochs=epochs, batch_size=2, frames=2, save_every=2),
           checkpoint_path=ckpt)
