@@ -178,10 +178,10 @@ def cmd_eval(args) -> int:
                        reads=(args.checkpoint, args.config, _manifest(args.data)))
     dataset = _load_data(args.data)
     # a checkpoint without fusion.* names is of the no-fusion variant
-    names = read_checkpoint_arrays(args.checkpoint)
-    no_fusion = not any(n.startswith("fusion.") for n in names)
+    arrays = read_checkpoint_arrays(args.checkpoint)
+    no_fusion = not any(n.startswith("fusion.") for n in arrays)
     model = VideoAttributeModel(_model_config(args, no_fusion), dataset.schema, seed=0)
-    load_checkpoint(model.params, args.checkpoint)
+    load_checkpoint(model.params, arrays, args.checkpoint)
     report = evaluate(model, dataset.split(args.split), args.frames)
     tsv = report_tsv(report)
     print(tsv, end="")

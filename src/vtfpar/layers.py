@@ -121,22 +121,11 @@ class FeedForward:
             layer_norm(x, self.ln_gain, self.ln_bias))))
 
 
-class TransformerBlock:
-    def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
-                 mlp_ratio: int, rng: np.random.Generator):
-        self.attn = MultiHeadAttention(params, f"{prefix}.attn", dim, heads, rng)
-        self.mlp = FeedForward(params, f"{prefix}.mlp", dim, mlp_ratio, rng)
-
-    def __call__(self, x: Tensor, collect: list | None = None,
-                 rows=None, mask: Tensor | None = None) -> Tensor:
-        a = self.attn(x, collect, rows, mask)
-        y = add(x if rows is None else rows(x), a)
-        return add(y, self.mlp(y))
-
-
 class TransformerStack:
-    """``blocks`` transformer blocks named ``{prefix}.block{i}``, applied in
-    order; the vision, text and fusion stacks are all this class.
+    """``blocks`` pre-norm transformer blocks, each an attention arm
+    ``{prefix}.block{i}.attn`` and an MLP arm ``{prefix}.block{i}.mlp`` with
+    their residuals, applied in order; the vision, text and fusion stacks
+    are all this class.
 
     ``rows``, if given, maps a (b, n, d) tensor to the (b, n', d) rows the
     caller reads, and the stack returns ``rows`` of its output. Only the
@@ -150,13 +139,17 @@ class TransformerStack:
 
     def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
                  blocks: int, mlp_ratio: int, rng: np.random.Generator):
-        self.blocks = [TransformerBlock(params, f"{prefix}.block{i}", dim, heads,
-                                        mlp_ratio, rng) for i in range(blocks)]
+        self.blocks = [(MultiHeadAttention(params, f"{prefix}.block{i}.attn", dim, heads, rng),
+                        FeedForward(params, f"{prefix}.block{i}.mlp", dim, mlp_ratio, rng))
+                       for i in range(blocks)]
 
     def __call__(self, x: Tensor, collect: list | None = None,
                  rows=None, mask: Tensor | None = None) -> Tensor:
         if not self.blocks:
             return x if rows is None else rows(x)
-        for blk in self.blocks[:-1]:
-            x = blk(x, collect, mask=mask)
-        return self.blocks[-1](x, collect, rows, mask)
+        for i, (attn, mlp) in enumerate(self.blocks):
+            trim = rows if i == len(self.blocks) - 1 else None
+            a = attn(x, collect, trim, mask)
+            x = add(x if trim is None else trim(x), a)
+            x = add(x, mlp(x))
+        return x

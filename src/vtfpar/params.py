@@ -160,9 +160,9 @@ def read_checkpoint_arrays(path) -> dict[str, np.ndarray]:
     return arrays
 
 
-def load_checkpoint(params: ParameterSet, path) -> None:
-    """Load values into an existing parameter set; names and shapes must match."""
-    arrays = read_checkpoint_arrays(path)
+def load_checkpoint(params: ParameterSet, arrays: dict[str, np.ndarray], path) -> None:
+    """Load the arrays ``read_checkpoint_arrays(path)`` returned into an
+    existing parameter set; names and shapes must match."""
     missing = sorted(set(params.names()) - set(arrays))
     extra = sorted(set(arrays) - set(params.names()))
     if missing or extra:

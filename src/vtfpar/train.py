@@ -61,8 +61,8 @@ def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam; weight decay is decoupled (applied to the
-    value before the moment update, scaled by lr).
+    """Bias-corrected Adam at ``TrainConfig``'s lr and decoupled weight
+    decay (applied to the value before the moment update, scaled by lr).
 
     State exists only for trainable parameters; frozen parameters are
     never touched. ``step`` gives each trainable parameter a new array
@@ -74,8 +74,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params: ParameterSet, lr: float = 0.001,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: ParameterSet, lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay

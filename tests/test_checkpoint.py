@@ -26,7 +26,7 @@ def test_roundtrip_bitwise(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, path)
     fresh = _pset(seed=99)
-    load_checkpoint(fresh, path)
+    load_checkpoint(fresh, read_checkpoint_arrays(path), path)
     for p in params:
         npt.assert_array_equal(fresh[p.name].data, p.data)
 
@@ -36,7 +36,7 @@ def test_load_preserves_trainability(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, path)
     fresh = _pset()
-    load_checkpoint(fresh, path)
+    load_checkpoint(fresh, read_checkpoint_arrays(path), path)
     assert not fresh["c.third"].requires_grad
     assert fresh["a.first"].requires_grad
 
@@ -92,7 +92,7 @@ def test_name_mismatch_rejected(tmp_path):
     other = ParameterSet()
     other.add("different", np.zeros(3, dtype=np.float32))
     with pytest.raises(DataError, match="names"):
-        load_checkpoint(other, path)
+        load_checkpoint(other, read_checkpoint_arrays(path), path)
 
 
 def test_shape_mismatch_rejected(tmp_path):
@@ -103,7 +103,7 @@ def test_shape_mismatch_rejected(tmp_path):
     other.add("b.second", np.zeros((3, 4), dtype=np.float32))
     other.add("c.third", np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(DataError, match="a.first"):
-        load_checkpoint(other, path)
+        load_checkpoint(other, read_checkpoint_arrays(path), path)
 
 
 def test_float64_models_store_float32(tmp_path):

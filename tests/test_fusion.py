@@ -8,13 +8,13 @@ import pytest
 
 from vtfpar.errors import DataError, UsageError
 from vtfpar.fusion import ClassificationHeads, FusionConfig
-from vtfpar.layers import MultiHeadAttention, TransformerBlock, TransformerStack
+from vtfpar.layers import MultiHeadAttention, TransformerStack
 from vtfpar.metrics import decide
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
 from vtfpar.schema import default_schema
-from vtfpar.tensor import (DimensionError, Tape, Tensor, backward, layer_norm, linear,
-                           matmul, mul, reshape, scale, slice_axis, softmax,
+from vtfpar.tensor import (FD_STEP, DimensionError, Tape, Tensor, backward, layer_norm,
+                           linear, matmul, mul, reshape, scale, slice_axis, softmax,
                            tensor_sum, transpose)
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
@@ -163,15 +163,14 @@ class TestSelfAttention:
 
 
 class TestFusionBlock:
+    # a one-block stack: one attention and one MLP arm with their residuals
     def _block(self, dim=6, heads=2, seed=0):
-        params = ParameterSet(np.float64)
-        blk = TransformerBlock(params, "blk", dim, heads, 2, np.random.default_rng(seed))
-        return blk, params
+        return _stack(1, dim=dim, heads=heads, seed=seed)
 
     def test_zeroed_projections_give_exact_identity(self):
         blk, params = self._block()
         for p in params:
-            if p.name.startswith(("blk.attn.out.", "blk.mlp.fc2.")):
+            if p.name.startswith(("fusion.block0.attn.out.", "fusion.block0.mlp.fc2.")):
                 p.set_value(np.zeros_like(p.data))
         x = np.random.default_rng(6).normal(size=(1, 5, 6))
         out = blk(Tensor(x)).data
@@ -200,7 +199,7 @@ class TestFusionBlock:
             flat = original.reshape(-1)
             rng = np.random.default_rng(9)
             picks = rng.choice(flat.size, size=min(4, flat.size), replace=False)
-            delta = 1e-5
+            delta = FD_STEP
             for i in picks:
                 bump = np.zeros_like(flat)
                 bump[i] = delta
@@ -379,8 +378,9 @@ class TestForward:
     def test_inputs_without_batch_axis_rejected(self):
         model = _desk_model()
         d = model.config.fusion.dim
+        attn, _ = model.fusion.blocks[0]
         with pytest.raises(DimensionError):
-            model.fusion.blocks[0].attn(Tensor(np.zeros((4, d), dtype=np.float32)))
+            attn(Tensor(np.zeros((4, d), dtype=np.float32)))
         visual = Tensor(np.zeros((model.config.vit.n_tokens, d), dtype=np.float32))
         with pytest.raises(DimensionError):
             model.fuse_classify(visual, model.text_features())

@@ -19,11 +19,13 @@ or kernel the test skips. A second run forces the Haswell kernel with
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tests.test_cli import _cpu_has_avx2, _subprocess_env
+from tests.blas import cpu_has_avx2
+from tests.test_cli import _subprocess_env
 
 # numpy version, BLAS name, BLAS version (numpy.show_config(mode="dicts"))
 PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
@@ -59,24 +61,15 @@ KERNEL_PINS = {
 }
 
 _PIPELINE = """
-import contextlib, ctypes, glob, os, sys
-import numpy
+import contextlib, sys
 from vtfpar.cli import main
+from tests.blas import blas_core
 
 out = sys.argv[1]
 data = f"{out}/data"
 
-# the kernel numpy's bundled OpenBLAS runs in this process, "?" if unknown
-core = "?"
-libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
-                              "numpy.libs", "libscipy_openblas64_*.so"))
-if len(libs) == 1:
-    corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
-    if corename is not None:
-        corename.restype = ctypes.c_char_p
-        core = corename().decode()
 with open(f"{out}/blas_core.txt", "w", encoding="utf-8") as f:
-    f.write(core)
+    f.write(blas_core())
 
 def run(*argv, stdout="stdout.txt"):
     with open(f"{out}/{stdout}", "w", encoding="utf-8") as f, \\
@@ -119,10 +112,12 @@ def _build() -> tuple[str, str, str]:
 def test_pipeline_outputs_match_their_pins(coretype, tmp_path):
     if _build() != PINNED_BUILD:
         pytest.skip(f"pins are for numpy/BLAS {PINNED_BUILD}, this is {_build()}")
-    if coretype == "Haswell" and not _cpu_has_avx2():
+    if coretype == "Haswell" and not cpu_has_avx2():
         pytest.skip("OpenBLAS's Haswell kernel needs AVX2")
     forced = {"OPENBLAS_CORETYPE": coretype} if coretype else {}
+    # run from the repository root, so that the pipeline imports tests.blas
     subprocess.run([sys.executable, "-c", _PIPELINE, str(tmp_path)], check=True,
+                   cwd=Path(__file__).resolve().parents[1],
                    env=_subprocess_env(OPENBLAS_NUM_THREADS="1", VTFPAR_THREADS="1",
                                        **forced))
     core = (tmp_path / "blas_core.txt").read_text(encoding="utf-8")

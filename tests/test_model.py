@@ -7,7 +7,7 @@ import pytest
 from vtfpar.errors import DataError, UsageError
 from vtfpar.fusion import FusionConfig
 from vtfpar.model import ModelConfig, VideoAttributeModel, load_model_config
-from vtfpar.params import load_checkpoint, save_checkpoint
+from vtfpar.params import load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from vtfpar.schema import default_schema
 from vtfpar.tensor import ContractError, Tensor
 from vtfpar.text import TextConfig
@@ -44,7 +44,7 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model.params, path)
     other = VideoAttributeModel(_small_config(), default_schema(), seed=9)
-    load_checkpoint(other.params, path)
+    load_checkpoint(other.params, read_checkpoint_arrays(path), path)
     for p in model.params:
         npt.assert_array_equal(other.params[p.name].data, p.data)
     rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 numpy; what the benchmark binds still works."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import vtfpar
+from vtfpar.tensor import OP_KINDS
 
 
 def test_star_import_resolves_every_exported_name():
@@ -46,3 +48,15 @@ def test_benchmark_fast_tests_pass():
          "perfbench/tests", "-m", "not slow"],
         cwd=root, capture_output=True, text=True, env=os.environ.copy())
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+
+
+def test_benchmark_rows_name_only_existing_op_kinds():
+    # a traced benchmark run exits 2 when an op kind it lists has no row, so
+    # a kind leaves OP_KINDS only after BENCHMARK.json stops naming it
+    path = Path(vtfpar.__file__).resolve().parents[2] / "BENCHMARK.json"
+    if not path.is_file():
+        pytest.skip(f"no {path.name} in {path.parent}")
+    rows = [row["name"] for row in json.loads(path.read_text(encoding="utf-8"))["per_layer"]]
+    kinds = {name.split(".")[2] for name in rows
+             if name.startswith(("tensor.op.", "gradcheck.check_op_s."))}
+    assert kinds and sorted(kinds - set(OP_KINDS)) == []

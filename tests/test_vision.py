@@ -8,6 +8,7 @@ from vtfpar.params import ParameterSet
 from vtfpar.tensor import ContractError, Tensor, tensor_mean
 from vtfpar.vision import (VisionEncoder, VitConfig, bilinear_resize,
                            pad_to_square, patchify)
+from tests.blas import assert_equal_on_skylakex
 
 
 class TestPadToSquare:
@@ -168,7 +169,8 @@ class TestVisionEncoder:
         rng = np.random.default_rng(4)
         frame = rng.random((16, 16, 3)).astype(np.float32)
         out = enc.encode(np.stack([frame, frame])).data
-        npt.assert_array_equal(out[0], out[1])
+        # on Haswell they differed by at most 3.6e-7, values up to 4.3
+        assert_equal_on_skylakex(out[0], out[1], atol=1e-5)
 
     def test_output_depends_only_on_parameters_for_zero_frames(self):
         cfg = VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2)
