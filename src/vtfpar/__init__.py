@@ -4,7 +4,7 @@ fusion transformer with per-attribute heads, training and grouped-F1
 evaluation harnesses.
 """
 
-from .errors import DataError, UsageError, VerificationError, VtfError
+from .errors import DataError, UsageError, VerificationError
 from .fusion import ClassificationHeads, FusionConfig
 from .metrics import (GroupMetrics, MetricReport, decide, group_metrics,
                       macro_report)
@@ -12,8 +12,7 @@ from .model import ModelConfig, VideoAttributeModel
 from .params import Parameter, ParameterSet, load_checkpoint, save_checkpoint
 from .schema import AttributeGroup, AttributeSchema, default_schema, load_schema, save_schema
 from .data import Dataset, SyntheticSpec, Tracklet, generate, load_dataset
-from .tensor import (ContractError, DimensionError, Tape, Tensor, backward,
-                     finite_diff_grad, no_grad)
+from .tensor import Tape, Tensor, backward, finite_diff_grad, no_grad
 from .text import TextConfig, TextEncoder, attribute_sentences, split_expand
 from .train import Adam, EpochLog, TrainConfig, bce_loss, evaluate, train
 from .vision import VisionEncoder, VitConfig, pad_to_square
@@ -22,13 +21,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "AttributeGroup", "AttributeSchema", "ClassificationHeads",
-    "ContractError", "DataError", "Dataset", "DimensionError", "EpochLog",
+    "DataError", "Dataset", "EpochLog",
     "FusionConfig", "GroupMetrics", "MetricReport",
     "ModelConfig", "Parameter", "ParameterSet",
     "SyntheticSpec", "Tape", "Tensor", "TextConfig", "TextEncoder",
     "Tracklet", "TrainConfig",
     "UsageError", "VerificationError", "VideoAttributeModel", "VisionEncoder",
-    "VitConfig", "VtfError", "attribute_sentences", "backward", "bce_loss",
+    "VitConfig", "attribute_sentences", "backward", "bce_loss",
     "decide", "default_schema", "evaluate", "finite_diff_grad",
     "generate", "group_metrics", "load_checkpoint", "load_dataset",
     "load_schema", "macro_report", "no_grad", "pad_to_square",

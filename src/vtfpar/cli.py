@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_TRAIN.seed)
     p.add_argument("--no-freeze", action="store_true",
                    help="also train the encoder parameters")
-    p.add_argument("--save-every", type=int, default=_TRAIN.save_every)
     p.add_argument("--checkpoint", default="model.ckpt")
     p.add_argument("--log", default="train_log.tsv")
 
@@ -158,7 +157,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed, frames=args.frames,
-        freeze_encoders=not args.no_freeze, save_every=args.save_every)
+        freeze_encoders=not args.no_freeze)
     dataset = _load_data(args.data)
     model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
     logs = train(model, dataset.split("train"), dataset.split("test"), cfg,

@@ -350,7 +350,13 @@ def load_dataset(manifest_path) -> Dataset:
         if len(section.header) != 2 or section.header[0] != "split":
             raise DataError(f"{manifest_path}:{section.lineno}: expected [split NAME], "
                             f"got [{' '.join(section.header)}]")
-        rels = splits.setdefault(section.header[1], [])
+        name = section.header[1]
+        # an empty split would evaluate nothing; a repeated one would merge silently
+        if name in splits:
+            raise DataError(f"{manifest_path}:{section.lineno}: duplicate section [split {name}]")
+        if not section.entries:
+            raise DataError(f"{manifest_path}:{section.lineno}: [split {name}] lists no tracklet")
+        rels = splits[name] = []
         for lineno, key, value in section.entries:
             where = f"{manifest_path}:{lineno}"
             if key != "tracklet":

@@ -1,21 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""The package's three error classes, one per CLI exit code.
 
-The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-VerificationError -> 3.
+The CLI maps them onto exit codes: UsageError -> 1, DataError -> 2,
+VerificationError -> 3. No other module defines an exception class.
 """
 
 
-class VtfError(Exception):
-    """Base class for all package errors."""
-
-
-class UsageError(VtfError):
+class UsageError(Exception):
     """Bad flags, invalid configuration values, misuse of an API."""
 
 
-class DataError(VtfError):
+class DataError(Exception):
     """Broken or inconsistent on-disk data: schemas, frames, checkpoints."""
 
 
-class VerificationError(VtfError):
+class VerificationError(Exception):
     """A numeric verification (gradient check) failed."""

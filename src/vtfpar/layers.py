@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
+from .errors import UsageError
 from .params import ParameterSet
-from .tensor import (ContractError, DimensionError, Tensor, add, gelu, layer_norm,
-                     linear, matmul, reshape, scale, softmax, transpose)
+from .tensor import (Tensor, add, gelu, layer_norm, linear, matmul, reshape, scale,
+                     softmax, transpose)
 
 
 def check_stack_geometry(section: str, dim: int, heads: int, blocks: int,
@@ -22,10 +23,10 @@ def check_stack_geometry(section: str, dim: int, heads: int, blocks: int,
     least 0 and ``mlp_ratio`` at least 1. Each config section checks its
     stack here."""
     if not 0 < heads <= dim or dim % heads:
-        raise ContractError(f"{section} dim {dim} must be a positive multiple of heads {heads}")
+        raise UsageError(f"{section} dim {dim} must be a positive multiple of heads {heads}")
     if blocks < 0 or mlp_ratio < 1:
-        raise ContractError(f"{section} needs blocks >= 0 and mlp_ratio >= 1, "
-                            f"got {blocks} and {mlp_ratio}")
+        raise UsageError(f"{section} needs blocks >= 0 and mlp_ratio >= 1, "
+                         f"got {blocks} and {mlp_ratio}")
 
 
 class Linear:
@@ -75,7 +76,7 @@ class MultiHeadAttention:
     def __call__(self, x: Tensor, collect: list | None = None,
                  rows=None, mask: Tensor | None = None) -> Tensor:
         if x.ndim != 3:
-            raise DimensionError(f"attention expects (batch, n, dim), got {x.shape}")
+            raise UsageError(f"attention expects (batch, n, dim), got {x.shape}")
         b, n, d = x.shape
         h, hd = self.heads, self.head_dim
 

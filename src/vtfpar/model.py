@@ -24,8 +24,8 @@ from .kvfile import keyed, read_sections
 from .layers import TransformerStack
 from .params import ParameterSet
 from .schema import AttributeSchema
-from .tensor import (DEFAULT_DTYPE, ContractError, DimensionError, Tensor, add, concat,
-                     expand_leading, reshape, slice_axis, tensor_mean, transpose)
+from .tensor import (DEFAULT_DTYPE, Tensor, add, concat, expand_leading, reshape,
+                     slice_axis, tensor_mean, transpose)
 from .text import TextConfig, TextEncoder, attribute_sentences
 from .vision import VisionEncoder, VitConfig, pad_to_square
 
@@ -40,7 +40,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if not (self.vit.dim == self.text.dim == self.fusion.dim):
-            raise ContractError(
+            raise UsageError(
                 f"token dims disagree: vision {self.vit.dim}, text {self.text.dim}, "
                 f"fusion {self.fusion.dim}")
 
@@ -93,7 +93,7 @@ class VideoAttributeModel:
                       collect_attn: list | None = None) -> Tensor:
         """visual (b, n_v, d) + text (m, d) -> logits (b, m)."""
         if visual.ndim != 3:
-            raise DimensionError(
+            raise UsageError(
                 f"fuse_classify expects visual tokens (b, n_v, d), got {visual.shape}")
         b, n_v = visual.shape[:2]
         m = text.shape[0]

@@ -65,7 +65,7 @@ class ParameterSet:
     def add(self, name: str, array: np.ndarray) -> Parameter:
         """A new trainable parameter holding ``array`` cast to the set's dtype."""
         if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
+            raise UsageError(f"duplicate parameter name {name!r}")
         p = Parameter(name, array, self.dtype)
         self._params[name] = p
         self._values += p.size

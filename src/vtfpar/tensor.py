@@ -10,7 +10,7 @@ backward closure, and with it the arrays the forward saved for it, as it
 passes, so a step's activations are freed during the sweep rather than
 by the cyclic garbage collector; it then adds each reached leaf's summed
 gradient to its ``grad``. A second ``backward`` over a swept tape is a
-``ContractError``. A tensor's array is never written in place; a
+``UsageError``. A tensor's array is never written in place; a
 parameter (``params.Parameter``, a named leaf tensor) gets a new array
 between tapes, and the old one is freed then. The one exception is
 ``finite_diff_grad``'s private buffer, rewritten between calls of ``f``.
@@ -72,14 +72,6 @@ _OP_KIND_SET = frozenset(OP_KINDS)
 _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
-class DimensionError(UsageError, ValueError):
-    """Operand shapes violate an op's contract."""
-
-
-class ContractError(UsageError, RuntimeError):
-    """An op was used outside its stated preconditions."""
-
-
 class Tensor:
     """Dense row-major array, optionally tracked on the active tape.
 
@@ -125,7 +117,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
+            raise UsageError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
@@ -213,12 +205,12 @@ def backward(loss: Tensor) -> None:
     inputs receive no gradient.
     """
     if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+        raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.tape is None or loss.node_id is None:
-        raise ContractError("loss is not recorded on a tape")
+        raise UsageError("loss is not recorded on a tape")
     tape = loss.tape
     if tape.swept:
-        raise ContractError("backward over a tape that was already swept")
+        raise UsageError("backward over a tape that was already swept")
     tape.swept = True
     # keyed by node id, or by the leaf tensor itself (hashed by identity)
     grads: dict = {loss.node_id: np.ones_like(loss.data)}
@@ -247,7 +239,7 @@ def _check_suffix(a_shape, b_shape, op: str) -> None:
         return
     n = min(len(a_shape), len(b_shape))
     if a_shape[len(a_shape) - n:] != b_shape[len(b_shape) - n:]:
-        raise DimensionError(
+        raise UsageError(
             f"{op}: shape {a_shape} does not suffix-align with {b_shape}")
 
 
@@ -266,9 +258,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a_data.shape, b_data.shape
     if len(a_shape) < 2 or len(b_shape) < 2:
-        raise DimensionError(f"matmul needs matrices, got {a_shape} @ {b_shape}")
+        raise UsageError(f"matmul needs matrices, got {a_shape} @ {b_shape}")
     if a_shape[-1] != b_shape[-2]:
-        raise DimensionError(f"matmul inner dims disagree: {a_shape} @ {b_shape}")
+        raise UsageError(f"matmul inner dims disagree: {a_shape} @ {b_shape}")
     _check_suffix(a_shape[:-2], b_shape[:-2], "matmul batch dims")
     out = np.matmul(a_data, b_data)
 
@@ -298,11 +290,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     x_shape, w_data = x.data.shape, w.data
     if len(x_shape) < 2 or w_data.ndim != 2:
-        raise DimensionError(
+        raise UsageError(
             f"linear needs x (..., k) and w (k, n), got {x_shape}, {w_data.shape}")
     k, n = w_data.shape
     if x_shape[-1] != k or b.data.shape != (n,):
-        raise DimensionError(
+        raise UsageError(
             f"linear shapes disagree: x {x_shape}, w {w_data.shape}, b {b.data.shape}")
     x2 = x.data.reshape(-1, k)
     out = np.matmul(x2, w_data)
@@ -368,7 +360,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     except (ValueError, TypeError):
         out = None
     if out is None or (axes and min(axes) < 0):
-        raise DimensionError(f"transpose axes {axes} invalid for shape {a.data.shape}")
+        raise UsageError(f"transpose axes {axes} invalid for shape {a.data.shape}")
 
     def bw(g, needs):
         return (g.transpose(np.argsort(axes)),)
@@ -384,7 +376,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         if min(shape, default=0) < -1:  # numpy reads any negative size as -1
             raise ValueError
     except (ValueError, TypeError):
-        raise DimensionError(f"cannot reshape {old_shape} to {shape}") from None
+        raise UsageError(f"cannot reshape {old_shape} to {shape}") from None
 
     def bw(g, needs):
         return (g.reshape(old_shape),)
@@ -413,10 +405,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """
     d = x.data.shape[-1]
     if d < 2:
-        raise DimensionError(f"layer_norm needs last dim >= 2, got shape {x.data.shape}")
+        raise UsageError(f"layer_norm needs last dim >= 2, got shape {x.data.shape}")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError(f"layer_norm gain/bias must have shape ({d},), "
-                             f"got {gain.data.shape}/{bias.data.shape}")
+        raise UsageError(f"layer_norm gain/bias must have shape ({d},), "
+                         f"got {gain.data.shape}/{bias.data.shape}")
     # np.add.reduce(...) / d is the sum and division np.mean makes, without
     # its Python wrapper
     xn = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
@@ -544,7 +536,7 @@ def softplus(a: Tensor) -> Tensor:
 
 def _norm_axis(axis: int, ndim: int) -> int:
     if not -ndim <= axis < ndim:
-        raise DimensionError(f"axis {axis} out of range for ndim {ndim}")
+        raise UsageError(f"axis {axis} out of range for ndim {ndim}")
     return axis % ndim
 
 
@@ -572,14 +564,14 @@ def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
-        raise DimensionError("concat of zero tensors")
+        raise UsageError("concat of zero tensors")
     ax = _norm_axis(axis, tensors[0].data.ndim)
     # numpy checks that the ranks and every size off ``ax`` agree
     try:
         out = np.concatenate([t.data for t in tensors], axis=ax)
     except ValueError:
-        raise DimensionError(f"concat shapes {[t.data.shape for t in tensors]} "
-                             f"disagree off axis {axis}") from None
+        raise UsageError(f"concat shapes {[t.data.shape for t in tensors]} "
+                         f"disagree off axis {axis}") from None
     sizes = [t.data.shape[ax] for t in tensors]
 
     def bw(g, needs):
@@ -591,11 +583,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
     if not tensors:
-        raise DimensionError("stack of zero tensors")
+        raise UsageError("stack of zero tensors")
     shape = tensors[0].shape
     for t in tensors[1:]:
         if t.shape != shape:
-            raise DimensionError(f"stack shapes differ: {shape} vs {t.shape}")
+            raise UsageError(f"stack shapes differ: {shape} vs {t.shape}")
 
     def bw(g, needs):
         return tuple(g[i] for i in range(len(tensors)))
@@ -607,7 +599,7 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 def expand_leading(a: Tensor, n: int) -> Tensor:
     """Repeat a tensor ``n`` times along a new leading axis."""
     if n < 1:
-        raise DimensionError(f"expand_leading needs n >= 1, got {n}")
+        raise UsageError(f"expand_leading needs n >= 1, got {n}")
     out = np.empty((n,) + a.data.shape, dtype=a.data.dtype)
     out[...] = a.data
 
@@ -622,7 +614,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     ax = _norm_axis(axis, a.ndim)
     size = a.shape[ax]
     if not (0 <= start < stop <= size):
-        raise DimensionError(
+        raise UsageError(
             f"slice [{start}:{stop}) out of range for axis {axis} of shape {a.shape}")
     index = (slice(None),) * ax + (slice(start, stop),)
     shape = a.shape
@@ -643,10 +635,10 @@ def take_rows(a: Tensor, indices) -> Tensor:
     """
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":  # numpy's signed and unsigned integers
-        raise DimensionError("take_rows indices must be integers")
+        raise UsageError("take_rows indices must be integers")
     shape = a.data.shape
     if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
-        raise DimensionError(
+        raise UsageError(
             f"take_rows indices out of range for leading dim {shape[0]}")
 
     def bw(g, needs):
@@ -671,7 +663,7 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor) -> Tensor:
     ``(f(x + d e_i) - f(x - d e_i)) / 2d`` per coordinate, ``d = FD_STEP``,
     outside any tape. ``f`` returns a Python float (``np.float64`` is one), for
     example ``tensor_sum(...).item()``; anything else is a
-    ``ContractError``. It is called on one tensor over a private copy of
+    ``UsageError``. It is called on one tensor over a private copy of
     ``x``, bumped in place and restored around each coordinate's two
     calls, so ``f`` must not keep its argument (or a view of it) between
     calls. ``x`` itself is not written.
@@ -691,7 +683,7 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor) -> Tensor:
             down = f(bumped)
             flat[i] = value
             if not isinstance(up, float):
-                raise ContractError(
+                raise UsageError(
                     f"finite_diff_grad needs f to return a float, got {type(up).__name__}")
             out_flat[i] = (up - down) / two_delta
     return Tensor(out)

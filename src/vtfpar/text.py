@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .layers import TransformerStack, check_stack_geometry
 from .params import ParameterSet
 from .schema import AttributeSchema
-from .tensor import ContractError, Tensor, add, reshape, take_rows
+from .tensor import Tensor, add, reshape, take_rows
 
 # Symbol rules are applied in order, before case handling.
 _SYMBOL_RULES = (
@@ -36,7 +37,7 @@ def split_expand(raw: str) -> str:
     boundaries become spaces, whitespace is collapsed. Idempotent.
     """
     if not raw or not raw.strip():
-        raise ContractError("split_expand: empty attribute string")
+        raise UsageError("split_expand: empty attribute string")
     s = raw
     for sym, rep in _SYMBOL_RULES:
         s = s.replace(sym, rep)
@@ -72,7 +73,7 @@ class TextConfig:
     def __post_init__(self):
         check_stack_geometry("text", self.dim, self.heads, self.blocks, self.mlp_ratio)
         if self.blocks < 1 or self.max_len < 3:
-            raise ContractError(f"bad text config {self}")
+            raise UsageError(f"bad text config {self}")
 
 
 class TextEncoder:

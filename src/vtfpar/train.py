@@ -18,8 +18,7 @@ from .metrics import MetricReport, decide, macro_report
 from .model import ModelConfig, VideoAttributeModel
 from .params import ParameterSet, save_checkpoint
 from .parallel import map_indexed
-from .tensor import (ContractError, DimensionError, Tape, Tensor, add, backward,
-                     mul, no_grad, softplus, tensor_mean)
+from .tensor import Tape, Tensor, add, backward, mul, no_grad, softplus, tensor_mean
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,13 @@ class TrainConfig:
     seed: int = 0
     frames: int = 6
     freeze_encoders: bool = True
-    save_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
         # ranges, so that NaN and +-inf fail them
         if not 0 <= self.lr < math.inf:
             raise UsageError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.epochs < 1 or self.batch_size < 1 or self.frames < 1:
-            raise UsageError(f"bad training config {self}")
-        if not 0 <= self.weight_decay < math.inf or self.save_every < 0:
+        if (self.epochs < 1 or self.batch_size < 1 or self.frames < 1
+                or not 0 <= self.weight_decay < math.inf):
             raise UsageError(f"bad training config {self}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
@@ -53,10 +50,10 @@ def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """
     t = Tensor(np.asarray(targets), dtype=logits.dtype)
     if t.shape != logits.shape:
-        raise DimensionError(
+        raise UsageError(
             f"bce_loss shapes differ: logits {logits.shape}, targets {t.shape}")
     if not ((t.data == 0.0) | (t.data == 1.0)).all():
-        raise ContractError("bce_loss targets must be 0/1")
+        raise UsageError("bce_loss targets must be 0/1")
     return tensor_mean(add(softplus(logits), mul(logits, Tensor(-t.data))))
 
 
@@ -90,7 +87,7 @@ class Adam:
         for p in self.params.trainable():
             g = p.grad
             if g is None:
-                raise ContractError(
+                raise UsageError(
                     f"trainable parameter {p.name} has no gradient; "
                     "was it reachable from the loss?")
             if p.name not in self.state:
@@ -195,7 +192,8 @@ class EpochLog:
 def train(model: VideoAttributeModel, train_set: list[Tracklet],
           heldout: list[Tracklet], cfg: TrainConfig,
           checkpoint_path=None) -> list[EpochLog]:
-    """Epochs of seeded-shuffle minibatch training; returns the epoch log.
+    """Epochs of seeded-shuffle minibatch training; returns the epoch log,
+    and writes ``checkpoint_path``, if given, once after the last epoch.
 
     With frozen encoders the visual and text features are constants, so
     they are computed once up front, in one off-tape pass over the train and
@@ -253,9 +251,8 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
         heldout_f1 = evaluate(model, heldout, cfg.frames,
                               visual=heldout_visual).macro_f1 if heldout else 0.0
         logs.append(EpochLog(epoch, loss_sum / n, heldout_f1))
-        if checkpoint_path and (epoch == cfg.epochs
-                                or cfg.save_every and epoch % cfg.save_every == 0):
-            save_checkpoint(model.params, checkpoint_path)
+    if checkpoint_path:
+        save_checkpoint(model.params, checkpoint_path)
     return logs
 
 

@@ -9,9 +9,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import UsageError
 from .layers import Linear, TransformerStack, check_stack_geometry
 from .params import ParameterSet
-from .tensor import ContractError, DimensionError, Tensor, add, concat, expand_leading
+from .tensor import Tensor, add, concat, expand_leading
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class VitConfig:
     def __post_init__(self):
         check_stack_geometry("vision", self.dim, self.heads, self.depth, self.mlp_ratio)
         if not 0 < self.patch_size <= self.image_size or self.image_size % self.patch_size:
-            raise ContractError(f"image size {self.image_size} must be a positive "
-                                f"multiple of patch {self.patch_size}")
+            raise UsageError(f"image size {self.image_size} must be a positive "
+                             f"multiple of patch {self.patch_size}")
 
     @property
     def n_tokens(self) -> int:
@@ -75,10 +76,10 @@ def pad_to_square(frames: np.ndarray, size: int) -> np.ndarray:
     with the odd extra pixel going to the right/bottom.
     """
     if frames.ndim < 3 or frames.shape[-1] != 3:
-        raise DimensionError(f"frames must be (..., h, w, 3), got {frames.shape}")
+        raise UsageError(f"frames must be (..., h, w, 3), got {frames.shape}")
     h, w = frames.shape[-3:-1]
     if h == 0 or w == 0:
-        raise ContractError("pad_to_square: zero-area frame")
+        raise UsageError("pad_to_square: zero-area frame")
     if h >= w:
         new_h, new_w = size, max(1, round(w * size / h))
     else:
@@ -120,7 +121,7 @@ class VisionEncoder:
         """Padded frames (b, s, s, 3), parameter dtype -> tokens (b, n_tokens, dim)."""
         s = self.cfg.image_size
         if frames.ndim != 4 or frames.shape[1:] != (s, s, 3):
-            raise DimensionError(
+            raise UsageError(
                 f"encode expects (b, {s}, {s}, 3), got {frames.shape}")
         b = frames.shape[0]
         x = self.patch(Tensor(patchify(frames, self.cfg.patch_size)))

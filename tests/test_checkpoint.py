@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.errors import DataError
+from vtfpar.errors import DataError, UsageError
 from vtfpar.params import (CHECKPOINT_MAGIC, ParameterSet, load_checkpoint,
                            read_checkpoint_arrays, save_checkpoint)
 
@@ -120,7 +120,7 @@ def test_float64_models_store_float32(tmp_path):
 def test_duplicate_parameter_names_rejected():
     params = ParameterSet()
     params.add("w", np.zeros(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="duplicate parameter name 'w'"):
         params.add("w", np.zeros(1))
 
 

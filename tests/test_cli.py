@@ -17,12 +17,10 @@ import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
 from vtfpar.data import SyntheticSpec, load_dataset, read_frame, write_frame
-from vtfpar.errors import UsageError
 from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet, read_checkpoint_arrays, save_checkpoint
 from vtfpar.schema import default_schema, save_schema
-from vtfpar.tensor import ContractError, DimensionError
 from vtfpar.train import TrainConfig, evaluate, train
 from tests.blas import blas_core, cpu_has_avx2
 from tests.test_data import small_schema
@@ -643,6 +641,60 @@ def test_eval_has_no_no_fusion_flag(tiny_dataset, tmp_path, capsys):
     assert "--no-fusion" in capsys.readouterr().err
 
 
+def test_train_has_no_checkpoint_cadence_flag(tiny_dataset, tmp_path, capsys):
+    # train writes its checkpoint once, after the last epoch
+    rc = main(["train", "--data", str(tiny_dataset), "--epochs", "1", "--save-every", "2",
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--save-every" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("defect", ["empty", "repeated"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate-frames"])
+def test_manifest_split_without_tracklets_or_repeated_exits_2(command, defect, tiny_dataset,
+                                                              tmp_path, capsys):
+    # refused when the manifest loads: before any training, and with no output
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    if defect == "empty":
+        lines = [line for line in lines if not line.startswith("tracklet = test/")]
+        at = lines.index("[split test]")
+        message = "[split test] lists no tracklet"
+    else:
+        at = max(i for i, line in enumerate(lines) if line.startswith("tracklet = test/"))
+        lines.insert(at, "[split test]")
+        message = "duplicate section [split test]"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(data), "--epochs", "1",
+                      "--checkpoint", str(out) + ".ckpt", "--log", str(out) + ".tsv"],
+            "eval": ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--out", str(out) + ".tsv"],
+            "ablate-frames": ["ablate-frames", "--data", str(data), "--frames", "1",
+                              "--epochs", "1", "--out", str(out) + ".tsv"]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {manifest}:{at + 1}: {message}\n"
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_readme_names_every_flag():
+    # each subcommand's row of the README's flag table names each of its flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {m[1]: m[0] for m in re.findall(r"^(\| `([a-z-]+)` \|.*)$", readme, re.MULTILINE)}
+    subcommands = next(a for a in build_parser()._actions if a.choices).choices
+    missing = [f"{name} {flag}" for name, sub in subcommands.items()
+               for action in sub._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"
+               and not re.search(rf"`{re.escape(flag)}[` ]", rows.get(name, ""))]
+    assert missing == []
+
+
 def test_eval_of_projector_checkpoint_exits_2_naming_extras(tiny_dataset, tmp_path, capsys):
     # a no-fusion checkpoint of the old shared-projector arm: nofusion.proj.*
     # besides the encoders and heads, and no fusion.* names
@@ -745,12 +797,6 @@ def test_gradcheck_count_below_1_exits_1(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_op_errors_are_usage_errors():
-    # so main's one UsageError handler gives them exit 1
-    assert issubclass(ContractError, UsageError)
-    assert issubclass(DimensionError, UsageError)
 
 
 def test_gradcheck_corrupted_rule_exits_3(monkeypatch, capsys):

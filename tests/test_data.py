@@ -30,6 +30,11 @@ def small_spec(**kw):
     return SyntheticSpec(**base)
 
 
+def _last_tracklet_line(lines: list[str], split: str) -> int:
+    """Index of the last ``tracklet`` line of ``split`` in a generated manifest."""
+    return max(i for i, line in enumerate(lines) if line.startswith(f"tracklet = {split}/"))
+
+
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
@@ -272,12 +277,38 @@ class TestGenerateLoad:
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_tracklet_listed_twice_rejected(self, tmp_path, split):
+        # the repeat ends the train split, or the test split
         manifest = generate(small_spec(), small_schema(), tmp_path / "data")
         lines = manifest.read_text().splitlines()
         first = lines.index("tracklet = train/t00000") + 1
-        with manifest.open("a") as f:
-            f.write(f"[split {split}]\ntracklet = ./train//t00000\n")
-        with pytest.raises(DataError, match=rf"manifest\.txt:{len(lines) + 2}: .*line {first}"):
+        at = _last_tracklet_line(lines, split) + 1
+        lines.insert(at, "tracklet = ./train//t00000")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: .*line {first}"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_split_listing_no_tracklet_rejected(self, tmp_path, split):
+        # an empty test split would evaluate nothing and log a held-out F1 of 0
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        lines = [line for line in manifest.read_text().splitlines()
+                 if not line.startswith(f"tracklet = {split}/")]
+        manifest.write_text("\n".join(lines) + "\n")
+        header = lines.index(f"[split {split}]") + 1
+        with pytest.raises(DataError, match=rf"manifest\.txt:{header}: "
+                                            rf"\[split {split}\] lists no tracklet$"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_repeated_split_section_rejected(self, tmp_path, split):
+        # not merged into the first section, as a model config's is not
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        lines = manifest.read_text().splitlines()
+        at = _last_tracklet_line(lines, split)
+        lines.insert(at, f"[split {split}]")  # its last tracklet in a section of its own
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: "
+                                            rf"duplicate section \[split {split}\]$"):
             load_dataset(manifest)
 
     def test_missing_manifest(self, tmp_path):

@@ -13,9 +13,8 @@ from vtfpar.metrics import decide
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet
 from vtfpar.schema import default_schema
-from vtfpar.tensor import (FD_STEP, DimensionError, Tape, Tensor, backward, layer_norm,
-                           linear, matmul, mul, reshape, scale, slice_axis, softmax,
-                           tensor_sum, transpose)
+from vtfpar.tensor import (FD_STEP, Tape, Tensor, backward, layer_norm, linear, matmul, mul,
+                           reshape, scale, slice_axis, softmax, tensor_sum, transpose)
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
@@ -379,10 +378,11 @@ class TestForward:
         model = _desk_model()
         d = model.config.fusion.dim
         attn, _ = model.fusion.blocks[0]
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError,
+                           match=rf"attention expects \(batch, n, dim\), got \(4, {d}\)"):
             attn(Tensor(np.zeros((4, d), dtype=np.float32)))
         visual = Tensor(np.zeros((model.config.vit.n_tokens, d), dtype=np.float32))
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError, match=r"fuse_classify expects visual tokens \(b, n_v, d\)"):
             model.fuse_classify(visual, model.text_features())
         with pytest.raises(UsageError):
             decide(np.zeros(model.n_classes), model.schema)

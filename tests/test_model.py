@@ -9,7 +9,7 @@ from vtfpar.fusion import FusionConfig
 from vtfpar.model import ModelConfig, VideoAttributeModel, load_model_config
 from vtfpar.params import load_checkpoint, read_checkpoint_arrays, save_checkpoint
 from vtfpar.schema import default_schema
-from vtfpar.tensor import ContractError, Tensor
+from vtfpar.tensor import Tensor
 from vtfpar.text import TextConfig
 from vtfpar.vision import VitConfig
 
@@ -23,7 +23,7 @@ def _small_config(blocks=1):
 
 
 def test_dim_mismatch_rejected():
-    with pytest.raises(ContractError, match="token dims disagree"):
+    with pytest.raises(UsageError, match="token dims disagree"):
         ModelConfig(vit=VitConfig(dim=96), text=TextConfig(dim=64),
                     fusion=FusionConfig(dim=96))
 

@@ -1,6 +1,8 @@
 """Package surface: every exported name resolves; the import needs only
-numpy; what the benchmark binds still works."""
+numpy; one error class per exit code; what the benchmark binds still works."""
 
+import ast
+import builtins
 import inspect
 import json
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import vtfpar
+import vtfpar.cli as cli_mod
+from vtfpar.errors import DataError, UsageError, VerificationError
 from vtfpar.tensor import OP_KINDS
 
 
@@ -35,6 +39,36 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=os.environ.copy())
     assert out.stdout.strip() == "[]"
+
+
+def test_exception_classes_are_the_three_of_errors_py():
+    # the CLI has three failure exits, so a new failure raises one of their classes;
+    # a class counts when a base is a builtin exception or named like one
+    builtin = {n for n in dir(builtins) if inspect.isclass(getattr(builtins, n))
+               and issubclass(getattr(builtins, n), BaseException)}
+    found = []
+    for path in sorted(Path(vtfpar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                         for b in node.bases]
+                if any(b in builtin or b.endswith("Error") for b in bases):
+                    found.append((path.name, node.name))
+    assert sorted(found) == [("errors.py", "DataError"), ("errors.py", "UsageError"),
+                             ("errors.py", "VerificationError")]
+
+
+@pytest.mark.parametrize("error, code", [(UsageError, 1), (DataError, 2),
+                                         (VerificationError, 3)])
+def test_main_gives_each_error_class_its_exit_code(error, code, monkeypatch, capsys):
+    def fail(args):
+        raise error("the reason")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "dump-prompts", fail)
+    assert cli_mod.main(["dump-prompts"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(": the reason\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_benchmark_fast_tests_pass():

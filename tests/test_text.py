@@ -5,11 +5,11 @@ import numpy.testing as npt
 import pytest
 
 import vtfpar.gradcheck as gradcheck_mod
-from vtfpar.errors import DataError
+from vtfpar.errors import DataError, UsageError
 from vtfpar.params import ParameterSet
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
-from vtfpar.tensor import (ContractError, Tape, Tensor, add, backward, concat, mul, reshape,
-                           slice_axis, take_rows, tensor_sum)
+from vtfpar.tensor import (Tape, Tensor, add, backward, concat, mul, reshape, slice_axis,
+                           take_rows, tensor_sum)
 from vtfpar.text import (END_ID, PAD_ID, START_ID, TextConfig, TextEncoder, attribute_sentences,
                          split_expand)
 from tests.blas import assert_equal_on_skylakex
@@ -36,9 +36,9 @@ class TestSplitExpand:
         assert split_expand(raw) == expected
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError, match="split_expand: empty attribute string"):
             split_expand("")
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError, match="split_expand: empty attribute string"):
             split_expand("   ")
 
     def test_idempotent_on_schema_raws(self):
@@ -131,7 +131,7 @@ class TestTokenizer:
         assert PAD_ID not in a.node_ids
 
     def test_min_length_enforced(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError, match=r"bad text config TextConfig\(.*max_len=2"):
             TextConfig(max_len=2)
 
 

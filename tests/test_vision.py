@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vtfpar.errors import UsageError
 from vtfpar.params import ParameterSet
-from vtfpar.tensor import ContractError, Tensor, tensor_mean
+from vtfpar.tensor import Tensor, tensor_mean
 from vtfpar.vision import (VisionEncoder, VitConfig, bilinear_resize,
                            pad_to_square, patchify)
 from tests.blas import assert_equal_on_skylakex
@@ -57,7 +58,7 @@ class TestPadToSquare:
         npt.assert_array_equal(out.reshape(6, 32, 32, 3), per_frame)
 
     def test_zero_area_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError, match="pad_to_square: zero-area frame"):
             pad_to_square(np.zeros((0, 3, 3), dtype=np.float32), 4)
 
 
@@ -180,9 +181,11 @@ class TestVisionEncoder:
         npt.assert_array_equal(a, b)
 
     def test_config_validation(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError,
+                           match="image size 30 must be a positive multiple of patch 8"):
             VitConfig(image_size=30, patch_size=8)
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError,
+                           match="vision dim 30 must be a positive multiple of heads 4"):
             VitConfig(dim=30, heads=4)
 
 
