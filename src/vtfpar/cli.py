@@ -116,13 +116,16 @@ def _model_config(args, no_fusion: bool) -> ModelConfig:
 
 
 def _check_output_dirs(*paths, reads=()) -> None:
-    """Fail before any work if an output's directory is missing, two outputs
-    are one file, or an output is one of the files in ``reads``."""
+    """Fail before any work if an output's directory is missing, an output is
+    a directory, two outputs are one file, or an output is one of the files
+    in ``reads``."""
     paths = [Path(p) for p in paths if p]
     inputs = {Path(p).resolve() for p in reads if p}
     for path in paths:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
         if path.resolve() in inputs:
             raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):

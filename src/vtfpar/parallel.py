@@ -1,12 +1,17 @@
 """Worker-pool helper; VTFPAR_THREADS caps the thread count. Importing it
-also pins glibc malloc's mmap and trim thresholds for the process."""
+also runs numpy's OpenBLAS on one thread, so that the pool is the one
+source of parallelism, and pins glibc malloc's mmap and trim thresholds
+for the process."""
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
+
+import numpy as np
 
 from .errors import UsageError
 
@@ -70,4 +75,30 @@ def _pin_malloc_thresholds() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled scipy-openblas library, None where numpy has none."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    return ctypes.CDLL(libs[0]) if len(libs) == 1 else None
+
+
+OPENBLAS = _numpy_openblas()
+
+
+def _pin_blas_threads() -> None:
+    """Run every GEMM on its caller's thread.
+
+    Split between OpenBLAS threads, a large GEMM rounds differently, so
+    checkpoints of unfrozen training, and of frozen training at larger
+    batches, would depend on OPENBLAS_NUM_THREADS, and its threads would
+    compete with the worker pool's. The pin overrides OPENBLAS_NUM_THREADS.
+    Skipped where numpy is not linked to scipy-openblas, or its library
+    lacks the symbol.
+    """
+    set_threads = getattr(OPENBLAS, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(1)
+
+
 _pin_malloc_thresholds()
+_pin_blas_threads()

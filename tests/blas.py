@@ -9,11 +9,10 @@ position (README, Determinism).
 
 import ctypes
 import functools
-import glob
-import os
 
-import numpy as np
 import numpy.testing as npt
+
+from vtfpar.parallel import OPENBLAS
 
 
 def cpu_has_avx2() -> bool:
@@ -27,14 +26,11 @@ def cpu_has_avx2() -> bool:
 @functools.cache
 def blas_core() -> str:
     """The kernel numpy's bundled OpenBLAS runs in this process, "?" if unknown."""
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                  "numpy.libs", "libscipy_openblas64_*.so"))
-    if len(libs) == 1:
-        corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return "?"
+    corename = getattr(OPENBLAS, "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "?"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def assert_equal_on_skylakex(actual, expected, atol: float) -> None:

@@ -62,12 +62,11 @@ def _frame_arm(manifest, frames: int):
 def ablation(acc_manifest):
     """Held-out report and training seconds per frame count, shared seed.
 
-    The four arms run in two spawned processes at one BLAS and one worker
-    thread each, the two slowest arms first; on OpenBLAS's SkylakeX kernel,
-    frozen training at batch 8 gives the same bits at any thread count.
+    The four arms run in two spawned processes at one worker thread each,
+    the two slowest arms first; importing vtfpar runs OpenBLAS on one
+    thread in each, so their bits do not depend on a thread setting.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("OPENBLAS_NUM_THREADS", "1")  # read as each child imports numpy
         mp.setenv("VTFPAR_THREADS", "1")
         with ProcessPoolExecutor(2, multiprocessing.get_context("spawn")) as pool:
             arms = {k: pool.submit(_frame_arm, acc_manifest, k) for k in (6, 4, 2, 1)}

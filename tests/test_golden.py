@@ -118,8 +118,7 @@ def test_pipeline_outputs_match_their_pins(coretype, tmp_path):
     # run from the repository root, so that the pipeline imports tests.blas
     subprocess.run([sys.executable, "-c", _PIPELINE, str(tmp_path)], check=True,
                    cwd=Path(__file__).resolve().parents[1],
-                   env=_subprocess_env(OPENBLAS_NUM_THREADS="1", VTFPAR_THREADS="1",
-                                       **forced))
+                   env=_subprocess_env(VTFPAR_THREADS="1", **forced))
     core = (tmp_path / "blas_core.txt").read_text(encoding="utf-8")
     if coretype and core != coretype:
         pytest.skip(f"OPENBLAS_CORETYPE={coretype} runs the {core!r} kernel here")
