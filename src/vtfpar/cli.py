@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
-from .data import Dataset, SyntheticSpec, generate, load_dataset
+from .data import Dataset, SyntheticSpec, generate, load_dataset, read_manifest
 from .errors import DataError, UsageError, VerificationError
 from .metrics import report_text, report_tsv
 from .model import ModelConfig, VideoAttributeModel, load_model_config
@@ -138,6 +138,12 @@ def _manifest(data_arg: str) -> Path:
     return path / "manifest.txt" if path.is_dir() else path
 
 
+def _data_inputs(data_arg: str) -> tuple[Path, Path]:
+    """The manifest that ``--data`` names, and the schema file it names."""
+    manifest = _manifest(data_arg)
+    return manifest, read_manifest(manifest)[0]
+
+
 def _load_data(data_arg: str) -> Dataset:
     return load_dataset(_manifest(data_arg))
 
@@ -155,12 +161,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_output_dirs(args.checkpoint, args.log, reads=(args.config, _manifest(args.data)))
     config = _model_config(args, args.no_fusion)
     cfg = TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed, frames=args.frames,
         freeze_encoders=not args.no_freeze)
+    _check_output_dirs(args.checkpoint, args.log, reads=(args.config, *_data_inputs(args.data)))
     dataset = _load_data(args.data)
     model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
     logs = train(model, dataset.split("train"), dataset.split("test"), cfg,
@@ -174,10 +180,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.frames < 1:
+        raise UsageError(f"bad --frames {args.frames}: need at least 1")
     # what with_suffix(".txt") gives, without its ValueError on "--out ."
     text_out = args.out and Path(args.out).parent / f"{Path(args.out).stem}.txt"
     _check_output_dirs(args.out, text_out,
-                       reads=(args.checkpoint, args.config, _manifest(args.data)))
+                       reads=(args.checkpoint, args.config, *_data_inputs(args.data)))
     dataset = _load_data(args.data)
     # a checkpoint without fusion.* names is of the no-fusion variant
     arrays = read_checkpoint_arrays(args.checkpoint)
@@ -200,13 +208,13 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}") from None
     if not counts or any(c < 1 for c in counts):
         raise UsageError(f"bad --frames list {args.frames!r}")
-    _check_output_dirs(args.out, reads=(args.config, _manifest(args.data)))
     config = _model_config(args, args.no_fusion)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
+    _check_output_dirs(args.out, reads=(args.config, *_data_inputs(args.data)))
     dataset = _load_data(args.data)
     lines = ["frames\tprecision\trecall\tf1"]
     for cfg in cfgs:
-        report = run_arm(config, dataset, cfg)[0]
+        report = run_arm(config, dataset, cfg)
         lines.append(f"{cfg.frames}\t{report.macro_precision:.4f}"
                      f"\t{report.macro_recall:.4f}\t{report.macro_f1:.4f}")
     table = "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .kvfile import keyed, read_sections
+from .kvfile import Section, keyed, read_sections
 from .parallel import map_indexed
 from .schema import AttributeSchema, load_schema, save_schema
 from .vision import bilinear_resize
@@ -331,10 +331,10 @@ def _load_tracklet(tdir: Path, schema: AttributeSchema) -> Tracklet:
     return Tracklet(tracklet_id, np.stack(frames), labels)
 
 
-def load_dataset(manifest_path) -> Dataset:
-    """Parse a manifest and load every tracklet, validating all invariants."""
+def read_manifest(manifest_path) -> tuple[Path, list[Section]]:
+    """The schema file a manifest's ``schema =`` entry names, and the
+    sections after its preamble, their headers not yet checked."""
     manifest_path = Path(manifest_path)
-    root = manifest_path.parent
     preamble, *sections = read_sections(manifest_path, "manifest")
     entries = keyed(preamble, manifest_path)
     for key, (lineno, _) in entries.items():
@@ -343,17 +343,23 @@ def load_dataset(manifest_path) -> Dataset:
                 f"{manifest_path}:{lineno}: unexpected key {key!r} before any [split]")
     if "schema" not in entries:
         raise DataError(f"{manifest_path}: no schema entry")
-    schema = load_schema(root / entries["schema"][1])
+    return manifest_path.parent / entries["schema"][1], sections
+
+
+def load_dataset(manifest_path) -> Dataset:
+    """Parse a manifest and load every tracklet, validating all invariants."""
+    manifest_path = Path(manifest_path)
+    root = manifest_path.parent
+    schema_path, sections = read_manifest(manifest_path)
+    schema = load_schema(schema_path)
     splits: dict[str, list[str]] = {}
-    listed: dict[Path, int] = {}  # tracklet path -> its manifest line
+    listed: dict[object, int] = {}  # tracklet directory -> its manifest line
     for section in sections:
         if len(section.header) != 2 or section.header[0] != "split":
             raise DataError(f"{manifest_path}:{section.lineno}: expected [split NAME], "
                             f"got [{' '.join(section.header)}]")
         name = section.header[1]
-        # an empty split would evaluate nothing; a repeated one would merge silently
-        if name in splits:
-            raise DataError(f"{manifest_path}:{section.lineno}: duplicate section [split {name}]")
+        # an empty split would evaluate nothing
         if not section.entries:
             raise DataError(f"{manifest_path}:{section.lineno}: [split {name}] lists no tracklet")
         rels = splits[name] = []
@@ -361,11 +367,17 @@ def load_dataset(manifest_path) -> Dataset:
             where = f"{manifest_path}:{lineno}"
             if key != "tracklet":
                 raise DataError(f"{where}: unexpected key {key!r}")
-            # a repeat would train on a tracklet twice or leak test data into training
-            if Path(value) in listed:
+            # a repeat, however spelled, would train on a tracklet twice or leak
+            # test data into training: key on the directory itself, one stat each
+            try:
+                st = os.stat(root / value)
+                tdir = (st.st_dev, st.st_ino)
+            except OSError:  # missing: the tracklet loader names it
+                tdir = value
+            if tdir in listed:
                 raise DataError(f"{where}: tracklet {value} is already listed "
-                                f"on line {listed[Path(value)]}")
-            listed[Path(value)] = lineno
+                                f"on line {listed[tdir]}")
+            listed[tdir] = lineno
             rels.append(value)
     if not splits:
         raise DataError(f"{manifest_path}: no splits declared")

@@ -1,10 +1,10 @@
 """The line format shared by schema, manifest, label and model-config files.
 
-A file is a preamble of ``key = value`` entries, then sections, each
-opened by a ``[word word ...]`` header line. Blank and ``#`` lines are
-skipped; an entry splits at its first ``=`` and both sides are stripped.
-Any other line is a ``path:line`` error. Which headers and keys are
-allowed, and whether a key may repeat, is up to each loader.
+A file is a preamble of ``key = value`` entries, then sections, each opened
+by a ``[word word ...]`` header line that no later header repeats. Blank and
+``#`` lines are skipped; an entry splits at its first ``=`` and both sides
+are stripped. Any other line is a ``path:line`` error. Which headers and
+keys are allowed, and whether a key may repeat, is up to each loader.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ def read_sections(path, what: str) -> list[Section]:
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            sections.append(Section(tuple(line[1:-1].split()), lineno, []))
+            header = tuple(line[1:-1].split())
+            if any(s.header == header for s in sections[1:]):
+                raise DataError(f"{path}:{lineno}: duplicate section [{' '.join(header)}]")
+            sections.append(Section(header, lineno, []))
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:

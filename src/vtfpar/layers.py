@@ -129,12 +129,12 @@ class TransformerStack:
     are all this class.
 
     ``rows``, if given, maps a (b, n, d) tensor to the (b, n', d) rows the
-    caller reads, and the stack returns ``rows`` of its output. Only the
-    last block is trimmed: it still takes LN1, keys and values over all n
-    rows, but computes queries, the attention output, the residual and
-    the MLP for the n' rows alone. Every earlier block feeds the last
-    one's keys and values, so it runs on all rows. ``mask``, if given, is
-    the additive (n, n) attention mask of every block (see
+    caller reads, and trims the last block to them: it still takes LN1,
+    keys and values over all n rows, but computes queries, the attention
+    output, the residual and the MLP for the n' rows alone, and returns
+    those. Every earlier block feeds the last one's keys and values, so it
+    runs on all rows. A stack of no blocks returns its input. ``mask``, if
+    given, is the additive (n, n) attention mask of every block (see
     ``MultiHeadAttention``).
     """
 
@@ -146,8 +146,6 @@ class TransformerStack:
 
     def __call__(self, x: Tensor, collect: list | None = None,
                  rows=None, mask: Tensor | None = None) -> Tensor:
-        if not self.blocks:
-            return x if rows is None else rows(x)
         for i, (attn, mlp) in enumerate(self.blocks):
             trim = rows if i == len(self.blocks) - 1 else None
             a = attn(x, collect, trim, mask)

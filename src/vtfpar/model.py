@@ -142,8 +142,6 @@ def load_model_config(path) -> ModelConfig:
         name = " ".join(section.header)
         if name not in _CONFIG_SECTIONS:
             raise DataError(f"{path}:{section.lineno}: unknown section [{name}]")
-        if name in given:
-            raise DataError(f"{path}:{section.lineno}: duplicate section [{name}]")
         values = given[name] = {}
         for key, (lineno, value) in keyed(section, path).items():
             where = f"{path}:{lineno}"

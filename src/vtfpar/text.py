@@ -105,7 +105,6 @@ class TextEncoder:
 
     def __init__(self, params: ParameterSet, cfg: TextConfig, sentences: list[str],
                  rng: np.random.Generator):
-        self.cfg = cfg
         d, length = cfg.dim, cfg.max_len
         words = sorted({w for s in sentences for w in s.split()})
         word_ids = {w: 4 + i for i, w in enumerate(words)}

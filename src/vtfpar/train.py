@@ -5,7 +5,6 @@ decay, frozen-encoder policy, and the evaluation harness.
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,15 +255,12 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
     return logs
 
 
-def run_arm(config: ModelConfig, dataset: Dataset,
-            cfg: TrainConfig) -> tuple[MetricReport, float]:
+def run_arm(config: ModelConfig, dataset: Dataset, cfg: TrainConfig) -> MetricReport:
     """Train a ``config`` model (seed ``cfg.seed``) on the train split, then
-    evaluate it on the test split; returns the report and training seconds."""
+    evaluate it on the test split; returns the report."""
     model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
-    start = time.monotonic()
     train(model, dataset.split("train"), [], cfg)
-    seconds = time.monotonic() - start
-    return evaluate(model, dataset.split("test"), cfg.frames), seconds
+    return evaluate(model, dataset.split("test"), cfg.frames)
 
 
 def write_log(logs: list[EpochLog], path) -> None:

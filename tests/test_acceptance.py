@@ -54,13 +54,17 @@ def _arm_config(frames: int) -> TrainConfig:
 
 
 def _frame_arm(manifest, frames: int):
-    """The default model's arm at ``frames``: (held-out report, train seconds)."""
-    return run_arm(ModelConfig(), load_dataset(manifest), _arm_config(frames))
+    """The default model's arm at ``frames``: (held-out report, seconds to
+    train and evaluate it)."""
+    dataset = load_dataset(manifest)
+    start = time.monotonic()
+    rep = run_arm(ModelConfig(), dataset, _arm_config(frames))
+    return rep, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def ablation(acc_manifest):
-    """Held-out report and training seconds per frame count, shared seed.
+    """Held-out report and arm seconds per frame count, shared seed.
 
     The four arms run in two spawned processes at one worker thread each,
     the two slowest arms first; importing vtfpar runs OpenBLAS on one
@@ -196,7 +200,7 @@ def test_criterion_06_learning_on_planted_data(ablation, chance_band, capsys):
     with capsys.disabled():
         report(6, "learning on planted data", ok,
                f"held-out macro F1={f1:.4f}, chance band=[{band_lo:.3f}, {band_hi:.3f}], "
-               f"train {elapsed:.0f}s")
+               f"train+eval {elapsed:.0f}s")
 
 
 def test_criterion_07_frame_count_trend(ablation, capsys):
@@ -212,7 +216,7 @@ def test_criterion_08_fusion_ablation(ablation, acc_dataset, chance_band, capsys
     # the no-fusion arm (zero fusion blocks) must beat chance, and fusion must beat it
     full_f1 = ablation[6][0].macro_f1
     no_fusion = ModelConfig(fusion=FusionConfig(blocks=0))
-    nofusion_f1 = run_arm(no_fusion, acc_dataset, _arm_config(6))[0].macro_f1
+    nofusion_f1 = run_arm(no_fusion, acc_dataset, _arm_config(6)).macro_f1
     band_hi = chance_band[1]
     ok = full_f1 >= nofusion_f1 + 0.01 and nofusion_f1 > band_hi
     with capsys.disabled():

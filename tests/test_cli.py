@@ -173,6 +173,18 @@ def test_train_non_finite_rate_exits_1_before_loading_data(flag, value, tmp_path
     assert not checkpoint.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_eval_frames_below_1_exits_1_before_loading_data(frames, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli_mod, "_load_data",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    rc = main(["eval", "--data", str(tmp_path / "missing"), "--checkpoint",
+               str(tmp_path / "m.ckpt"), "--frames", frames])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --frames ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     ["gen-data", "--out", "d", "--tracklets", "2", "--seed", "-3"],
     ["train", "--data", "missing", "--seed", "-1"],
@@ -379,6 +391,24 @@ def test_ablate_frames_out_on_its_config_exits_1(tiny_dataset, tmp_path, capsys,
     _assert_refused_and_unchanged(
         ["ablate-frames", "--data", str(tiny_dataset), "--frames", "1", "--epochs", "1",
          "--config", str(config), "--out", str(config)], config, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate-frames"])
+def test_output_on_the_manifests_schema_exits_1(command, tiny_dataset, tmp_path, capsys,
+                                                 monkeypatch):
+    # eval's --out schema.tsv writes its text twin to schema.txt
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    schema = data / "schema.txt"
+    argv = {"train": ["train", "--data", str(data), "--epochs", "1",
+                      "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(schema)],
+            "eval": ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--out", str(data / "schema.tsv")],
+            "ablate-frames": ["ablate-frames", "--data", str(data), "--frames", "1",
+                              "--epochs", "1", "--out", str(schema)]}[command]
+    _assert_refused_and_unchanged(argv, schema, capsys, monkeypatch)
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+    assert sorted(p.name for p in data.iterdir()) == sorted(p.name for p in tiny_dataset.iterdir())
 
 
 def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsys):
@@ -705,6 +735,30 @@ def test_manifest_split_without_tracklets_or_repeated_exits_2(command, defect, t
     assert captured.out == ""
     assert captured.err == f"data error: {manifest}:{at + 1}: {message}\n"
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("spelling", ["dotdot", "symlink"])
+def test_tracklet_listed_under_a_second_spelling_exits_2(spelling, tiny_dataset, tmp_path,
+                                                          capsys):
+    # a train tracklet listed again under [split test] would leak test data into training
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("tracklet = train/"))
+    rel = lines[first].partition(" = ")[2]
+    if spelling == "dotdot":
+        alias = f"train/../{rel}"
+    else:  # named as its target, so its label record's id matches
+        alias = f"alias/{Path(rel).name}"
+        (data / "alias").mkdir()
+        os.symlink(data / rel, data / alias)
+    assert lines[-1].startswith("tracklet = test/")  # the test split is last
+    lines.append(f"tracklet = {alias}")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err == (f"data error: {manifest}:{len(lines)}: tracklet {alias} "
+                                       f"is already listed on line {first + 1}\n")
 
 
 def test_readme_names_every_flag():

@@ -256,11 +256,6 @@ class TestTrimmedLastBlock:
         x = np.random.default_rng(2).normal(size=(3, 7, 8))
         assert_trimmed_matches_full(lambda: _stack(blocks), _text_slice(4, 3), x)
 
-    def test_zero_blocks_return_rows_of_input_exactly(self):
-        stack, _ = _stack(0)
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 8)))
-        npt.assert_array_equal(stack(x, rows=_text_slice(4, 3)).data, x.data[:, 4:])
-
     def test_last_block_records_kept_rows_against_all_keys(self):
         stack, _ = _stack(2, heads=2)
         x = Tensor(np.random.default_rng(4).normal(size=(3, 7, 8)))

@@ -12,20 +12,28 @@ from vtfpar.schema import load_schema
 from tests.test_data import small_schema
 
 # name -> (loader, body with a repeated key and its line,
-#          body with a line that has no "=" and its line); each raises DataError
+#          body with a line that has no "=" and its line,
+#          body with a repeated section and its second header's line);
+# each raises DataError
 LOADERS = {
     "schema": (load_schema,
                ("[group g binary]\na = one\na = two\n", 3),
-               ("[group g binary]\na = one\nnonsense\n", 3)),
+               ("[group g binary]\na = one\nnonsense\n", 3),
+               ("[group g binary]\na = one\n[group g binary]\nb = two\n", 3)),
     "labels": (lambda p: read_labels(p, small_schema()),
                ("tracklet = t\nlabels = 1 0 1\nlabels = 0 1 1\n", 3),
-               ("tracklet = t\nlabels\n", 2)),
+               ("tracklet = t\nlabels\n", 2),
+               ("tracklet = t\nlabels = 1 0 1\n[s]\n[s]\n", 4)),
     "manifest": (load_dataset,
                  ("schema = schema.txt\nschema = other.txt\n[split train]\n", 2),
-                 ("schema = schema.txt\n[split train]\ntracklet train/t0\n", 3)),
+                 ("schema = schema.txt\n[split train]\ntracklet train/t0\n", 3),
+                 ("schema = schema.txt\n[split train]\ntracklet = train/t0\n"
+                  "[split train]\ntracklet = train/t1\n", 4)),
     "model config": (load_model_config,
                      ("[vision]\ndim = 32\nheads = 2\ndim = 64\n", 4),
-                     ("# config\n[vision]\nnonsense line\n", 3)),
+                     ("# config\n[vision]\nnonsense line\n", 3),
+                     # a second [vision] would otherwise repeat its keys unnoticed
+                     ("[vision]\ndim = 32\n[text]\nblocks = 1\n[vision]\ndim = 64\n", 5)),
 }
 
 
@@ -35,7 +43,7 @@ def _line_error(path, lineno):
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_repeated_key_is_a_line_error(tmp_path, name):
-    load, (body, lineno), _ = LOADERS[name]
+    load, (body, lineno), _, _ = LOADERS[name]
     path = tmp_path / "file.txt"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(DataError, match=_line_error(path, lineno) + "duplicate key"):
@@ -44,7 +52,7 @@ def test_repeated_key_is_a_line_error(tmp_path, name):
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_line_without_equals_is_a_line_error(tmp_path, name):
-    load, _, (body, lineno) = LOADERS[name]
+    load, _, (body, lineno), _ = LOADERS[name]
     path = tmp_path / "file.txt"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(DataError, match=_line_error(path, lineno)):
@@ -52,8 +60,19 @@ def test_line_without_equals_is_a_line_error(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", LOADERS)
+def test_repeated_section_is_a_line_error_at_its_second_header(tmp_path, name):
+    load, _, _, (body, lineno) = LOADERS[name]
+    path = tmp_path / "file.txt"
+    path.write_text(body, encoding="utf-8")
+    header = body.splitlines()[lineno - 1]
+    with pytest.raises(DataError,
+                       match=_line_error(path, lineno) + re.escape(f"duplicate section {header}")):
+        load(path)
+
+
+@pytest.mark.parametrize("name", LOADERS)
 def test_missing_file_names_the_path(tmp_path, name):
-    load, _, _ = LOADERS[name]
+    load, _, _, _ = LOADERS[name]
     path = tmp_path / "absent.txt"
     with pytest.raises(DataError, match=re.escape(f"cannot read {name} {path}")):
         load(path)
@@ -77,10 +96,8 @@ def test_entry_without_key_rejected(tmp_path):
         read_sections(path, "test file")
 
 
-def test_model_config_section_given_twice_rejected(tmp_path):
-    # a second [vision] would otherwise repeat its keys unnoticed
-    path = tmp_path / "model.txt"
-    path.write_text("[vision]\ndim = 32\n[text]\nblocks = 1\n[vision]\ndim = 64\n",
-                    encoding="utf-8")
-    with pytest.raises(DataError, match=_line_error(path, 5) + "duplicate section"):
-        load_model_config(path)
+def test_headers_that_differ_only_in_blanks_are_one_section(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("[x y]\n[x  y ]\n", encoding="utf-8")
+    with pytest.raises(DataError, match=_line_error(path, 2) + re.escape("duplicate section [x y]")):
+        read_sections(path, "test file")

@@ -75,9 +75,10 @@ class TestLoaderErrors:
         with pytest.raises(DataError, match=r"schema\.txt:3"):
             self._load(tmp_path, body)
 
-    def test_duplicate_group_line_numbered(self, tmp_path):
-        body = "[group g binary]\na = one\n[group g binary]\nb = two\n"
-        with pytest.raises(DataError, match=r"schema\.txt:3"):
+    def test_group_name_under_two_kinds_line_numbered(self, tmp_path):
+        # two headers, so not a repeated section, but one group name
+        body = "[group g binary]\na = one\n[group g exclusive]\nb = two\nc = three\n"
+        with pytest.raises(DataError, match=r"schema\.txt:3: duplicate group name 'g'"):
             self._load(tmp_path, body)
 
     def test_bad_header(self, tmp_path):

@@ -114,11 +114,12 @@ class TestTokenizer:
         assert _paths(enc) == [(START_ID, 4, 5, END_ID)]
 
     def test_gradcheck_model_truncates_and_keeps_end(self):
-        text = gradcheck_mod._tiny_model().text
+        model = gradcheck_mod._tiny_model()
+        text, max_len = model.text, model.config.text.max_len
         lengths = [len(s.split()) + 2 for s in attribute_sentences(gradcheck_mod._tiny_schema())]
-        assert max(lengths) > text.cfg.max_len > text.node_pos.max()
+        assert max(lengths) > max_len > text.node_pos.max()
         paths = _paths(text)
-        assert [len(p) for p in paths] == np.minimum(lengths, text.cfg.max_len).tolist()
+        assert [len(p) for p in paths] == np.minimum(lengths, max_len).tolist()
         assert all(p[0] == START_ID and p[-1] == END_ID and END_ID not in p[1:-1]
                    for p in paths)
 
@@ -153,7 +154,7 @@ class TestTextEncoder:
         [start, words..., end] with an (n, n) causal mask, through the
         whole stack, and its last row read; (m, d)."""
         words = sorted({w for s in sentences for w in s.split()})
-        length = enc.cfg.max_len
+        length, dim = enc.pos.shape
         rows = []
         for s in sentences:
             ids = [START_ID, *[4 + words.index(w) for w in s.split()][:length - 2], END_ID]
@@ -162,7 +163,7 @@ class TestTextEncoder:
                     take_rows(enc.pos, np.arange(n)[None]))
             causal = Tensor(np.triu(np.full((n, n), -np.inf), 1))
             rows.append(reshape(slice_axis(enc.blocks(x, mask=causal), 1, n - 1, n),
-                                (1, enc.cfg.dim)))
+                                (1, dim)))
         return concat(rows, axis=0)
 
     @pytest.mark.parametrize("schema, blocks, max_len, nodes, ends", [
