@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
-from .data import Dataset, SyntheticSpec, generate, load_dataset, read_manifest
+from .data import SyntheticSpec, generate, load_dataset, read_manifest
 from .errors import DataError, UsageError, VerificationError
 from .metrics import report_text, report_tsv
 from .model import ModelConfig, VideoAttributeModel, load_model_config
@@ -115,37 +115,24 @@ def _model_config(args, no_fusion: bool) -> ModelConfig:
     return config
 
 
-def _check_output_dirs(*paths, reads=()) -> None:
+def _check_output_dirs(*paths, data, reads=()) -> None:
     """Fail before any work if an output's directory is missing, an output is
-    a directory, two outputs are one file, or an output is one of the files
-    in ``reads``."""
+    a directory, two outputs are one file, or an output is a file this command
+    reads: one in ``reads``, the manifest ``data`` names, its schema, or any
+    file in a tracklet directory it lists."""
+    manifest, schema, splits = read_manifest(data)
     paths = [Path(p) for p in paths if p]
-    inputs = {Path(p).resolve() for p in reads if p}
+    inputs = {Path(p).resolve() for p in (*reads, manifest, schema) if p}
+    tracklets = {tdir.resolve() for tdirs in splits.values() for tdir in tdirs}
     for path in paths:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
-        if path.resolve() in inputs:
+        if path.resolve() in inputs or path.resolve().parent in tracklets:
             raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):
         raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")
-
-
-def _manifest(data_arg: str) -> Path:
-    """``--data`` is a manifest or the directory holding ``manifest.txt``."""
-    path = Path(data_arg)
-    return path / "manifest.txt" if path.is_dir() else path
-
-
-def _data_inputs(data_arg: str) -> tuple[Path, Path]:
-    """The manifest that ``--data`` names, and the schema file it names."""
-    manifest = _manifest(data_arg)
-    return manifest, read_manifest(manifest)[0]
-
-
-def _load_data(data_arg: str) -> Dataset:
-    return load_dataset(_manifest(data_arg))
 
 
 def cmd_gen_data(args) -> int:
@@ -166,8 +153,8 @@ def cmd_train(args) -> int:
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed, frames=args.frames,
         freeze_encoders=not args.no_freeze)
-    _check_output_dirs(args.checkpoint, args.log, reads=(args.config, *_data_inputs(args.data)))
-    dataset = _load_data(args.data)
+    _check_output_dirs(args.checkpoint, args.log, data=args.data, reads=(args.config,))
+    dataset = load_dataset(args.data)
     model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
     logs = train(model, dataset.split("train"), dataset.split("test"), cfg,
                  checkpoint_path=args.checkpoint)
@@ -184,9 +171,9 @@ def cmd_eval(args) -> int:
         raise UsageError(f"bad --frames {args.frames}: need at least 1")
     # what with_suffix(".txt") gives, without its ValueError on "--out ."
     text_out = args.out and Path(args.out).parent / f"{Path(args.out).stem}.txt"
-    _check_output_dirs(args.out, text_out,
-                       reads=(args.checkpoint, args.config, *_data_inputs(args.data)))
-    dataset = _load_data(args.data)
+    _check_output_dirs(args.out, text_out, data=args.data,
+                       reads=(args.checkpoint, args.config))
+    dataset = load_dataset(args.data)
     # a checkpoint without fusion.* names is of the no-fusion variant
     arrays = read_checkpoint_arrays(args.checkpoint)
     no_fusion = not any(n.startswith("fusion.") for n in arrays)
@@ -210,8 +197,8 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}")
     config = _model_config(args, args.no_fusion)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
-    _check_output_dirs(args.out, reads=(args.config, *_data_inputs(args.data)))
-    dataset = _load_data(args.data)
+    _check_output_dirs(args.out, data=args.data, reads=(args.config,))
+    dataset = load_dataset(args.data)
     lines = ["frames\tprecision\trecall\tf1"]
     for cfg in cfgs:
         report = run_arm(config, dataset, cfg)

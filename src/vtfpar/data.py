@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .kvfile import Section, keyed, read_sections
+from .kvfile import keyed, read_sections
 from .parallel import map_indexed
 from .schema import AttributeSchema, load_schema, save_schema
 from .vision import bilinear_resize
@@ -312,7 +312,9 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
 # -- loading ------------------------------------------------------------------
 
 
-def _load_tracklet(tdir: Path, schema: AttributeSchema) -> Tracklet:
+def _load_tracklet(tdir: Path, schema: AttributeSchema, shape: tuple | None) -> Tracklet:
+    """One tracklet; every frame must have ``shape``, or, given None, the
+    shape of the tracklet's first frame."""
     if not tdir.is_dir():
         raise DataError(f"missing tracklet directory {tdir}")
     tracklet_id, labels = read_labels(tdir / "labels.txt", schema)
@@ -324,47 +326,46 @@ def _load_tracklet(tdir: Path, schema: AttributeSchema) -> Tracklet:
         names = sorted(e.name for e in entries if e.name.endswith(".vtf"))
     if not names:
         raise DataError(f"tracklet {tdir} has no frame files")
-    frames = [read_frame(os.path.join(tdir, name)) for name in names]
-    shapes = {f.shape for f in frames}
-    if len(shapes) != 1:
-        raise DataError(f"tracklet {tdir}: frames have mixed shapes {sorted(shapes)}")
+    frames = []
+    for name in names:
+        path = os.path.join(tdir, name)
+        frame = read_frame(path)
+        shape = shape or frame.shape
+        if frame.shape != shape:
+            raise DataError(f"frame {path}: shape {frame.shape} differs from "
+                            f"{shape}, the shape of the dataset's first frame")
+        frames.append(frame)
     return Tracklet(tracklet_id, np.stack(frames), labels)
 
 
-def read_manifest(manifest_path) -> tuple[Path, list[Section]]:
-    """The schema file a manifest's ``schema =`` entry names, and the
-    sections after its preamble, their headers not yet checked."""
-    manifest_path = Path(manifest_path)
-    preamble, *sections = read_sections(manifest_path, "manifest")
-    entries = keyed(preamble, manifest_path)
+def read_manifest(path) -> tuple[Path, Path, dict[str, list[Path]]]:
+    """A manifest, or the directory holding ``manifest.txt``: its path, the
+    schema file its ``schema =`` entry names, and each split's tracklet
+    directories, every split header and tracklet entry checked."""
+    manifest = Path(path)
+    if manifest.is_dir():
+        manifest = manifest / "manifest.txt"
+    root = manifest.parent
+    preamble, *sections = read_sections(manifest, "manifest")
+    entries = keyed(preamble, manifest)
     for key, (lineno, _) in entries.items():
         if key != "schema":
-            raise DataError(
-                f"{manifest_path}:{lineno}: unexpected key {key!r} before any [split]")
+            raise DataError(f"{manifest}:{lineno}: unexpected key {key!r} before any [split]")
     if "schema" not in entries:
-        raise DataError(f"{manifest_path}: no schema entry")
-    return manifest_path.parent / entries["schema"][1], sections
-
-
-def load_dataset(manifest_path) -> Dataset:
-    """Parse a manifest and load every tracklet, validating all invariants."""
-    manifest_path = Path(manifest_path)
-    root = manifest_path.parent
-    schema_path, sections = read_manifest(manifest_path)
-    schema = load_schema(schema_path)
-    splits: dict[str, list[str]] = {}
+        raise DataError(f"{manifest}: no schema entry")
+    splits: dict[str, list[Path]] = {}
     listed: dict[object, int] = {}  # tracklet directory -> its manifest line
     for section in sections:
         if len(section.header) != 2 or section.header[0] != "split":
-            raise DataError(f"{manifest_path}:{section.lineno}: expected [split NAME], "
+            raise DataError(f"{manifest}:{section.lineno}: expected [split NAME], "
                             f"got [{' '.join(section.header)}]")
         name = section.header[1]
         # an empty split would evaluate nothing
         if not section.entries:
-            raise DataError(f"{manifest_path}:{section.lineno}: [split {name}] lists no tracklet")
-        rels = splits[name] = []
+            raise DataError(f"{manifest}:{section.lineno}: [split {name}] lists no tracklet")
+        tdirs = splits[name] = []
         for lineno, key, value in section.entries:
-            where = f"{manifest_path}:{lineno}"
+            where = f"{manifest}:{lineno}"
             if key != "tracklet":
                 raise DataError(f"{where}: unexpected key {key!r}")
             # a repeat, however spelled, would train on a tracklet twice or leak
@@ -378,21 +379,22 @@ def load_dataset(manifest_path) -> Dataset:
                 raise DataError(f"{where}: tracklet {value} is already listed "
                                 f"on line {listed[tdir]}")
             listed[tdir] = lineno
-            rels.append(value)
+            tdirs.append(root / value)
     if not splits:
-        raise DataError(f"{manifest_path}: no splits declared")
+        raise DataError(f"{manifest}: no splits declared")
+    return manifest, root / entries["schema"][1], splits
 
+
+def load_dataset(path) -> Dataset:
+    """Load every tracklet that ``read_manifest(path)`` lists, validating all
+    invariants; batches stack clips, so every frame has one shape."""
+    _, schema_path, splits = read_manifest(path)
+    schema = load_schema(schema_path)
     loaded: dict[str, list[Tracklet]] = {}
-    first: tuple[Path, tuple] | None = None  # batches stack clips: one frame shape
-    for split, rels in splits.items():
+    shape = None
+    for split, tdirs in splits.items():
         loaded[split] = []
-        for rel in rels:
-            tracklet = _load_tracklet(root / rel, schema)
-            shape = tracklet.frames.shape[1:]
-            if first is None:
-                first = (root / rel, shape)
-            elif shape != first[1]:
-                raise DataError(f"tracklet {root / rel}: frame shape {shape} differs "
-                                f"from {first[1]} in tracklet {first[0]}")
-            loaded[split].append(tracklet)
+        for tdir in tdirs:
+            loaded[split].append(_load_tracklet(tdir, schema, shape))
+            shape = loaded[split][-1].frames.shape[1:]
     return Dataset(schema=schema, splits=loaded)

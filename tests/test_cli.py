@@ -176,7 +176,7 @@ def test_train_non_finite_rate_exits_1_before_loading_data(flag, value, tmp_path
 @pytest.mark.parametrize("frames", ["0", "-1"])
 def test_eval_frames_below_1_exits_1_before_loading_data(frames, tmp_path, capsys,
                                                          monkeypatch):
-    monkeypatch.setattr(cli_mod, "_load_data",
+    monkeypatch.setattr(cli_mod, "load_dataset",
                         lambda *a, **k: pytest.fail("data loaded"))
     rc = main(["eval", "--data", str(tmp_path / "missing"), "--checkpoint",
                str(tmp_path / "m.ckpt"), "--frames", frames])
@@ -313,7 +313,7 @@ def test_train_missing_output_dir_exits_2_before_training(
 ], ids=["train", "eval", "ablate-frames"])
 def test_output_path_that_is_a_directory_exits_2_before_any_work(
         command, tiny_dataset, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "_load_data",
+    monkeypatch.setattr(cli_mod, "load_dataset",
                         lambda *a, **k: pytest.fail("data loaded"))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "OUT").mkdir()
@@ -341,7 +341,7 @@ def test_train_checkpoint_and_log_on_one_file_exits_1_before_training(
 def test_eval_out_with_txt_suffix_exits_1_before_loading(
         tiny_dataset, tmp_path, capsys, monkeypatch):
     # --out r.txt: the text report (r.txt) would overwrite the TSV report
-    monkeypatch.setattr(cli_mod, "_load_data",
+    monkeypatch.setattr(cli_mod, "load_dataset",
                         lambda *a, **k: pytest.fail("data loaded"))
     out = tmp_path / "r.txt"
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint",
@@ -354,7 +354,7 @@ def test_eval_out_with_txt_suffix_exits_1_before_loading(
 
 def _assert_refused_and_unchanged(argv, read, capsys, monkeypatch):
     """``argv`` names ``read`` as an input and an output: exit 1, file kept."""
-    monkeypatch.setattr(cli_mod, "_load_data",
+    monkeypatch.setattr(cli_mod, "load_dataset",
                         lambda *a, **k: pytest.fail("data loaded"))
     before = read.read_bytes()
     capsys.readouterr()
@@ -409,6 +409,32 @@ def test_output_on_the_manifests_schema_exits_1(command, tiny_dataset, tmp_path,
     _assert_refused_and_unchanged(argv, schema, capsys, monkeypatch)
     assert [p.name for p in tmp_path.iterdir()] == ["data"]
     assert sorted(p.name for p in data.iterdir()) == sorted(p.name for p in tiny_dataset.iterdir())
+
+
+_TDIR = "data/train/t00000"
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--epochs", "1", "--checkpoint", "m.ckpt", "--log", f"{_TDIR}/labels.txt"],
+    ["train", "--epochs", "1", "--checkpoint", f"{_TDIR}/000001.vtf", "--log", "l.tsv"],
+    # labels.tsv lies in the tracklet directory, as does its text twin labels.txt
+    ["eval", "--checkpoint", "m.ckpt", "--out", f"{_TDIR}/labels.tsv"],
+    ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", f"{_TDIR}/000000.vtf"],
+], ids=["train-log", "train-checkpoint", "eval", "ablate-frames"])
+def test_output_in_a_tracklet_directory_exits_1(command, tiny_dataset, tmp_path, capsys,
+                                                monkeypatch):
+    # a log over labels.txt, or a checkpoint named like a frame, would break the next load
+    monkeypatch.setattr(cli_mod, "load_dataset",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(tiny_dataset, "data")
+    before = {p.name: p.read_bytes() for p in Path(_TDIR).iterdir()}
+    assert main([*command, "--data", "data"]) == 1
+    out = next(arg for arg in command if arg.startswith(_TDIR))
+    err = capsys.readouterr().err
+    assert err == f"error: output path {out} names a file this command reads\n"
+    assert {p.name: p.read_bytes() for p in Path(_TDIR).iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
 
 def test_checkpoint_with_a_key_bias_record_exits_2(tiny_dataset, tmp_path, capsys):
@@ -520,6 +546,23 @@ def test_tracklets_with_different_frame_shapes_exit_2(tiny_dataset, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(odd) in err and "(8, 10, 3)" in err and "(12, 10, 3)" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("rel", ["train/t00000", "test/t00020"])
+def test_frames_of_one_tracklet_with_different_shapes_exit_2(rel, tiny_dataset, tmp_path,
+                                                             capsys):
+    # the first tracklet's own first frame, or an earlier tracklet, sets the shape
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    odd = data / rel / "000001.vtf"
+    write_frame(odd, read_frame(odd)[:8])
+    rc = main(["train", "--data", str(data), "--epochs", "1",
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: frame {odd}: ") and err.count("\n") == 1
+    assert "(8, 10, 3)" in err and "(12, 10, 3)" in err
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -3,6 +3,7 @@ numpy; one error class per exit code; what the benchmark binds still works."""
 
 import ast
 import builtins
+import importlib.util
 import inspect
 import json
 import os
@@ -94,3 +95,22 @@ def test_benchmark_rows_name_only_existing_op_kinds():
     kinds = {name.split(".")[2] for name in rows
              if name.startswith(("tensor.op.", "gradcheck.check_op_s."))}
     assert kinds and sorted(kinds - set(OP_KINDS)) == []
+
+
+def test_benchmark_trace_targets_resolve_and_restore():
+    # the tracer wraps src/ callables by name (data.read_frame, Adam.step, ...),
+    # so a rename leaves a target unresolved and the traced benchmark run fails
+    path = Path(vtfpar.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
+    if not path.is_file():
+        pytest.skip(f"no {path.name} in {path.parent}")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    before = tracer_mod.snapshot()
+    tracer = tracer_mod.Tracer("tier-1")
+    tracer.install()
+    try:
+        assert tracer.unresolved == []
+    finally:
+        tracer.restore()
+    assert tracer_mod.snapshot() == before
