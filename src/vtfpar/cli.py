@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data",
                        help="generate a synthetic tracklet dataset")
-    p.add_argument("--out", default="data", help="output directory")
+    p.add_argument("--out", default="data", type=_output_path, help="output directory")
     p.add_argument("--schema", default=None, help="schema file (default: built-in)")
     p.add_argument("--tracklets", type=int, default=_SPEC.n_tracklets)
     p.add_argument("--frames", type=int, default=_SPEC.frames_per_tracklet)
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_TRAIN.seed)
     p.add_argument("--no-freeze", action="store_true",
                    help="also train the encoder parameters")
-    p.add_argument("--checkpoint", default="model.ckpt")
-    p.add_argument("--log", default="train_log.tsv")
+    p.add_argument("--checkpoint", default="model.ckpt", type=_output_path)
+    p.add_argument("--log", default="train_log.tsv", type=_output_path)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--config", default=None, help="model architecture file")
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--frames", type=int, default=_TRAIN.frames)
-    p.add_argument("--out", default=None, help="TSV report path (optional)")
+    p.add_argument("--out", default=None, type=_output_path,
+                   help="TSV report path (optional)")
 
     p = sub.add_parser("ablate-frames",
                        help="train/evaluate once per frame count")
@@ -84,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated frame counts")
     p.add_argument("--epochs", type=int, default=_TRAIN.epochs)
     p.add_argument("--seed", type=int, default=_TRAIN.seed)
-    p.add_argument("--out", default=None, help="summary TSV path (optional)")
+    p.add_argument("--out", default=None, type=_output_path,
+                   help="summary TSV path (optional)")
 
     p = sub.add_parser("gradcheck",
                        help="verify every backward rule against finite differences")
@@ -96,6 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print raw -> phrase -> sentence for every class")
     p.add_argument("--schema", default=None)
     return parser
+
+
+def _output_path(value: str) -> str:
+    """An output flag's value; empty, it would read as the flag not given."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty output path")
+    return value
 
 
 def _add_model_flags(p) -> None:

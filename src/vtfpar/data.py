@@ -21,6 +21,7 @@ recognition strictly harder than multi-frame.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -315,8 +316,6 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
 def _load_tracklet(tdir: Path, schema: AttributeSchema, shape: tuple | None) -> Tracklet:
     """One tracklet; every frame must have ``shape``, or, given None, the
     shape of the tracklet's first frame."""
-    if not tdir.is_dir():
-        raise DataError(f"missing tracklet directory {tdir}")
     tracklet_id, labels = read_labels(tdir / "labels.txt", schema)
     if tracklet_id != tdir.name:
         raise DataError(f"{tdir / 'labels.txt'}: tracklet id {tracklet_id!r} "
@@ -354,7 +353,7 @@ def read_manifest(path) -> tuple[Path, Path, dict[str, list[Path]]]:
     if "schema" not in entries:
         raise DataError(f"{manifest}: no schema entry")
     splits: dict[str, list[Path]] = {}
-    listed: dict[object, int] = {}  # tracklet directory -> its manifest line
+    listed: dict[tuple, int] = {}  # tracklet directory's (dev, inode) -> its manifest line
     for section in sections:
         if len(section.header) != 2 or section.header[0] != "split":
             raise DataError(f"{manifest}:{section.lineno}: expected [split NAME], "
@@ -372,9 +371,11 @@ def read_manifest(path) -> tuple[Path, Path, dict[str, list[Path]]]:
             # test data into training: key on the directory itself, one stat each
             try:
                 st = os.stat(root / value)
-                tdir = (st.st_dev, st.st_ino)
-            except OSError:  # missing: the tracklet loader names it
-                tdir = value
+            except OSError:
+                st = None
+            if st is None or not stat.S_ISDIR(st.st_mode):
+                raise DataError(f"{where}: tracklet {value} is missing or not a directory")
+            tdir = (st.st_dev, st.st_ino)
             if tdir in listed:
                 raise DataError(f"{where}: tracklet {value} is already listed "
                                 f"on line {listed[tdir]}")

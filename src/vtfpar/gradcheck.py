@@ -131,7 +131,7 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     tape, in float64 on a small synthetic batch. The numeric side bumps
     one coordinate at a time and recomputes only the stage that owns it:
     a ``vision.*`` coordinate re-runs ``visual_features_batch``, a
-    ``text.*`` one ``text_features``, and every other coordinate only
+    ``text.*`` one ``text.encode``, and every other coordinate only
     ``fuse_classify`` and ``bce_loss``, over encoder features computed
     once, off-tape. The skipped stages would get the same inputs and
     parameters, so the numeric gradients are bitwise those of re-running
@@ -147,7 +147,7 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     clips = np.stack([frames for frames, _, _ in rendered])
     targets = np.stack([labels for _, labels, _ in rendered])
     # one encoder per ENCODER_PREFIXES entry, in its order
-    encoders = (partial(model.visual_features_batch, clips), model.text_features)
+    encoders = (partial(model.visual_features_batch, clips), model.text.encode)
 
     def loss_of(visual: Tensor, text: Tensor) -> Tensor:
         return bce_loss(model.fuse_classify(visual, text), targets)

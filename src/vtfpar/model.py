@@ -3,7 +3,7 @@
 The forward pipeline takes a batch of clips (batch, t, h, w, 3) in one
 tape pass:
 
-    pad -> per-frame encode -> temporal average -> [F_v, F_t] ->
+    per-frame encode (cast, pad) -> temporal average -> [F_v, F_t] ->
     fusion blocks -> per-attribute heads -> logits (batch, n_classes)
 
 With zero fusion blocks (the no-fusion ablation) head m reads text
@@ -27,7 +27,7 @@ from .schema import AttributeSchema
 from .tensor import (DEFAULT_DTYPE, Tensor, add, concat, expand_leading, reshape,
                      slice_axis, tensor_mean, transpose)
 from .text import TextConfig, TextEncoder, attribute_sentences
-from .vision import VisionEncoder, VitConfig, pad_to_square
+from .vision import VisionEncoder, VitConfig
 
 ENCODER_PREFIXES = ("vision.", "text.")
 
@@ -79,15 +79,9 @@ class VideoAttributeModel:
     def visual_features_batch(self, clips: np.ndarray) -> Tensor:
         """Raw clips (b, t, h, w, 3) -> time-averaged tokens (b, n_v, d)."""
         b, t = clips.shape[:2]
-        s = self.config.vit.image_size
-        frames = np.asarray(clips, dtype=self.params.dtype).reshape((b * t,) + clips.shape[2:])
-        tokens = self.vision.encode(pad_to_square(frames, s))
+        tokens = self.vision.encode(clips.reshape((b * t,) + clips.shape[2:]))
         tokens = reshape(tokens, (b, t) + tokens.shape[1:])
         return tensor_mean(tokens, axis=1)
-
-    def text_features(self) -> Tensor:
-        """Text tokens (n_classes, d); depends only on schema and parameters."""
-        return self.text.encode()
 
     def fuse_classify(self, visual: Tensor, text: Tensor,
                       collect_attn: list | None = None) -> Tensor:
@@ -106,7 +100,7 @@ class VideoAttributeModel:
 
     def logits_batch(self, clips: np.ndarray) -> Tensor:
         """Clips (b, t, h, w, 3) -> logits (b, n_classes)."""
-        return self.fuse_classify(self.visual_features_batch(clips), self.text_features())
+        return self.fuse_classify(self.visual_features_batch(clips), self.text.encode())
 
     # -- parameter policy ---------------------------------------------------
 

@@ -165,7 +165,7 @@ def predict_logits(model: VideoAttributeModel, tracklets: list[Tracklet],
     if visual is None:
         visual = _visual_features(model, tracklets, frames)
     with no_grad(), _raising_overflow("text features and fusion"):
-        text = model.text_features()
+        text = model.text.encode()
         return np.concatenate(
             [model.fuse_classify(Tensor(visual[i:i + batch_size]), text).data
              for i in range(0, len(visual), batch_size)])
@@ -214,7 +214,7 @@ def train(model: VideoAttributeModel, train_set: list[Tracklet],
         visual_cache = _visual_features(model, train_set + heldout, cfg.frames)
         visual_cache, heldout_visual = visual_cache[:n], visual_cache[n:]
         with no_grad(), _raising_overflow("text features"):
-            text_cache = model.text_features().data
+            text_cache = model.text.encode().data
     trainable = model.params.trainable()
 
     logs: list[EpochLog] = []

@@ -118,11 +118,11 @@ class VisionEncoder:
                                        cfg.mlp_ratio, rng)
 
     def encode(self, frames: np.ndarray) -> Tensor:
-        """Padded frames (b, s, s, 3), parameter dtype -> tokens (b, n_tokens, dim)."""
-        s = self.cfg.image_size
-        if frames.ndim != 4 or frames.shape[1:] != (s, s, 3):
-            raise UsageError(
-                f"encode expects (b, {s}, {s}, 3), got {frames.shape}")
+        """Frames (b, h, w, 3) of any size and float dtype -> tokens
+        (b, n_tokens, dim); cast to the parameter dtype and padded first."""
+        if frames.ndim != 4:
+            raise UsageError(f"encode expects frames (b, h, w, 3), got {frames.shape}")
+        frames = pad_to_square(frames.astype(self.cls.dtype, copy=False), self.cfg.image_size)
         b = frames.shape[0]
         x = self.patch(Tensor(patchify(frames, self.cfg.patch_size)))
         x = concat([expand_leading(self.cls, b), x], axis=1)

@@ -291,6 +291,51 @@ def test_gen_data_non_finite_noise_exits_1_before_writing(value, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--tracklets", "2", "--out", ""],
+    ["train", "--epochs", "1", "--checkpoint", ""],
+    ["train", "--epochs", "1", "--log", ""],
+    ["eval", "--checkpoint", "m.ckpt", "--out", ""],
+    ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", ""],
+], ids=["gen-data-out", "train-checkpoint", "train-log", "eval-out", "ablate-frames-out"])
+def test_empty_output_path_exits_1_before_any_work(command, tiny_dataset, tmp_path, capsys,
+                                                   monkeypatch):
+    # read as the flag not given, an empty path saved no checkpoint, or wrote the
+    # dataset into the working directory
+    monkeypatch.setattr(cli_mod, "load_dataset",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    monkeypatch.chdir(tmp_path)
+    data = [] if command[0] == "gen-data" else ["--data", str(tiny_dataset)]
+    assert main([*command, *data]) == 1
+    assert capsys.readouterr().err == f"error: argument {command[-2]}: empty output path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("defect", ["missing", "file"])
+def test_manifest_listing_a_tracklet_that_is_not_a_directory_exits_2(
+        defect, tiny_dataset, tmp_path, capsys, monkeypatch):
+    # refused by the output guard, before any data is read
+    monkeypatch.setattr(cli_mod, "load_dataset",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    at = max(i for i, line in enumerate(lines) if line.startswith("tracklet = test/"))
+    rel = lines[at].partition(" = ")[2]
+    shutil.rmtree(data / rel)
+    if defect == "file":
+        (data / rel).write_text("not a tracklet\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--epochs", "1",
+                 "--checkpoint", f"{out}.ckpt", "--log", f"{out}.tsv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"data error: {manifest}:{at + 1}: tracklet {rel} "
+                            "is missing or not a directory\n")
+    assert list(tmp_path.glob("out*")) == []
+
+
 @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
 def test_train_missing_output_dir_exits_2_before_training(
         flag, tiny_dataset, tmp_path, capsys, monkeypatch):

@@ -267,12 +267,19 @@ class TestGenerateLoad:
         with pytest.raises(DataError, match="'t00001' does not match its directory 't00000'"):
             load_dataset(manifest)
 
-    def test_missing_tracklet_dir_detected(self, tmp_path):
-        schema = small_schema()
-        manifest = generate(small_spec(), schema, tmp_path / "data")
+    @pytest.mark.parametrize("defect", ["missing", "file"])
+    def test_missing_tracklet_dir_detected(self, tmp_path, defect):
+        # refused by the manifest reader, naming the line that lists it
         import shutil
-        shutil.rmtree(sorted((tmp_path / "data" / "test").iterdir())[0])
-        with pytest.raises(DataError, match="missing"):
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        lines = manifest.read_text().splitlines()
+        at = _last_tracklet_line(lines, "test")
+        rel = lines[at].partition(" = ")[2]
+        shutil.rmtree(tmp_path / "data" / rel)
+        if defect == "file":
+            (tmp_path / "data" / rel).write_text("not a tracklet\n")
+        with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: tracklet {rel} "
+                                            rf"is missing or not a directory$"):
             load_dataset(manifest)
 
     @pytest.mark.parametrize("split", ["train", "test"])

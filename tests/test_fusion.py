@@ -378,7 +378,7 @@ class TestForward:
             attn(Tensor(np.zeros((4, d), dtype=np.float32)))
         visual = Tensor(np.zeros((model.config.vit.n_tokens, d), dtype=np.float32))
         with pytest.raises(UsageError, match=r"fuse_classify expects visual tokens \(b, n_v, d\)"):
-            model.fuse_classify(visual, model.text_features())
+            model.fuse_classify(visual, model.text.encode())
         with pytest.raises(UsageError):
             decide(np.zeros(model.n_classes), model.schema)
 

@@ -17,6 +17,7 @@ import vtfpar.tensor as tensor_mod
 from vtfpar.data import SyntheticSpec, render_tracklet
 from vtfpar.gradcheck import _CASES, RTOL, CheckResult, check_model, check_op, run_all
 from vtfpar.model import ENCODER_PREFIXES, VideoAttributeModel
+from vtfpar.text import TextEncoder
 from vtfpar.tensor import (FD_STEP, OP_KINDS, Tape, Tensor, backward, finite_diff_grad,
                            mul, no_grad, tensor_sum)
 from vtfpar.train import bce_loss
@@ -143,25 +144,31 @@ def test_check_op_equals_three_dispatch_oracle(name, seed):
 
 
 def test_bump_reruns_only_the_encoder_that_owns_it(monkeypatch):
+    models = []  # the model check_model builds
     start = {}  # parameter values at the first encoder call, before any bump
     moved = {prefix: [] for prefix in ENCODER_PREFIXES}  # per call: bumped names
 
     def counting(prefix, method):
         def wrapper(self, *args):
+            params = models[0].params
             if not start:
-                start.update((p.name, p.data.copy()) for p in self.params)
-            moved[prefix].append([p.name for p in self.params
+                start.update((p.name, p.data.copy()) for p in params)
+            moved[prefix].append([p.name for p in params
                                   if not np.array_equal(p.data, start[p.name])])
             return method(self, *args)
         return wrapper
 
-    for prefix, attr in zip(ENCODER_PREFIXES, ("visual_features_batch", "text_features")):
-        monkeypatch.setattr(VideoAttributeModel, attr,
-                            counting(prefix, getattr(VideoAttributeModel, attr)))
+    def recording_tiny_model(build=gradcheck_mod._tiny_model):
+        models.append(build())
+        return models[-1]
+
+    monkeypatch.setattr(gradcheck_mod, "_tiny_model", recording_tiny_model)
+    stages = ((VideoAttributeModel, "visual_features_batch"), (TextEncoder, "encode"))
+    for prefix, (owner, attr) in zip(ENCODER_PREFIXES, stages):
+        monkeypatch.setattr(owner, attr, counting(prefix, getattr(owner, attr)))
     n_coords, seed = 80, 0
     check_model(n_coords=n_coords, seed=seed)
-    model = gradcheck_mod._tiny_model()
-    model.set_freeze(False)
+    [model] = models
     coords = _sampled_coords(model, n_coords, seed)
     for prefix, calls in moved.items():
         owned = sum(name.startswith(prefix) for name, _ in coords)

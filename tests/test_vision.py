@@ -180,6 +180,22 @@ class TestVisionEncoder:
         b = enc.encode(np.zeros((1, 16, 16, 3), dtype=np.float32)).data
         npt.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encode_casts_and_pads_its_frames(self, dtype):
+        # unpadded 12x9 frames: the same bits as frames cast and padded by hand
+        enc = self._encoder(VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2))
+        frames = np.random.default_rng(6).random((3, 12, 9, 3)).astype(dtype)
+        by_hand = pad_to_square(frames.astype(np.float32), 16)
+        out = enc.encode(frames)
+        assert out.dtype == np.float32
+        npt.assert_array_equal(out.data, enc.encode(by_hand).data)
+
+    def test_encode_rejects_frames_without_batch_axis(self):
+        enc = self._encoder(VitConfig(image_size=16, patch_size=8, dim=16, depth=1, heads=2))
+        with pytest.raises(UsageError,
+                           match=r"^encode expects frames \(b, h, w, 3\), got \(12, 9, 3\)$"):
+            enc.encode(np.zeros((12, 9, 3), dtype=np.float32))
+
     def test_config_validation(self):
         with pytest.raises(UsageError,
                            match="image size 30 must be a positive multiple of patch 8"):
