@@ -1,14 +1,16 @@
 """Datasets on disk and the synthetic tracklet generator.
 
-Frame file ("VTFIMG01"): magic, int32 LE height and width, then
-row-major RGB float32 LE pixels in [0, 1].
+Frames file (``frames.vtf``): a tracklet's frame records back to back, in
+frame order. A record ("VTFIMG01") is the magic, int32 LE height and
+width, then row-major RGB float32 LE pixels in [0, 1]. Errors name the
+record, counting from 0, as in ``frame 2 of .../frames.vtf: truncated
+pixels``.
 
-Dataset layout: ``<root>/<split>/<tracklet_id>/`` holding numbered frame
-files (every ``*.vtf`` name, read in name order; other files are ignored)
-plus one ``labels.txt`` record; ``<root>/manifest.txt`` lists the
-schema file and every tracklet per split. Label records and manifests use
-the shared ``key = value`` line format of ``vtfpar.kvfile`` (grammar in
-the README's "File formats").
+Dataset layout: ``<root>/<split>/<tracklet_id>/`` holding one
+``frames.vtf`` and one ``labels.txt`` record (other files are ignored);
+``<root>/manifest.txt`` lists the schema file and every tracklet per
+split. Label records and manifests use the shared ``key = value`` line
+format of ``vtfpar.kvfile`` (grammar in the README's "File formats").
 
 The generator plants one fixed low-frequency spatial prototype per
 attribute class: a frame is the sum of its tracklet's active prototypes
@@ -35,6 +37,7 @@ from .schema import AttributeSchema, load_schema, save_schema
 from .vision import bilinear_resize
 
 FRAME_MAGIC = b"VTFIMG01"
+FRAMES_FILE = "frames.vtf"
 _PROTOTYPE_SEED = 7
 _PROTOTYPE_GRID = 6
 _PROTOTYPE_AMPLITUDE = 0.3
@@ -60,44 +63,44 @@ class Dataset:
         return self.splits[name]
 
 
-# -- frame files ------------------------------------------------------------
+# -- frames files -----------------------------------------------------------
 
 
-def write_frame(path, frame: np.ndarray) -> None:
-    h, w, c = frame.shape
-    if c != 3:
-        raise DataError(f"frame must have 3 channels, got shape {frame.shape}")
-    payload = (FRAME_MAGIC + struct.pack("<ii", h, w)
-               + np.ascontiguousarray(frame, dtype="<f4").tobytes())
+def write_frames(path, frames) -> None:
+    """Write ``frames``, each (h, w, 3), as one frames file, with one open."""
+    records = []
+    for frame in frames:
+        h, w, c = frame.shape
+        if c != 3:
+            raise DataError(f"frame must have 3 channels, got shape {frame.shape}")
+        records += [FRAME_MAGIC, struct.pack("<ii", h, w),
+                    np.ascontiguousarray(frame, dtype="<f4").tobytes()]
     with open(path, "wb") as f:
-        f.write(payload)
+        f.write(b"".join(records))
 
 
-def read_frame(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read frame {path}: {e}") from None
-    head = len(FRAME_MAGIC) + 8
+def read_frame(blob: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
+    """The frame record at ``offset`` of a frames file's bytes, as a read-only
+    view, and the offset after it; ``where`` names the record in errors."""
+    head = offset + len(FRAME_MAGIC) + 8
     if len(blob) < head:
-        raise DataError(f"frame {path}: truncated header")
-    if blob[: len(FRAME_MAGIC)] != FRAME_MAGIC:
-        raise DataError(f"frame {path}: bad magic header")
-    h, w = struct.unpack("<ii", blob[len(FRAME_MAGIC):head])
+        raise DataError(f"{where}: truncated header")
+    if blob[offset:head - 8] != FRAME_MAGIC:
+        raise DataError(f"{where}: bad magic header")
+    h, w = struct.unpack_from("<ii", blob, head - 8)
     if h <= 0 or w <= 0:
-        raise DataError(f"frame {path}: bad dimensions {h}x{w}")
-    expected = head + h * w * 3 * 4
-    if len(blob) != expected:
-        raise DataError(
-            f"frame {path}: expected {expected} bytes for {h}x{w}, got {len(blob)}")
-    frame = np.frombuffer(blob, dtype="<f4", offset=head).reshape(h, w, 3).copy()
+        raise DataError(f"{where}: bad dimensions {h}x{w}")
+    end = head + h * w * 3 * 4
+    if len(blob) < end:
+        raise DataError(f"{where}: truncated pixels, {end - head} bytes for {h}x{w} "
+                        f"but {len(blob) - head} left")
+    frame = np.frombuffer(blob, dtype="<f4", count=h * w * 3, offset=head).reshape(h, w, 3)
     # NaN fails both comparisons; only a failed frame pays the isfinite pass
     if not (0.0 <= frame.min() and frame.max() <= 1.0):
         if not np.isfinite(frame).all():
-            raise DataError(f"frame {path}: non-finite pixels")
-        raise DataError(f"frame {path}: pixel values outside [0, 1]")
-    return frame
+            raise DataError(f"{where}: non-finite pixels")
+        raise DataError(f"{where}: pixel values outside [0, 1]")
+    return frame, end
 
 
 # -- label records ------------------------------------------------------------
@@ -285,15 +288,8 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
         frames, labels, _ = render_tracklet(spec, schema, i, prototypes)
         tdir = os.path.join(out, rel)  # str paths: cheaper than a Path per file
         os.makedirs(tdir, exist_ok=True)
-        names = [f"{f:06d}.vtf" for f in range(frames.shape[0])]
-        for name, frame in zip(names, frames):
-            write_frame(f"{tdir}/{name}", frame)
+        write_frames(f"{tdir}/{FRAMES_FILE}", frames)
         write_labels(f"{tdir}/labels.txt", f"t{i:05d}", labels, schema)
-        # the loader reads every .vtf file, so a frame left by an earlier run must go
-        with os.scandir(tdir) as listing:
-            stale = [e.path for e in listing if e.name.endswith(".vtf") and e.name not in names]
-        for path in stale:
-            os.remove(path)
 
     map_indexed(build, spec.n_tracklets)
 
@@ -320,18 +316,22 @@ def _load_tracklet(tdir: Path, schema: AttributeSchema, shape: tuple | None) -> 
     if tracklet_id != tdir.name:
         raise DataError(f"{tdir / 'labels.txt'}: tracklet id {tracklet_id!r} "
                         f"does not match its directory {tdir.name!r}")
-    # frames in name order; files without the .vtf suffix are not frames
-    with os.scandir(tdir) as entries:
-        names = sorted(e.name for e in entries if e.name.endswith(".vtf"))
-    if not names:
-        raise DataError(f"tracklet {tdir} has no frame files")
-    frames = []
-    for name in names:
-        path = os.path.join(tdir, name)
-        frame = read_frame(path)
+    path = os.path.join(tdir, FRAMES_FILE)  # str: cheaper than a Path per tracklet
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except FileNotFoundError:
+        raise DataError(f"tracklet {tdir} has no {FRAMES_FILE}; "
+                        "regenerate the dataset with `vtfpar gen-data`") from None
+    except OSError as e:
+        raise DataError(f"cannot read frames {path}: {e}") from None
+    frames, offset = [], 0
+    while not frames or offset < len(blob):  # an empty file fails frame 0's header
+        where = f"frame {len(frames)} of {path}"
+        frame, offset = read_frame(blob, offset, where)
         shape = shape or frame.shape
         if frame.shape != shape:
-            raise DataError(f"frame {path}: shape {frame.shape} differs from "
+            raise DataError(f"{where}: shape {frame.shape} differs from "
                             f"{shape}, the shape of the dataset's first frame")
         frames.append(frame)
     return Tracklet(tracklet_id, np.stack(frames), labels)

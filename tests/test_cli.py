@@ -16,14 +16,14 @@ import pytest
 import vtfpar.cli as cli_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
-from vtfpar.data import SyntheticSpec, load_dataset, read_frame, write_frame
+from vtfpar.data import SyntheticSpec, load_dataset, write_frames
 from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet, read_checkpoint_arrays, save_checkpoint
 from vtfpar.schema import default_schema, save_schema
 from vtfpar.train import TrainConfig, evaluate, train
 from tests.blas import cpu_has_avx2
-from tests.test_data import small_schema
+from tests.test_data import frames_of, record, small_schema
 
 # the package's ``train`` attribute is the function, not the module
 train_mod = importlib.import_module("vtfpar.train")
@@ -461,14 +461,14 @@ _TDIR = "data/train/t00000"
 
 @pytest.mark.parametrize("command", [
     ["train", "--epochs", "1", "--checkpoint", "m.ckpt", "--log", f"{_TDIR}/labels.txt"],
-    ["train", "--epochs", "1", "--checkpoint", f"{_TDIR}/000001.vtf", "--log", "l.tsv"],
+    ["train", "--epochs", "1", "--checkpoint", f"{_TDIR}/frames.vtf", "--log", "l.tsv"],
     # labels.tsv lies in the tracklet directory, as does its text twin labels.txt
     ["eval", "--checkpoint", "m.ckpt", "--out", f"{_TDIR}/labels.tsv"],
-    ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", f"{_TDIR}/000000.vtf"],
+    ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", f"{_TDIR}/frames.vtf"],
 ], ids=["train-log", "train-checkpoint", "eval", "ablate-frames"])
 def test_output_in_a_tracklet_directory_exits_1(command, tiny_dataset, tmp_path, capsys,
                                                 monkeypatch):
-    # a log over labels.txt, or a checkpoint named like a frame, would break the next load
+    # a log over labels.txt, or a checkpoint over frames.vtf, would break the next load
     monkeypatch.setattr(cli_mod, "load_dataset",
                         lambda *a, **k: pytest.fail("data loaded"))
     monkeypatch.chdir(tmp_path)
@@ -583,14 +583,14 @@ def test_tracklets_with_different_frame_shapes_exit_2(tiny_dataset, tmp_path, ca
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
     odd = data / "test" / "t00020"
-    for path in sorted(odd.glob("*.vtf")):
-        write_frame(path, read_frame(path)[:8])
+    write_frames(odd / "frames.vtf", [frame[:8] for frame in frames_of(odd / "frames.vtf")])
     rc = main(["train", "--data", str(data), "--epochs", "1",
                "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and err.count("\n") == 1
-    assert str(odd) in err and "(8, 10, 3)" in err and "(12, 10, 3)" in err
+    assert err.startswith(f"data error: frame 0 of {odd / 'frames.vtf'}: ")
+    assert err.count("\n") == 1
+    assert "(8, 10, 3)" in err and "(12, 10, 3)" in err
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -600,14 +600,32 @@ def test_frames_of_one_tracklet_with_different_shapes_exit_2(rel, tiny_dataset, 
     # the first tracklet's own first frame, or an earlier tracklet, sets the shape
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
-    odd = data / rel / "000001.vtf"
-    write_frame(odd, read_frame(odd)[:8])
+    odd = data / rel / "frames.vtf"
+    frames = frames_of(odd)
+    frames[1] = frames[1][:8]
+    write_frames(odd, frames)
     rc = main(["train", "--data", str(data), "--epochs", "1",
                "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: frame {odd}: ") and err.count("\n") == 1
+    assert err.startswith(f"data error: frame 1 of {odd}: ") and err.count("\n") == 1
     assert "(8, 10, 3)" in err and "(12, 10, 3)" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_tracklet_in_the_old_layout_exits_2(tiny_dataset, tmp_path, capsys):
+    # one file per frame, as an older gen-data wrote them: no frames.vtf
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    old = data / "test" / "t00021"
+    for i, frame in enumerate(frames_of(old / "frames.vtf")):
+        (old / f"{i:06d}.vtf").write_bytes(record(frame))
+    (old / "frames.vtf").unlink()
+    rc = main(["train", "--data", str(data), "--epochs", "1",
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"data error: tracklet {old} has no frames.vtf; "
+                                       "regenerate the dataset with `vtfpar gen-data`\n")
     assert not (tmp_path / "m.ckpt").exists()
 
 

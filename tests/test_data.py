@@ -1,15 +1,18 @@
 """Synthetic generation, on-disk formats, and loader validation."""
 
 import hashlib
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.data import (SyntheticSpec, class_prototypes, generate,
+import vtfpar.data as data_mod
+from vtfpar.data import (FRAME_MAGIC, SyntheticSpec, class_prototypes, generate,
                          load_dataset, read_frame, read_labels,
-                         render_tracklet, sample_labels, write_frame,
+                         render_tracklet, sample_labels, write_frames,
                          write_labels)
 from vtfpar.errors import DataError, UsageError
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
@@ -44,39 +47,129 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def record(frame: np.ndarray) -> bytes:
+    """One frame record, built independently of the writer."""
+    h, w, _ = frame.shape
+    return FRAME_MAGIC + struct.pack("<ii", h, w) + frame.astype("<f4").tobytes()
+
+
+def frames_of(path) -> list[np.ndarray]:
+    """Every record of a frames file, parsed with ``read_frame``."""
+    blob, offset, frames = Path(path).read_bytes(), 0, []
+    while offset < len(blob):
+        frame, offset = read_frame(blob, offset, f"frame {len(frames)} of {path}")
+        frames.append(frame)
+    return frames
+
+
 class TestFrameFiles:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip_is_the_records_back_to_back(self, tmp_path):
         rng = np.random.default_rng(0)
-        frame = rng.random((5, 4, 3)).astype(np.float32)
-        path = tmp_path / "f.vtf"
-        write_frame(path, frame)
-        npt.assert_array_equal(read_frame(path), frame)
+        frames = [rng.random((5, 4, 3)).astype(np.float32),
+                  rng.random((2, 7, 3)).astype(np.float32)]
+        path = tmp_path / "frames.vtf"
+        write_frames(path, frames)
+        assert path.read_bytes() == b"".join(map(record, frames))
+        loaded = frames_of(path)
+        assert len(loaded) == 2
+        for got, want in zip(loaded, frames):
+            npt.assert_array_equal(got, want)
 
-    def test_bad_magic_names_file(self, tmp_path):
-        path = tmp_path / "bad.vtf"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(DataError, match="bad.vtf"):
-            read_frame(path)
+    def test_bad_magic_names_frame_and_file(self, tmp_path):
+        frame = np.full((2, 2, 3), 0.5, dtype=np.float32)
+        path = tmp_path / "frames.vtf"
+        path.write_bytes(record(frame) + b"NOTMAGIC" + b"\x00" * 32)
+        with pytest.raises(DataError, match=f"^frame 1 of {re.escape(str(path))}: "
+                                            "bad magic header$"):
+            frames_of(path)
 
-    def test_truncated_names_file(self, tmp_path):
+    def test_truncated_names_frame_and_file(self, tmp_path):
         rng = np.random.default_rng(1)
-        path = tmp_path / "trunc.vtf"
-        write_frame(path, rng.random((5, 4, 3)).astype(np.float32))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-7])
-        with pytest.raises(DataError, match="trunc.vtf"):
-            read_frame(path)
+        path = tmp_path / "frames.vtf"
+        write_frames(path, rng.random((2, 5, 4, 3)).astype(np.float32))
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(DataError, match=f"^frame 1 of {re.escape(str(path))}: "
+                                            "truncated pixels"):
+            frames_of(path)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="nope.vtf"):
-            read_frame(tmp_path / "nope.vtf")
+    def test_unreadable_frames_file(self, tmp_path):
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        path = tmp_path / "data" / "train" / "t00000" / "frames.vtf"
+        path.unlink()
+        path.mkdir()  # exists, but open() fails
+        with pytest.raises(DataError, match=f"^cannot read frames {re.escape(str(path))}: "):
+            load_dataset(manifest)
 
     def test_out_of_range_pixels_rejected(self, tmp_path):
-        path = tmp_path / "hot.vtf"
-        frame = np.full((3, 3, 3), 1.5, dtype=np.float32)
-        write_frame(path, frame)
-        with pytest.raises(DataError, match="\\[0, 1\\]"):
-            read_frame(path)
+        path = tmp_path / "frames.vtf"
+        write_frames(path, [np.full((3, 3, 3), 1.5, dtype=np.float32)])
+        with pytest.raises(DataError, match=f"^frame 0 of {re.escape(str(path))}: "
+                                            "pixel values outside \\[0, 1\\]$"):
+            frames_of(path)
+
+    def test_four_channels_refused_by_the_writer(self, tmp_path):
+        path = tmp_path / "frames.vtf"
+        with pytest.raises(DataError, match="3 channels"):
+            write_frames(path, np.zeros((2, 3, 3, 4), dtype=np.float32))
+        assert not path.exists()
+
+
+def _bad_records(kind: str, frames: list[np.ndarray], k: int) -> bytes:
+    """A frames file whose record ``k`` has the defect ``kind``."""
+    records = [record(f) for f in frames]
+    bad = frames[k].copy()
+    if kind == "truncated header":  # the file ends inside record k's header
+        return b"".join(records[:k]) + records[k][:11]
+    if kind == "truncated pixels":
+        return b"".join(records[:k]) + records[k][:-4]
+    if kind == "bytes after the last record":  # k records, then stray bytes
+        return b"".join(records[:k]) + b"\x00" * 7
+    if kind == "bad magic":
+        records[k] = b"VTFIMG02" + records[k][8:]
+    elif kind == "bad dimensions":
+        records[k] = FRAME_MAGIC + struct.pack("<ii", 0, 8) + records[k][16:]
+    elif kind == "non-finite pixels":
+        bad[1, 2, 0] = np.nan
+        records[k] = record(bad)
+    elif kind == "pixels outside [0, 1]":
+        bad[1, 2, 0] = 1.5
+        records[k] = record(bad)
+    else:  # "shape": a frame the size of no other in the dataset
+        records[k] = record(bad[:8])
+    return b"".join(records)
+
+
+_MESSAGES = {
+    "truncated header": "truncated header",
+    "truncated pixels": "truncated pixels, 960 bytes for 10x8 but 956 left",
+    "bytes after the last record": "truncated header",
+    "bad magic": "bad magic header",
+    "bad dimensions": "bad dimensions 0x8",
+    "non-finite pixels": "non-finite pixels",
+    "pixels outside [0, 1]": "pixel values outside [0, 1]",
+    "shape": "shape (8, 8, 3) differs from (10, 8, 3), the shape of the dataset's first frame",
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", list(_MESSAGES))
+def test_frames_file_error_names_its_frame(kind, k, tmp_path):
+    # the last test tracklet, so the dataset's first frame comes from elsewhere
+    manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+    path = tmp_path / "data" / "test" / "t00005" / "frames.vtf"
+    path.write_bytes(_bad_records(kind, frames_of(path), k))
+    message = f"frame {k} of {path}: {_MESSAGES[kind]}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_dataset(manifest)
+
+
+def test_empty_frames_file_is_refused(tmp_path):
+    manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+    path = tmp_path / "data" / "train" / "t00002" / "frames.vtf"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match=f"^frame 0 of {re.escape(str(path))}: "
+                                        "truncated header$"):
+        load_dataset(manifest)
 
 
 class TestLabels:
@@ -240,10 +333,34 @@ class TestGenerateLoad:
     def test_truncated_frame_detected_on_load(self, tmp_path):
         schema = small_schema()
         manifest = generate(small_spec(), schema, tmp_path / "data")
-        victim = sorted((tmp_path / "data" / "train").rglob("*.vtf"))[0]
+        victim = tmp_path / "data" / "train" / "t00000" / "frames.vtf"
         victim.write_bytes(victim.read_bytes()[:-5])
-        with pytest.raises(DataError, match=victim.name):
+        with pytest.raises(DataError, match=f"^frame 2 of {re.escape(str(victim))}: "
+                                            "truncated pixels"):
             load_dataset(manifest)
+
+    def test_each_tracklet_is_two_files(self, tmp_path):
+        generate(small_spec(), small_schema(), tmp_path / "data")
+        tdirs = sorted((tmp_path / "data").glob("*/t*"))
+        assert len(tdirs) == 6
+        for tdir in tdirs:
+            assert sorted(p.name for p in tdir.iterdir()) == ["frames.vtf", "labels.txt"]
+
+    def test_load_parses_each_frame_once_with_read_frame(self, tmp_path, monkeypatch):
+        # perfbench's data.frames_read counts these calls by this name
+        spec = small_spec(n_tracklets=5, frames_per_tracklet=4)
+        manifest = generate(spec, small_schema(), tmp_path / "data")
+        calls = []
+
+        def counting_read_frame(*args):
+            calls.append(args[2])
+            return read_frame(*args)
+
+        monkeypatch.setattr(data_mod, "read_frame", counting_read_frame)
+        ds = load_dataset(manifest)
+        assert len(calls) == spec.n_tracklets * spec.frames_per_tracklet == 20
+        assert len(set(calls)) == 20  # each record of each file, once
+        assert sum(t.frames.shape[0] for t in ds.split("train") + ds.split("test")) == 20
 
     def test_wrong_schema_class_count_detected(self, tmp_path):
         schema = small_schema()

@@ -86,7 +86,7 @@ def tree(tmp_path_factory):
 def test_seeded_mutations_keep_the_exit_code_contract(tree, capsys):
     data, config, ckpt = tree / "data", tree / "model.txt", tree / "model.ckpt"
     labels = sorted(data.glob("*/*/labels.txt"))
-    frames = sorted(data.glob("*/*/*.vtf"))
+    frames = sorted(data.glob("*/*/frames.vtf"))
     capsys.readouterr()
 
     def commands(out):

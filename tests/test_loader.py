@@ -1,29 +1,15 @@
-"""Loader contracts: which pixel check a frame fails, and which files of a
-tracklet directory are its frames, in which order."""
+"""Loader contracts: which pixel check a frame fails, and which file of a
+tracklet directory holds its frames."""
 
-import os
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.data import generate, load_dataset, read_frame, write_frame
+from vtfpar.data import generate, load_dataset, write_frames
 from vtfpar.errors import DataError
 from tests.test_data import small_schema, small_spec
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("above_one", [False, True], ids=["alone", "with_above_one"])
-def test_non_finite_pixels_are_named_before_the_range(value, above_one, tmp_path):
-    frame = np.full((4, 3, 3), 0.5, dtype=np.float32)
-    frame[2, 1, 0] = value
-    if above_one:
-        frame[0, 0, 2] = 1.5
-    path = tmp_path / "f.vtf"
-    write_frame(path, frame)
-    with pytest.raises(DataError, match=f"^frame {re.escape(str(path))}: non-finite pixels$"):
-        read_frame(path)
 
 
 @pytest.fixture
@@ -32,23 +18,26 @@ def dataset(tmp_path):
     return manifest, tmp_path / "data" / "train" / "t00000"
 
 
-def test_tracklet_without_frame_files_is_refused(dataset):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("above_one", [False, True], ids=["alone", "with_above_one"])
+def test_non_finite_pixels_are_named_before_the_range(value, above_one, dataset):
     manifest, tdir = dataset
-    for path in tdir.glob("*.vtf"):
-        path.rename(path.with_suffix(".bak"))  # files remain, but none is a frame
-    with pytest.raises(DataError, match=f"^tracklet {re.escape(str(tdir))} has no frame files$"):
+    frames = load_dataset(manifest).split("train")[0].frames
+    frames[1, 2, 1, 0] = value
+    if above_one:
+        frames[1, 0, 0, 2] = 1.5
+    path = tdir / "frames.vtf"
+    write_frames(path, frames)
+    with pytest.raises(DataError,
+                       match=f"^frame 1 of {re.escape(str(path))}: non-finite pixels$"):
         load_dataset(manifest)
 
 
-def test_frames_load_in_name_order_whatever_the_write_order(dataset):
+def test_files_other_than_the_frames_file_are_ignored(dataset):
     manifest, tdir = dataset
     expected = load_dataset(manifest).split("train")[0].frames
-    names = sorted(p.name for p in tdir.glob("*.vtf"))
-    for name in names:
-        os.remove(tdir / name)
-    for i in reversed(range(len(names))):  # the last frame is written first
-        write_frame(tdir / names[i], expected[i])
-    # sorts between the frames; read as a frame, its bytes would fail the magic check
-    (tdir / f"{names[0]}.txt").write_bytes(b"not a frame")
+    # read as frames, their bytes would fail the magic check
+    (tdir / "000000.vtf").write_bytes(b"not a frame")
+    (tdir / "frames.vtf.bak").write_bytes(b"not a frame")
     (tdir / "notes").write_bytes(b"")
     npt.assert_array_equal(load_dataset(manifest).split("train")[0].frames, expected)
