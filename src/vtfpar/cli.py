@@ -43,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data",
                        help="generate a synthetic tracklet dataset")
-    p.add_argument("--out", default="data", type=_output_path, help="output directory")
+    p.add_argument("--out", default="data", type=_output_path,
+                   help="output directory; each frames file and the manifest are "
+                        "overwritten whole, and files from an older tree stay")
     p.add_argument("--schema", default=None, help="schema file (default: built-in)")
     p.add_argument("--tracklets", type=int, default=_SPEC.n_tracklets)
     p.add_argument("--frames", type=int, default=_SPEC.frames_per_tracklet)
@@ -127,18 +129,18 @@ def _model_config(args, no_fusion: bool) -> ModelConfig:
 def _check_output_dirs(*paths, data, reads=()) -> None:
     """Fail before any work if an output's directory is missing, an output is
     a directory, two outputs are one file, or an output is a file this command
-    reads: one in ``reads``, the manifest ``data`` names, its schema, or any
-    file in a tracklet directory it lists."""
-    manifest, schema, splits = read_manifest(data)
+    reads: one in ``reads``, the manifest ``data`` names, its schema, or a
+    frames file it lists."""
+    manifest, schema, _, splits = read_manifest(data)
+    listed = [frames for tracklets in splits.values() for frames, _ in tracklets]
     paths = [Path(p) for p in paths if p]
-    inputs = {Path(p).resolve() for p in (*reads, manifest, schema) if p}
-    tracklets = {tdir.resolve() for tdirs in splits.values() for tdir in tdirs}
+    inputs = {Path(p).resolve() for p in (*reads, manifest, schema, *listed) if p}
     for path in paths:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
-        if path.resolve() in inputs or path.resolve().parent in tracklets:
+        if path.resolve() in inputs:
             raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):
         raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")

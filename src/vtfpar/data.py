@@ -1,16 +1,28 @@
 """Datasets on disk and the synthetic tracklet generator.
 
-Frames file (``frames.vtf``): a tracklet's frame records back to back, in
-frame order. A record ("VTFIMG01") is the magic, int32 LE height and
-width, then row-major RGB float32 LE pixels in [0, 1]. Errors name the
-record, counting from 0, as in ``frame 2 of .../frames.vtf: truncated
-pixels``.
+A dataset is ``<root>/manifest.txt``, the schema file it names, and one
+frames file per tracklet. The manifest (the ``key = value`` format of
+``vtfpar.kvfile``; grammar in the README's "File formats") names the
+schema, then lists each split's tracklets, one line each:
+``tracklet = train/t00000.vtf 0 1 0 ...``, the frames file's path
+relative to the root, then its ``n_classes`` 0/1 labels. A tracklet is
+its frames file, identified by the file's ``(st_dev, st_ino)``, so no
+spelling lists it twice. Files the manifest does not list are ignored.
+``read_manifest`` is the one reader and checker of a dataset's layout;
+``load_dataset`` only reads the frames files it returns, and the CLI's
+output guard reads it too. ``generate`` writes ``<root>/<split>/tNNNNN.vtf``
+files and the manifest; generating into an existing tree overwrites each
+frames file whole and leaves files it does not write, such as an older
+tree's tracklet directories, in place.
 
-Dataset layout: ``<root>/<split>/<tracklet_id>/`` holding one
-``frames.vtf`` and one ``labels.txt`` record (other files are ignored);
-``<root>/manifest.txt`` lists the schema file and every tracklet per
-split. Label records and manifests use the shared ``key = value`` line
-format of ``vtfpar.kvfile`` (grammar in the README's "File formats").
+Frames file: a tracklet's frame records back to back, in frame order. A
+record ("VTFIMG01") is the magic, int32 LE height and width, then
+row-major RGB float32 LE pixels in [0, 1]. Errors name the record,
+counting from 0, as in ``frame 2 of .../t00004.vtf: truncated pixels``.
+``read_frame`` parses one record, and the loader calls it once per frame.
+Every frame of a dataset must have the shape of its first frame (the
+first record of the first listed tracklet), since batches stack clips of
+several tracklets.
 
 The generator plants one fixed low-frequency spatial prototype per
 attribute class: a frame is the sum of its tracklet's active prototypes
@@ -37,7 +49,6 @@ from .schema import AttributeSchema, load_schema, save_schema
 from .vision import bilinear_resize
 
 FRAME_MAGIC = b"VTFIMG01"
-FRAMES_FILE = "frames.vtf"
 _PROTOTYPE_SEED = 7
 _PROTOTYPE_GRID = 6
 _PROTOTYPE_AMPLITUDE = 0.3
@@ -103,26 +114,7 @@ def read_frame(blob: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
     return frame, end
 
 
-# -- label records ------------------------------------------------------------
-
-
-def _group_summary(schema: AttributeSchema, labels: np.ndarray) -> dict[str, str]:
-    """``group NAME`` key -> its echo text, one per schema group."""
-    echo, flags = {}, labels.tolist()
-    for group, start, stop in schema.group_slices:
-        active = [c for c, on in zip(group.classes, flags[start:stop]) if on]
-        echo[f"group {group.name}"] = ", ".join(active) if active else "none"
-    return echo
-
-
-def write_labels(path, tracklet_id: str, labels: np.ndarray,
-                 schema: AttributeSchema) -> None:
-    lines = [f"tracklet = {tracklet_id}",
-             "labels = " + " ".join(str(int(v)) for v in labels)]
-    # human-diffable echo
-    lines += [f"{key} = {text}" for key, text in _group_summary(schema, labels).items()]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+# -- labels -------------------------------------------------------------------
 
 
 def validate_labels(labels: np.ndarray, schema: AttributeSchema, where: str) -> None:
@@ -137,35 +129,6 @@ def validate_labels(labels: np.ndarray, schema: AttributeSchema, where: str) -> 
             raise DataError(
                 f"{where}: exclusive group {group.name} must have exactly one "
                 f"positive, got {int(sum(flags[start:stop]))}")
-
-
-def read_labels(path, schema: AttributeSchema) -> tuple[str, np.ndarray]:
-    preamble, *sections = read_sections(path, "labels")
-    if sections:
-        raise DataError(f"{path}:{sections[0].lineno}: unexpected section header")
-    entries = keyed(preamble, path)
-    if "tracklet" not in entries or "labels" not in entries:
-        raise DataError(f"{path}: missing tracklet id or labels line")
-    lineno, value = entries["labels"]
-    try:
-        labels = np.array([int(v) for v in value.split()], dtype=np.int8)
-    except (ValueError, OverflowError):  # OverflowError: outside int8
-        raise DataError(f"{path}:{lineno}: labels must be 0/1") from None
-    validate_labels(labels, schema, str(path))
-    # ``group NAME = ...`` lines, where present, echo the labels vector
-    echo = _group_summary(schema, labels)
-    for key, (lineno, value) in entries.items():
-        if key in ("tracklet", "labels"):
-            continue
-        where = f"{path}:{lineno}"
-        if not key.startswith("group "):
-            raise DataError(f"{where}: unexpected key {key!r}")
-        if key not in echo:
-            raise DataError(f"{where}: {key!r} names no schema group")
-        if value != echo[key]:
-            raise DataError(f"{where}: {key} = {value!r} disagrees with the labels, "
-                            f"which give {echo[key]!r}")
-    return entries["tracklet"][1], labels
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -273,33 +236,29 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
     prototypes = class_prototypes(spec, schema)  # first: a failed allocation writes nothing
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        for split in ("train", "test"):
+            (out / split).mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise DataError(f"cannot create dataset directory {out}: {e}") from None
     save_schema(schema, out / "schema.txt")
     n_train = spec.n_train
-    entries: list[tuple[str, str]] = []
-    for i in range(spec.n_tracklets):
-        split = "train" if i < n_train else "test"
-        entries.append((split, f"{split}/t{i:05d}"))
+    rels = [f"{'train' if i < n_train else 'test'}/t{i:05d}.vtf"
+            for i in range(spec.n_tracklets)]
 
-    def build(i: int) -> None:
-        split, rel = entries[i]
+    def build(i: int) -> np.ndarray:
         frames, labels, _ = render_tracklet(spec, schema, i, prototypes)
-        tdir = os.path.join(out, rel)  # str paths: cheaper than a Path per file
-        os.makedirs(tdir, exist_ok=True)
-        write_frames(f"{tdir}/{FRAMES_FILE}", frames)
-        write_labels(f"{tdir}/labels.txt", f"t{i:05d}", labels, schema)
+        write_frames(os.path.join(out, rels[i]), frames)  # str: cheaper than a Path
+        return labels
 
-    map_indexed(build, spec.n_tracklets)
-
+    labels = map_indexed(build, spec.n_tracklets)
     lines = ["# synthetic pedestrian attribute dataset",
              f"# tracklets={spec.n_tracklets} frames={spec.frames_per_tracklet} "
              f"sigma={spec.noise_sigma} occlusion={spec.occlusion_p} seed={spec.seed}",
              "schema = schema.txt", ""]
     for split in ("train", "test"):
         lines.append(f"[split {split}]")
-        lines.extend(f"tracklet = {rel}" for s, rel in entries if s == split)
+        lines.extend(f"tracklet = {rel} " + " ".join(map(str, flags.tolist()))
+                     for rel, flags in zip(rels, labels) if rel.startswith(f"{split}/"))
         lines.append("")
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(lines), encoding="utf-8")
@@ -309,20 +268,12 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
 # -- loading ------------------------------------------------------------------
 
 
-def _load_tracklet(tdir: Path, schema: AttributeSchema, shape: tuple | None) -> Tracklet:
-    """One tracklet; every frame must have ``shape``, or, given None, the
-    shape of the tracklet's first frame."""
-    tracklet_id, labels = read_labels(tdir / "labels.txt", schema)
-    if tracklet_id != tdir.name:
-        raise DataError(f"{tdir / 'labels.txt'}: tracklet id {tracklet_id!r} "
-                        f"does not match its directory {tdir.name!r}")
-    path = os.path.join(tdir, FRAMES_FILE)  # str: cheaper than a Path per tracklet
+def _read_frames(path: Path, shape: tuple | None) -> np.ndarray:
+    """A frames file's frames; every frame must have ``shape``, or, given
+    None, the shape of the file's first frame."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
-    except FileNotFoundError:
-        raise DataError(f"tracklet {tdir} has no {FRAMES_FILE}; "
-                        "regenerate the dataset with `vtfpar gen-data`") from None
     except OSError as e:
         raise DataError(f"cannot read frames {path}: {e}") from None
     frames, offset = [], 0
@@ -334,13 +285,15 @@ def _load_tracklet(tdir: Path, schema: AttributeSchema, shape: tuple | None) -> 
             raise DataError(f"{where}: shape {frame.shape} differs from "
                             f"{shape}, the shape of the dataset's first frame")
         frames.append(frame)
-    return Tracklet(tracklet_id, np.stack(frames), labels)
+    return np.stack(frames)
 
 
-def read_manifest(path) -> tuple[Path, Path, dict[str, list[Path]]]:
+def read_manifest(path) -> tuple[Path, Path, AttributeSchema,
+                                 dict[str, list[tuple[Path, np.ndarray]]]]:
     """A manifest, or the directory holding ``manifest.txt``: its path, the
-    schema file its ``schema =`` entry names, and each split's tracklet
-    directories, every split header and tracklet entry checked."""
+    schema file its ``schema =`` entry names, that schema, and each split's
+    ``(frames file, labels)`` pairs, every split header and tracklet line
+    checked."""
     manifest = Path(path)
     if manifest.is_dir():
         manifest = manifest / "manifest.txt"
@@ -352,8 +305,10 @@ def read_manifest(path) -> tuple[Path, Path, dict[str, list[Path]]]:
             raise DataError(f"{manifest}:{lineno}: unexpected key {key!r} before any [split]")
     if "schema" not in entries:
         raise DataError(f"{manifest}: no schema entry")
-    splits: dict[str, list[Path]] = {}
-    listed: dict[tuple, int] = {}  # tracklet directory's (dev, inode) -> its manifest line
+    schema_path = root / entries["schema"][1]
+    schema = load_schema(schema_path)
+    splits: dict[str, list[tuple[Path, np.ndarray]]] = {}
+    listed: dict[tuple, int] = {}  # frames file's (dev, inode) -> its manifest line
     for section in sections:
         if len(section.header) != 2 or section.header[0] != "split":
             raise DataError(f"{manifest}:{section.lineno}: expected [split NAME], "
@@ -362,40 +317,50 @@ def read_manifest(path) -> tuple[Path, Path, dict[str, list[Path]]]:
         # an empty split would evaluate nothing
         if not section.entries:
             raise DataError(f"{manifest}:{section.lineno}: [split {name}] lists no tracklet")
-        tdirs = splits[name] = []
+        tracklets = splits[name] = []
         for lineno, key, value in section.entries:
             where = f"{manifest}:{lineno}"
             if key != "tracklet":
                 raise DataError(f"{where}: unexpected key {key!r}")
-            # a repeat, however spelled, would train on a tracklet twice or leak
-            # test data into training: key on the directory itself, one stat each
+            # the path may hold blanks; an empty value splits into no words
+            rel, *flags = value.rsplit(None, schema.n_classes) or [value]
+            if not flags:
+                raise DataError(f"{where}: tracklet {rel} has no labels; "
+                                "regenerate the dataset with `vtfpar gen-data`")
             try:
-                st = os.stat(root / value)
-            except OSError:
+                labels = np.array([int(v) for v in flags], dtype=np.int8)
+            except (ValueError, OverflowError):  # OverflowError: outside int8
+                raise DataError(f"{where}: labels must be 0/1") from None
+            validate_labels(labels, schema, where)
+            # a repeat, however spelled, would train on a tracklet twice or leak
+            # test data into training: key on the file itself, one stat each
+            try:
+                st = os.stat(root / rel)
+            except (OSError, ValueError):  # ValueError: a NUL in the path
                 st = None
-            if st is None or not stat.S_ISDIR(st.st_mode):
-                raise DataError(f"{where}: tracklet {value} is missing or not a directory")
-            tdir = (st.st_dev, st.st_ino)
-            if tdir in listed:
-                raise DataError(f"{where}: tracklet {value} is already listed "
-                                f"on line {listed[tdir]}")
-            listed[tdir] = lineno
-            tdirs.append(root / value)
+            if st is None or not stat.S_ISREG(st.st_mode):
+                raise DataError(f"{where}: tracklet {rel} is missing or not a file")
+            inode = (st.st_dev, st.st_ino)
+            if inode in listed:
+                raise DataError(f"{where}: tracklet {rel} is already listed "
+                                f"on line {listed[inode]}")
+            listed[inode] = lineno
+            tracklets.append((root / rel, labels))
     if not splits:
         raise DataError(f"{manifest}: no splits declared")
-    return manifest, root / entries["schema"][1], splits
+    return manifest, schema_path, schema, splits
 
 
 def load_dataset(path) -> Dataset:
-    """Load every tracklet that ``read_manifest(path)`` lists, validating all
-    invariants; batches stack clips, so every frame has one shape."""
-    _, schema_path, splits = read_manifest(path)
-    schema = load_schema(schema_path)
+    """Load every tracklet that ``read_manifest(path)`` lists; batches stack
+    clips, so every frame has the shape of the dataset's first frame."""
+    _, _, schema, splits = read_manifest(path)
     loaded: dict[str, list[Tracklet]] = {}
     shape = None
-    for split, tdirs in splits.items():
+    for split, tracklets in splits.items():
         loaded[split] = []
-        for tdir in tdirs:
-            loaded[split].append(_load_tracklet(tdir, schema, shape))
-            shape = loaded[split][-1].frames.shape[1:]
+        for frames_path, labels in tracklets:
+            frames = _read_frames(frames_path, shape)
+            shape = frames.shape[1:]
+            loaded[split].append(Tracklet(frames_path.stem, frames, labels))
     return Dataset(schema=schema, splits=loaded)

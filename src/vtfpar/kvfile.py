@@ -1,4 +1,4 @@
-"""The line format shared by schema, manifest, label and model-config files.
+"""The line format shared by schema, manifest and model-config files.
 
 A file is a preamble of ``key = value`` entries, then sections, each opened
 by a ``[word word ...]`` header line that no later header repeats. Blank and

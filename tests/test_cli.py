@@ -311,8 +311,8 @@ def test_empty_output_path_exits_1_before_any_work(command, tiny_dataset, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("defect", ["missing", "file"])
-def test_manifest_listing_a_tracklet_that_is_not_a_directory_exits_2(
+@pytest.mark.parametrize("defect", ["missing", "directory"])
+def test_manifest_listing_a_tracklet_that_is_not_a_file_exits_2(
         defect, tiny_dataset, tmp_path, capsys, monkeypatch):
     # refused by the output guard, before any data is read
     monkeypatch.setattr(cli_mod, "load_dataset",
@@ -322,17 +322,17 @@ def test_manifest_listing_a_tracklet_that_is_not_a_directory_exits_2(
     manifest = data / "manifest.txt"
     lines = manifest.read_text(encoding="utf-8").splitlines()
     at = max(i for i, line in enumerate(lines) if line.startswith("tracklet = test/"))
-    rel = lines[at].partition(" = ")[2]
-    shutil.rmtree(data / rel)
-    if defect == "file":
-        (data / rel).write_text("not a tracklet\n", encoding="utf-8")
+    rel = lines[at].split()[2]
+    (data / rel).unlink()
+    if defect == "directory":
+        (data / rel).mkdir()
     out = tmp_path / "out"
     assert main(["train", "--data", str(data), "--epochs", "1",
                  "--checkpoint", f"{out}.ckpt", "--log", f"{out}.tsv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"data error: {manifest}:{at + 1}: tracklet {rel} "
-                            "is missing or not a directory\n")
+                            "is missing or not a file\n")
     assert list(tmp_path.glob("out*")) == []
 
 
@@ -456,29 +456,29 @@ def test_output_on_the_manifests_schema_exits_1(command, tiny_dataset, tmp_path,
     assert sorted(p.name for p in data.iterdir()) == sorted(p.name for p in tiny_dataset.iterdir())
 
 
-_TDIR = "data/train/t00000"
+_FRAMES = "data/train/t00000.vtf"
+_FRAMES_DOTDOT = "data/test/../train/t00000.vtf"
 
 
 @pytest.mark.parametrize("command", [
-    ["train", "--epochs", "1", "--checkpoint", "m.ckpt", "--log", f"{_TDIR}/labels.txt"],
-    ["train", "--epochs", "1", "--checkpoint", f"{_TDIR}/frames.vtf", "--log", "l.tsv"],
-    # labels.tsv lies in the tracklet directory, as does its text twin labels.txt
-    ["eval", "--checkpoint", "m.ckpt", "--out", f"{_TDIR}/labels.tsv"],
-    ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", f"{_TDIR}/frames.vtf"],
-], ids=["train-log", "train-checkpoint", "eval", "ablate-frames"])
-def test_output_in_a_tracklet_directory_exits_1(command, tiny_dataset, tmp_path, capsys,
+    ["train", "--epochs", "1", "--checkpoint", "m.ckpt", "--log", _FRAMES],
+    ["train", "--epochs", "1", "--checkpoint", _FRAMES_DOTDOT, "--log", "l.tsv"],
+    ["eval", "--checkpoint", "m.ckpt", "--out", _FRAMES],
+    ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", _FRAMES_DOTDOT],
+], ids=["train-log", "train-checkpoint-dotdot", "eval", "ablate-frames-dotdot"])
+def test_output_on_a_listed_frames_file_exits_1(command, tiny_dataset, tmp_path, capsys,
                                                 monkeypatch):
-    # a log over labels.txt, or a checkpoint over frames.vtf, would break the next load
+    # a log or a checkpoint over a frames file would break the next load
     monkeypatch.setattr(cli_mod, "load_dataset",
                         lambda *a, **k: pytest.fail("data loaded"))
     monkeypatch.chdir(tmp_path)
     shutil.copytree(tiny_dataset, "data")
-    before = {p.name: p.read_bytes() for p in Path(_TDIR).iterdir()}
+    before = {p.name: p.read_bytes() for p in Path("data/train").iterdir()}
     assert main([*command, "--data", "data"]) == 1
-    out = next(arg for arg in command if arg.startswith(_TDIR))
+    out = next(arg for arg in command if arg.startswith("data/"))
     err = capsys.readouterr().err
     assert err == f"error: output path {out} names a file this command reads\n"
-    assert {p.name: p.read_bytes() for p in Path(_TDIR).iterdir()} == before
+    assert {p.name: p.read_bytes() for p in Path("data/train").iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
 
@@ -582,13 +582,13 @@ def test_tracklets_with_different_frame_shapes_exit_2(tiny_dataset, tmp_path, ca
     # each tracklet is uniform, but batches stack clips of several tracklets
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
-    odd = data / "test" / "t00020"
-    write_frames(odd / "frames.vtf", [frame[:8] for frame in frames_of(odd / "frames.vtf")])
+    odd = data / "test" / "t00020.vtf"
+    write_frames(odd, [frame[:8] for frame in frames_of(odd)])
     rc = main(["train", "--data", str(data), "--epochs", "1",
                "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: frame 0 of {odd / 'frames.vtf'}: ")
+    assert err.startswith(f"data error: frame 0 of {odd}: ")
     assert err.count("\n") == 1
     assert "(8, 10, 3)" in err and "(12, 10, 3)" in err
     assert not (tmp_path / "m.ckpt").exists()
@@ -600,7 +600,7 @@ def test_frames_of_one_tracklet_with_different_shapes_exit_2(rel, tiny_dataset, 
     # the first tracklet's own first frame, or an earlier tracklet, sets the shape
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
-    odd = data / rel / "frames.vtf"
+    odd = data / f"{rel}.vtf"
     frames = frames_of(odd)
     frames[1] = frames[1][:8]
     write_frames(odd, frames)
@@ -613,23 +613,41 @@ def test_frames_of_one_tracklet_with_different_shapes_exit_2(rel, tiny_dataset, 
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_tracklet_in_the_old_layout_exits_2(tiny_dataset, tmp_path, capsys):
-    # one file per frame, as an older gen-data wrote them: no frames.vtf
+@pytest.mark.parametrize("layout", ["frames-file", "file-per-frame"])
+def test_tracklet_in_the_old_layout_exits_2(layout, tiny_dataset, tmp_path, capsys):
+    # an older gen-data's tree: a directory per tracklet, holding a labels.txt
+    # record and either one frames.vtf or one file per frame; the manifest
+    # lists the directories, without labels
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
-    old = data / "test" / "t00021"
-    for i, frame in enumerate(frames_of(old / "frames.vtf")):
-        (old / f"{i:06d}.vtf").write_bytes(record(frame))
-    (old / "frames.vtf").unlink()
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("tracklet = "):
+            rel, *labels = line.split()[2:]
+            old = data / rel[:-len(".vtf")]
+            old.mkdir()
+            (old / "labels.txt").write_text(
+                f"tracklet = {old.name}\nlabels = {' '.join(labels)}\n", encoding="utf-8")
+            if layout == "frames-file":
+                (data / rel).rename(old / "frames.vtf")
+            else:
+                for k, frame in enumerate(frames_of(data / rel)):
+                    (old / f"{k:06d}.vtf").write_bytes(record(frame))
+                (data / rel).unlink()
+            lines[i] = f"tracklet = {rel[:-len('.vtf')]}"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    first = next(i for i, line in enumerate(lines) if line.startswith("tracklet = "))
     rc = main(["train", "--data", str(data), "--epochs", "1",
                "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
     assert rc == 2
-    assert capsys.readouterr().err == (f"data error: tracklet {old} has no frames.vtf; "
-                                       "regenerate the dataset with `vtfpar gen-data`\n")
+    assert capsys.readouterr().err == (
+        f"data error: {manifest}:{first + 1}: tracklet train/t00000 has no labels; "
+        "regenerate the dataset with `vtfpar gen-data`\n")
     assert not (tmp_path / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("what", ["schema", "manifest", "labels", "model config"])
+@pytest.mark.parametrize("what", ["schema", "manifest", "model config"])
 def test_file_that_is_not_utf8_exits_2_with_one_line(what, tiny_dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
@@ -643,7 +661,6 @@ def test_file_that_is_not_utf8_exits_2_with_one_line(what, tiny_dataset, tmp_pat
                     "--schema", str(data / "schema.txt")]),
         "manifest": (data / "manifest.txt",
                      ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt")]),
-        "labels": (data / "train" / "t00000" / "labels.txt", train_args),
         "model config": (config, train_args + ["--config", str(config)]),
     }[what]
     if what != "model config":
@@ -704,17 +721,40 @@ def test_request_too_large_to_allocate_exits_1_with_one_line(argv, tiny_dataset,
     assert not (tmp_path / "d").exists()  # gen-data leaves no partial dataset
 
 
-def test_label_outside_int8_exits_2(tiny_dataset, tmp_path, capsys):
+# a tracklet's labels, as the manifest lists them, for the 3-class schema
+# (one exclusive group of two classes, one binary class) -> the error
+_BAD_LABELS = {
+    "outside-int8": ("300 1 0", "labels must be 0/1"),
+    "not-0-or-1": ("1 0 2", "labels must be 0/1"),
+    "not-an-integer": ("1 0 x", "labels must be 0/1"),
+    "too-few": ("1 0", "2 labels for schema with 3 classes"),
+    # the path may hold blanks, so a label too many reads as part of it
+    "too-many": ("1 0 1 1", "tracklet {rel} 1 is missing or not a file"),
+    "exclusive-none": ("0 0 1", "exclusive group shape must have exactly one positive, got 0"),
+    "exclusive-both": ("1 1 0", "exclusive group shape must have exactly one positive, got 2"),
+}
+
+
+@pytest.mark.parametrize("defect", _BAD_LABELS)
+def test_bad_labels_on_a_manifest_line_exit_2(defect, tiny_dataset, tmp_path, capsys,
+                                              monkeypatch):
+    # refused by the output guard, before any data is read
+    monkeypatch.setattr(cli_mod, "load_dataset",
+                        lambda *a, **k: pytest.fail("data loaded"))
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
-    path = data / "train" / "t00000" / "labels.txt"
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text.replace("labels = ", "labels = 300 "), encoding="utf-8")
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    at = max(i for i, line in enumerate(lines) if line.startswith("tracklet = train/"))
+    rel = lines[at].split()[2]
+    labels, message = _BAD_LABELS[defect]
+    lines[at] = f"tracklet = {rel} {labels}"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc = main(["train", "--data", str(data), "--epochs", "1",
                "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.tsv")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{path}:" in err and "labels must be 0/1" in err and err.count("\n") == 1
+    assert capsys.readouterr().err == (f"data error: {manifest}:{at + 1}: "
+                                       f"{message.format(rel=rel)}\n")
 
 
 def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsys):
@@ -852,15 +892,14 @@ def test_tracklet_listed_under_a_second_spelling_exits_2(spelling, tiny_dataset,
     manifest = data / "manifest.txt"
     lines = manifest.read_text(encoding="utf-8").splitlines()
     first = next(i for i, line in enumerate(lines) if line.startswith("tracklet = train/"))
-    rel = lines[first].partition(" = ")[2]
+    rel, *labels = lines[first].split()[2:]
     if spelling == "dotdot":
         alias = f"train/../{rel}"
-    else:  # named as its target, so its label record's id matches
-        alias = f"alias/{Path(rel).name}"
-        (data / "alias").mkdir()
+    else:
+        alias = "alias.vtf"
         os.symlink(data / rel, data / alias)
     assert lines[-1].startswith("tracklet = test/")  # the test split is last
-    lines.append(f"tracklet = {alias}")
+    lines.append(f"tracklet = {alias} {' '.join(labels)}")
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt")]) == 2
     assert capsys.readouterr().err == (f"data error: {manifest}:{len(lines)}: tracklet {alias} "

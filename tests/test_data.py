@@ -11,9 +11,8 @@ import pytest
 
 import vtfpar.data as data_mod
 from vtfpar.data import (FRAME_MAGIC, SyntheticSpec, class_prototypes, generate,
-                         load_dataset, read_frame, read_labels,
-                         render_tracklet, sample_labels, write_frames,
-                         write_labels)
+                         load_dataset, read_frame, read_manifest,
+                         render_tracklet, sample_labels, write_frames)
 from vtfpar.errors import DataError, UsageError
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
 
@@ -36,6 +35,11 @@ def small_spec(**kw):
 def _last_tracklet_line(lines: list[str], split: str) -> int:
     """Index of the last ``tracklet`` line of ``split`` in a generated manifest."""
     return max(i for i, line in enumerate(lines) if line.startswith(f"tracklet = {split}/"))
+
+
+def _listed_path(line: str) -> str:
+    """The frames file a generated manifest's ``tracklet`` line names."""
+    return line.partition(" = ")[2].split()[0]
 
 
 def tree_digest(root: Path) -> str:
@@ -92,11 +96,16 @@ class TestFrameFiles:
                                             "truncated pixels"):
             frames_of(path)
 
-    def test_unreadable_frames_file(self, tmp_path):
+    def test_unreadable_frames_file(self, tmp_path, monkeypatch):
         manifest = generate(small_spec(), small_schema(), tmp_path / "data")
-        path = tmp_path / "data" / "train" / "t00000" / "frames.vtf"
-        path.unlink()
-        path.mkdir()  # exists, but open() fails
+        path = tmp_path / "data" / "train" / "t00000.vtf"
+
+        def read_then_remove(*args):  # listed and checked, then gone before its read
+            checked = read_manifest(*args)
+            path.unlink()
+            return checked
+
+        monkeypatch.setattr(data_mod, "read_manifest", read_then_remove)
         with pytest.raises(DataError, match=f"^cannot read frames {re.escape(str(path))}: "):
             load_dataset(manifest)
 
@@ -156,7 +165,7 @@ _MESSAGES = {
 def test_frames_file_error_names_its_frame(kind, k, tmp_path):
     # the last test tracklet, so the dataset's first frame comes from elsewhere
     manifest = generate(small_spec(), small_schema(), tmp_path / "data")
-    path = tmp_path / "data" / "test" / "t00005" / "frames.vtf"
+    path = tmp_path / "data" / "test" / "t00005.vtf"
     path.write_bytes(_bad_records(kind, frames_of(path), k))
     message = f"frame {k} of {path}: {_MESSAGES[kind]}"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
@@ -165,60 +174,11 @@ def test_frames_file_error_names_its_frame(kind, k, tmp_path):
 
 def test_empty_frames_file_is_refused(tmp_path):
     manifest = generate(small_spec(), small_schema(), tmp_path / "data")
-    path = tmp_path / "data" / "train" / "t00002" / "frames.vtf"
+    path = tmp_path / "data" / "train" / "t00002.vtf"
     path.write_bytes(b"")
     with pytest.raises(DataError, match=f"^frame 0 of {re.escape(str(path))}: "
                                         "truncated header$"):
         load_dataset(manifest)
-
-
-class TestLabels:
-    def test_roundtrip(self, tmp_path):
-        schema = small_schema()
-        labels = np.array([1, 0, 1], dtype=np.int8)
-        path = tmp_path / "labels.txt"
-        write_labels(path, "t001", labels, schema)
-        tid, loaded = read_labels(path, schema)
-        assert tid == "t001"
-        npt.assert_array_equal(loaded, labels)
-
-    def test_human_readable_group_lines(self, tmp_path):
-        schema = small_schema()
-        path = tmp_path / "labels.txt"
-        write_labels(path, "t001", np.array([0, 1, 0], dtype=np.int8), schema)
-        text = path.read_text()
-        assert "group shape = square" in text
-        assert "group marked = none" in text
-
-    def test_wrong_count_schema_mismatch(self, tmp_path):
-        schema = small_schema()
-        path = tmp_path / "labels.txt"
-        path.write_text("tracklet = t\nlabels = 1 0\n")
-        with pytest.raises(DataError, match="labels"):
-            read_labels(path, schema)
-
-    def test_exclusive_violation_rejected(self, tmp_path):
-        schema = small_schema()
-        path = tmp_path / "labels.txt"
-        path.write_text("tracklet = t\nlabels = 1 1 0\n")
-        with pytest.raises(DataError, match="shape"):
-            read_labels(path, schema)
-
-    def test_group_echo_disagreeing_with_labels_rejected(self, tmp_path):
-        schema = small_schema()
-        path = tmp_path / "labels.txt"
-        write_labels(path, "t001", np.array([0, 1, 0], dtype=np.int8), schema)
-        path.write_text(path.read_text().replace("group shape = square",
-                                                 "group shape = WRONG"))
-        with pytest.raises(DataError, match=r"labels\.txt:3: group shape = 'WRONG'"):
-            read_labels(path, schema)
-
-    def test_group_echo_naming_no_schema_group_rejected(self, tmp_path):
-        schema = small_schema()
-        path = tmp_path / "labels.txt"
-        path.write_text("tracklet = t\nlabels = 1 0 1\ngroup colour = red\n")
-        with pytest.raises(DataError, match=r"labels\.txt:3: 'group colour' names no"):
-            read_labels(path, schema)
 
 
 class TestSyntheticSpec:
@@ -320,31 +280,42 @@ class TestGenerateLoad:
         schema = small_schema()
         out = tmp_path / "data"
         generate(small_spec(frames_per_tracklet=4, seed=1), schema, out)
-        note = out / "train" / "t00000" / "notes.txt"  # not a frame: stays
+        # files generate does not write stay: a note, and an older tree's
+        # tracklet directory beside the frames file that replaces it
+        note, old = out / "train" / "notes.txt", out / "train" / "t00000"
         note.write_text("kept\n", encoding="utf-8")
+        old.mkdir()
+        (old / "labels.txt").write_text("tracklet = t00000\n", encoding="utf-8")
         manifest = generate(small_spec(frames_per_tracklet=2, seed=2), schema, out)
         ds = load_dataset(manifest)
         assert {t.frames.shape[0] for t in ds.split("train") + ds.split("test")} == {2}
         assert note.read_text(encoding="utf-8") == "kept\n"
+        assert [p.name for p in old.iterdir()] == ["labels.txt"]
         note.unlink()
+        (old / "labels.txt").unlink()
+        old.rmdir()
         generate(small_spec(frames_per_tracklet=2, seed=2), schema, tmp_path / "fresh")
         assert tree_digest(out) == tree_digest(tmp_path / "fresh")
 
     def test_truncated_frame_detected_on_load(self, tmp_path):
         schema = small_schema()
         manifest = generate(small_spec(), schema, tmp_path / "data")
-        victim = tmp_path / "data" / "train" / "t00000" / "frames.vtf"
+        victim = tmp_path / "data" / "train" / "t00000.vtf"
         victim.write_bytes(victim.read_bytes()[:-5])
         with pytest.raises(DataError, match=f"^frame 2 of {re.escape(str(victim))}: "
                                             "truncated pixels"):
             load_dataset(manifest)
 
-    def test_each_tracklet_is_two_files(self, tmp_path):
-        generate(small_spec(), small_schema(), tmp_path / "data")
-        tdirs = sorted((tmp_path / "data").glob("*/t*"))
-        assert len(tdirs) == 6
-        for tdir in tdirs:
-            assert sorted(p.name for p in tdir.iterdir()) == ["frames.vtf", "labels.txt"]
+    def test_a_fresh_tree_is_a_manifest_a_schema_and_one_frames_file_per_tracklet(
+            self, tmp_path):
+        root = tmp_path / "data"
+        generate(small_spec(), small_schema(), root)
+        files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+        assert files == ["manifest.txt", "schema.txt",
+                         *(f"test/t{i:05d}.vtf" for i in range(3, 6)),
+                         *(f"train/t{i:05d}.vtf" for i in range(3))]
+        ids = [t.id for t in load_dataset(root).split("train")]
+        assert ids == ["t00000", "t00001", "t00002"]
 
     def test_load_parses_each_frame_once_with_read_frame(self, tmp_path, monkeypatch):
         # perfbench's data.frames_read counts these calls by this name
@@ -373,40 +344,57 @@ class TestGenerateLoad:
             AttributeGroup("marked", "binary", ("marked",), ("marked",)),
         ))
         save_schema(bigger, tmp_path / "data" / "schema.txt")
-        with pytest.raises(DataError, match="labels"):
+        at = 1 + next(i for i, line in enumerate(manifest.read_text().splitlines())
+                      if line.startswith("tracklet = train/t00000.vtf "))
+        with pytest.raises(DataError, match=rf"manifest\.txt:{at}: 3 labels for schema "
+                                            rf"with 4 classes$"):
             load_dataset(manifest)
 
-    def test_tracklet_id_must_match_directory(self, tmp_path):
-        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
-        path = tmp_path / "data" / "train" / "t00000" / "labels.txt"
-        path.write_text(path.read_text().replace("tracklet = t00000",
-                                                 "tracklet = t00001"))
-        with pytest.raises(DataError, match="'t00001' does not match its directory 't00000'"):
-            load_dataset(manifest)
-
-    @pytest.mark.parametrize("defect", ["missing", "file"])
-    def test_missing_tracklet_dir_detected(self, tmp_path, defect):
+    @pytest.mark.parametrize("defect", ["missing", "directory", "nul"])
+    def test_listed_frames_file_missing_or_not_a_file_detected(self, tmp_path, defect):
         # refused by the manifest reader, naming the line that lists it
-        import shutil
         manifest = generate(small_spec(), small_schema(), tmp_path / "data")
         lines = manifest.read_text().splitlines()
         at = _last_tracklet_line(lines, "test")
-        rel = lines[at].partition(" = ")[2]
-        shutil.rmtree(tmp_path / "data" / rel)
-        if defect == "file":
-            (tmp_path / "data" / rel).write_text("not a tracklet\n")
-        with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: tracklet {rel} "
-                                            rf"is missing or not a directory$"):
+        rel = _listed_path(lines[at])
+        (tmp_path / "data" / rel).unlink()
+        if defect == "directory":
+            (tmp_path / "data" / rel).mkdir()
+        elif defect == "nul":  # os.stat raises ValueError, not OSError
+            lines[at] = lines[at].replace(rel, rel.replace("t0", "t\0"))
+            manifest.write_text("\n".join(lines) + "\n")
+            rel = rel.replace("t0", "t\0")
+        with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: tracklet {re.escape(rel)} "
+                                            rf"is missing or not a file$"):
             load_dataset(manifest)
+
+    def test_tracklet_line_with_an_empty_value_rejected(self, tmp_path):
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        lines = manifest.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("tracklet = train/t00001"))
+        lines[at] = "tracklet ="
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: tracklet  has no labels"):
+            load_dataset(manifest)
+
+    def test_a_path_with_blanks_is_read_whole(self, tmp_path):
+        manifest = generate(small_spec(), small_schema(), tmp_path / "data")
+        text = manifest.read_text()
+        (tmp_path / "data" / "test" / "t00004.vtf").rename(tmp_path / "data" / "test" / "t 4 .vtf")
+        manifest.write_text(text.replace("test/t00004.vtf", "test/t 4 .vtf"))
+        tracklet = load_dataset(manifest).split("test")[1]
+        assert tracklet.id == "t 4 "
+        npt.assert_array_equal(tracklet.labels, sample_labels(small_spec(), small_schema(), 4))
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_tracklet_listed_twice_rejected(self, tmp_path, split):
         # the repeat ends the train split, or the test split
         manifest = generate(small_spec(), small_schema(), tmp_path / "data")
         lines = manifest.read_text().splitlines()
-        first = lines.index("tracklet = train/t00000") + 1
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("tracklet = train/t00000.vtf ")) + 1
         at = _last_tracklet_line(lines, split) + 1
-        lines.insert(at, "tracklet = ./train//t00000")
+        lines.insert(at, lines[first - 1].replace("train/t00000.vtf", "./train//t00000.vtf"))
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=rf"manifest\.txt:{at + 1}: .*line {first}"):
             load_dataset(manifest)

@@ -85,8 +85,7 @@ def tree(tmp_path_factory):
 
 def test_seeded_mutations_keep_the_exit_code_contract(tree, capsys):
     data, config, ckpt = tree / "data", tree / "model.txt", tree / "model.ckpt"
-    labels = sorted(data.glob("*/*/labels.txt"))
-    frames = sorted(data.glob("*/*/frames.vtf"))
+    frames = sorted(data.glob("*/*.vtf"))
     capsys.readouterr()
 
     def commands(out):
@@ -107,7 +106,7 @@ def test_seeded_mutations_keep_the_exit_code_contract(tree, capsys):
                (config, ("train", "eval")),
                (ckpt, ("eval",))]
     readers += [(path, ("train", "eval"))
-                for path in (labels[0], labels[-1], frames[0], frames[-1])]
+                for path in (frames[0], frames[-1])]
 
     rng = np.random.default_rng(SEED)
     broken = []

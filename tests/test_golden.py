@@ -41,7 +41,7 @@ PINS = {
     "nofusion_eval.tsv": "0f1b6c22d8ac9bd587f2ffd4559e985f5b1a67f83c77a6eb87becd687ba7b834",
     "nofusion_eval.txt": "5db44c082f930b4c75b6d32ab17b980c488ae33a92faeb399791b3628bb7db97",
     "prompts.tsv": "85efeba979fa05a0b307620a405cc2635c562d0a827fe7bdf47c824eb6404557",
-    "data": "dce32c449834783c51166f86a7deb753deb7e768629aebf29fdc77d89ab02bd6",
+    "data": "7bbc226d4c9b6ec7f270d8821ab12b00e990cd06a8318ca103128da6848b98dc",
 }
 
 # run-time OpenBLAS kernel -> pins of the artifacts whose bits depend on it

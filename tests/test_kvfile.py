@@ -1,15 +1,14 @@
-"""The shared ``key = value`` line format and the four loaders built on it."""
+"""The shared ``key = value`` line format and the three loaders built on it."""
 
 import re
 
 import pytest
 
-from vtfpar.data import load_dataset, read_labels
+from vtfpar.data import load_dataset
 from vtfpar.errors import DataError
 from vtfpar.kvfile import keyed, read_sections
 from vtfpar.model import load_model_config
 from vtfpar.schema import load_schema
-from tests.test_data import small_schema
 
 # name -> (loader, body with a repeated key and its line,
 #          body with a line that has no "=" and its line,
@@ -20,10 +19,6 @@ LOADERS = {
                ("[group g binary]\na = one\na = two\n", 3),
                ("[group g binary]\na = one\nnonsense\n", 3),
                ("[group g binary]\na = one\n[group g binary]\nb = two\n", 3)),
-    "labels": (lambda p: read_labels(p, small_schema()),
-               ("tracklet = t\nlabels = 1 0 1\nlabels = 0 1 1\n", 3),
-               ("tracklet = t\nlabels\n", 2),
-               ("tracklet = t\nlabels = 1 0 1\n[s]\n[s]\n", 4)),
     "manifest": (load_dataset,
                  ("schema = schema.txt\nschema = other.txt\n[split train]\n", 2),
                  ("schema = schema.txt\n[split train]\ntracklet train/t0\n", 3),

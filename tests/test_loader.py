@@ -1,5 +1,5 @@
-"""Loader contracts: which pixel check a frame fails, and which file of a
-tracklet directory holds its frames."""
+"""Loader contracts: which pixel check a frame fails, and which files of a
+dataset tree hold its frames."""
 
 import re
 
@@ -15,29 +15,31 @@ from tests.test_data import small_schema, small_spec
 @pytest.fixture
 def dataset(tmp_path):
     manifest = generate(small_spec(), small_schema(), tmp_path / "data")
-    return manifest, tmp_path / "data" / "train" / "t00000"
+    return manifest, tmp_path / "data" / "train" / "t00000.vtf"
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("above_one", [False, True], ids=["alone", "with_above_one"])
 def test_non_finite_pixels_are_named_before_the_range(value, above_one, dataset):
-    manifest, tdir = dataset
+    manifest, path = dataset
     frames = load_dataset(manifest).split("train")[0].frames
     frames[1, 2, 1, 0] = value
     if above_one:
         frames[1, 0, 0, 2] = 1.5
-    path = tdir / "frames.vtf"
     write_frames(path, frames)
     with pytest.raises(DataError,
                        match=f"^frame 1 of {re.escape(str(path))}: non-finite pixels$"):
         load_dataset(manifest)
 
 
-def test_files_other_than_the_frames_file_are_ignored(dataset):
-    manifest, tdir = dataset
+def test_files_the_manifest_does_not_list_are_ignored(dataset):
+    manifest, path = dataset
     expected = load_dataset(manifest).split("train")[0].frames
     # read as frames, their bytes would fail the magic check
-    (tdir / "000000.vtf").write_bytes(b"not a frame")
-    (tdir / "frames.vtf.bak").write_bytes(b"not a frame")
-    (tdir / "notes").write_bytes(b"")
+    old = path.with_suffix("")  # an older tree's tracklet directory
+    old.mkdir()
+    (old / "frames.vtf").write_bytes(b"not a frame")
+    (path.parent / "000000.vtf").write_bytes(b"not a frame")
+    (path.parent / "t00000.vtf.bak").write_bytes(b"not a frame")
+    (path.parent / "notes").write_bytes(b"")
     npt.assert_array_equal(load_dataset(manifest).split("train")[0].frames, expected)
