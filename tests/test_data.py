@@ -37,11 +37,6 @@ def _last_tracklet_line(lines: list[str], split: str) -> int:
     return max(i for i, line in enumerate(lines) if line.startswith(f"tracklet = {split}/"))
 
 
-def _listed_path(line: str) -> str:
-    """The frames file a generated manifest's ``tracklet`` line names."""
-    return line.partition(" = ")[2].split()[0]
-
-
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
@@ -356,7 +351,7 @@ class TestGenerateLoad:
         manifest = generate(small_spec(), small_schema(), tmp_path / "data")
         lines = manifest.read_text().splitlines()
         at = _last_tracklet_line(lines, "test")
-        rel = _listed_path(lines[at])
+        rel = lines[at].split()[2]
         (tmp_path / "data" / rel).unlink()
         if defect == "directory":
             (tmp_path / "data" / rel).mkdir()
