@@ -12,7 +12,8 @@ import pytest
 import vtfpar.data as data_mod
 from vtfpar.data import (FRAME_MAGIC, SyntheticSpec, class_prototypes, generate,
                          load_dataset, read_frame, read_manifest,
-                         render_tracklet, sample_labels, write_frames)
+                         render_tracklet, sample_labels, validate_labels,
+                         write_frames)
 from vtfpar.errors import DataError, UsageError
 from vtfpar.schema import AttributeGroup, AttributeSchema, default_schema
 
@@ -174,6 +175,22 @@ def test_empty_frames_file_is_refused(tmp_path):
     with pytest.raises(DataError, match=f"^frame 0 of {re.escape(str(path))}: "
                                         "truncated header$"):
         load_dataset(manifest)
+
+
+class TestLabels:
+    """``validate_labels``, which ``read_manifest`` runs on each tracklet line."""
+
+    def test_wrong_count_schema_mismatch(self):
+        with pytest.raises(DataError, match=r"^where: 2 labels for schema with 3 classes$"):
+            validate_labels(np.array([1, 0], dtype=np.int8), small_schema(), "where")
+
+    def test_exclusive_violation_rejected(self):
+        schema = small_schema()
+        validate_labels(np.array([0, 1, 0], dtype=np.int8), schema, "where")
+        for flags, got in (([1, 1, 0], 2), ([0, 0, 1], 0)):
+            with pytest.raises(DataError, match=rf"^where: exclusive group shape must have "
+                                                rf"exactly one positive, got {got}$"):
+                validate_labels(np.array(flags, dtype=np.int8), schema, "where")
 
 
 class TestSyntheticSpec:
