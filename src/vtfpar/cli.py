@@ -2,9 +2,10 @@
 
 Subcommands: gen-data, train, eval, ablate-frames, gradcheck,
 dump-prompts. Exit codes: 0 success, 1 usage error or a request too
-large to allocate, 2 data error, 3 numeric-verification failure. All
-numeric table output uses fixed 4-decimal formatting so logs diff
-cleanly.
+large to allocate, 2 data error, 3 numeric-verification failure. Numbers
+print in fixed formats so logs diff cleanly: metrics with 4 decimals,
+the train log's loss with 6, gradcheck's relative errors as ``.2e`` and
+its elapsed time with 1.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
-from .data import SyntheticSpec, generate, load_dataset, read_manifest
+from .data import SyntheticSpec, generate, load_dataset, pick_split, read_manifest
 from .errors import DataError, UsageError, VerificationError
-from .metrics import report_text, report_tsv
+from .metrics import report_tsv
 from .model import ModelConfig, VideoAttributeModel, load_model_config
 from .parallel import worker_count
 from .params import load_checkpoint, read_checkpoint_arrays
@@ -126,11 +127,11 @@ def _model_config(args, no_fusion: bool) -> ModelConfig:
     return config
 
 
-def _check_output_dirs(*paths, data, reads=()) -> None:
+def _check_output_dirs(*paths, data, reads=()) -> dict:
     """Fail before any work if an output's directory is missing, an output is
     a directory, two outputs are one file, or an output is a file this command
     reads: one in ``reads``, the manifest ``data`` names, its schema, or a
-    frames file it lists."""
+    frames file it lists. Returns the manifest's splits."""
     manifest, schema, _, splits = read_manifest(data)
     listed = [frames for tracklets in splits.values() for frames, _ in tracklets]
     paths = [Path(p) for p in paths if p]
@@ -144,6 +145,7 @@ def _check_output_dirs(*paths, data, reads=()) -> None:
             raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):
         raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")
+    return splits
 
 
 def cmd_gen_data(args) -> int:
@@ -180,10 +182,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.frames < 1:
         raise UsageError(f"bad --frames {args.frames}: need at least 1")
-    # what with_suffix(".txt") gives, without its ValueError on "--out ."
-    text_out = args.out and Path(args.out).parent / f"{Path(args.out).stem}.txt"
-    _check_output_dirs(args.out, text_out, data=args.data,
-                       reads=(args.checkpoint, args.config))
+    splits = _check_output_dirs(args.out, data=args.data,
+                                reads=(args.checkpoint, args.config))
+    pick_split(splits, args.split)  # a bad --split stops before any file loads
     dataset = load_dataset(args.data)
     # a checkpoint without fusion.* names is of the no-fusion variant
     arrays = read_checkpoint_arrays(args.checkpoint)
@@ -195,7 +196,6 @@ def cmd_eval(args) -> int:
     print(tsv, end="")
     if args.out:
         Path(args.out).write_text(tsv, encoding="utf-8")
-        text_out.write_text(report_text(report), encoding="utf-8")
     return 0
 
 

@@ -69,9 +69,14 @@ class Dataset:
     splits: dict[str, list[Tracklet]]
 
     def split(self, name: str) -> list[Tracklet]:
-        if name not in self.splits:
-            raise DataError(f"dataset has no split {name!r} (have {sorted(self.splits)})")
-        return self.splits[name]
+        return pick_split(self.splits, name)
+
+
+def pick_split(splits: dict, name: str):
+    """``splits[name]``; a data error naming the splits there are if absent."""
+    if name not in splits:
+        raise DataError(f"dataset has no split {name!r} (have {sorted(splits)})")
+    return splits[name]
 
 
 # -- frames files -----------------------------------------------------------

@@ -122,18 +122,3 @@ def report_tsv(report: MetricReport) -> str:
         f"\t{report.macro_f1:.4f}\t{report.n_tracklets}")
     return "\n".join(lines) + "\n"
 
-
-def report_text(report: MetricReport) -> str:
-    """Structured-text mirror of the TSV report."""
-    lines = [f"tracklets = {report.n_tracklets}"]
-    for g in report.groups:
-        lines.append(f"[group {g.name}]")
-        lines.append(f"precision = {g.precision:.6f}")
-        lines.append(f"recall = {g.recall:.6f}")
-        lines.append(f"f1 = {g.f1:.6f}")
-        lines.append(f"support = {g.support}")
-    lines.append("[macro]")
-    lines.append(f"precision = {report.macro_precision:.6f}")
-    lines.append(f"recall = {report.macro_recall:.6f}")
-    lines.append(f"f1 = {report.macro_f1:.6f}")
-    return "\n".join(lines) + "\n"

@@ -185,6 +185,19 @@ def test_eval_frames_below_1_exits_1_before_loading_data(frames, tmp_path, capsy
     assert err.startswith("error: bad --frames ") and err.count("\n") == 1
 
 
+def test_eval_unknown_split_exits_2_before_loading(tiny_dataset, tmp_path, capsys,
+                                                   monkeypatch):
+    # the checkpoint does not exist: reading it would fail with another message
+    monkeypatch.setattr(cli_mod, "load_dataset",
+                        lambda *a, **k: pytest.fail("data loaded"))
+    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--split", "val", "--out", str(tmp_path / "r.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error: dataset has no split 'val' (have ['test', 'train'])\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [
     ["gen-data", "--out", "d", "--tracklets", "2", "--seed", "-3"],
     ["train", "--data", "missing", "--seed", "-1"],
@@ -383,20 +396,6 @@ def test_train_checkpoint_and_log_on_one_file_exits_1_before_training(
     assert not same.exists()
 
 
-def test_eval_out_with_txt_suffix_exits_1_before_loading(
-        tiny_dataset, tmp_path, capsys, monkeypatch):
-    # --out r.txt: the text report (r.txt) would overwrite the TSV report
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
-    out = tmp_path / "r.txt"
-    rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint",
-               str(tmp_path / "m.ckpt"), "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "r.txt" in err and err.count("\n") == 1
-    assert not out.exists()
-
-
 def _assert_refused_and_unchanged(argv, read, capsys, monkeypatch):
     """``argv`` names ``read`` as an input and an output: exit 1, file kept."""
     monkeypatch.setattr(cli_mod, "load_dataset",
@@ -441,14 +440,13 @@ def test_ablate_frames_out_on_its_config_exits_1(tiny_dataset, tmp_path, capsys,
 @pytest.mark.parametrize("command", ["train", "eval", "ablate-frames"])
 def test_output_on_the_manifests_schema_exits_1(command, tiny_dataset, tmp_path, capsys,
                                                  monkeypatch):
-    # eval's --out schema.tsv writes its text twin to schema.txt
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
     schema = data / "schema.txt"
     argv = {"train": ["train", "--data", str(data), "--epochs", "1",
                       "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(schema)],
             "eval": ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
-                     "--out", str(data / "schema.tsv")],
+                     "--out", str(schema)],
             "ablate-frames": ["ablate-frames", "--data", str(data), "--frames", "1",
                               "--epochs", "1", "--out", str(schema)]}[command]
     _assert_refused_and_unchanged(argv, schema, capsys, monkeypatch)
@@ -784,6 +782,7 @@ def test_eval_prints_table_and_writes_tsv(tiny_dataset, tmp_path, capsys):
     assert main(["train", "--data", str(tiny_dataset), "--epochs", "1",
                  "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.tsv")]) == 0
     capsys.readouterr()
+    before = set(tmp_path.iterdir())
     out_tsv = tmp_path / "report.tsv"
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
                "--out", str(out_tsv), "--frames", "3"])
@@ -791,8 +790,8 @@ def test_eval_prints_table_and_writes_tsv(tiny_dataset, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("group\t")
     assert "MACRO\t" in printed
-    assert out_tsv.exists()
-    assert out_tsv.with_suffix(".txt").exists()
+    assert set(tmp_path.iterdir()) - before == {out_tsv}
+    assert out_tsv.read_text(encoding="utf-8") == printed
 
 
 def test_eval_auto_detects_no_fusion_variant(tiny_dataset, tmp_path, capsys):

@@ -33,13 +33,10 @@ PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
 PINS = {
     "frozen.tsv": "1e39cb1cd6804089e7867a088ace1c1a11b2d533054925bb9bcdb7ec638804cd",
     "frozen_eval.tsv": "ba6d8dc353fd3c98f3661466b5c4ba910569b3d2040412705f84215d22915c88",
-    "frozen_eval.txt": "ea9984f59ac41fc60ec2b79635959b7d3ac1932c128be33a9aadd98633d88355",
     "unfrozen.tsv": "96e8d7a22a37532c04d00469f12868d1a31bc5c06a403315a1d5ee68260fedb7",
     "unfrozen_eval.tsv": "4a8e2b4dd20392356753c981272a26d3c8643c001639c7e594398c813fd8e357",
-    "unfrozen_eval.txt": "a91f0fbf8fa25b458f90d2528373aae7f2a2006bea495b7cb9f022a1d499133b",
     "nofusion.tsv": "b515c10c65fa51be550d9449060cc228faf2d622afbe3c3fcce6323eacb25b86",
     "nofusion_eval.tsv": "0f1b6c22d8ac9bd587f2ffd4559e985f5b1a67f83c77a6eb87becd687ba7b834",
-    "nofusion_eval.txt": "5db44c082f930b4c75b6d32ab17b980c488ae33a92faeb399791b3628bb7db97",
     "prompts.tsv": "85efeba979fa05a0b307620a405cc2635c562d0a827fe7bdf47c824eb6404557",
     "data": "7bbc226d4c9b6ec7f270d8821ab12b00e990cd06a8318ca103128da6848b98dc",
 }
