@@ -1,11 +1,10 @@
-"""Command-line interface.
-
-Subcommands: gen-data, train, eval, ablate-frames, gradcheck,
-dump-prompts. Exit codes: 0 success, 1 usage error or a request too
-large to allocate, 2 data error, 3 numeric-verification failure. Numbers
-print in fixed formats so logs diff cleanly: metrics with 4 decimals,
-the train log's loss with 6, gradcheck's relative errors as ``.2e`` and
-its elapsed time with 1.
+"""Command-line interface: gen-data, train, eval, ablate-frames, gradcheck,
+dump-prompts. Exit codes: 0 success, 1 usage error or a request too large
+to allocate, 2 data error, 3 numeric-verification failure. A dataset command
+checks, in order: flags (and the ``--config`` of train and ablate-frames);
+in ``_prelude``, the manifest, its splits and the output paths; eval's
+checkpoint, then its ``--config``; the model's size (train and eval). Only
+then does ``load_frames`` read the frames. Numbers print in fixed formats.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
-from .data import SyntheticSpec, generate, load_dataset, pick_split, read_manifest
+from .data import SyntheticSpec, generate, load_frames, pick_split, read_manifest
 from .errors import DataError, UsageError, VerificationError
 from .metrics import report_tsv
 from .model import ModelConfig, VideoAttributeModel, load_model_config
@@ -127,15 +126,17 @@ def _model_config(args, no_fusion: bool) -> ModelConfig:
     return config
 
 
-def _check_output_dirs(*paths, data, reads=()) -> dict:
-    """Fail before any work if an output's directory is missing, an output is
-    a directory, two outputs are one file, or an output is a file this command
-    reads: one in ``reads``, the manifest ``data`` names, its schema, or a
-    frames file it lists. Returns the manifest's splits."""
-    manifest, schema, _, splits = read_manifest(data)
+def _prelude(data, *paths, reads=(), needs=("train", "test")) -> tuple:
+    """Read the manifest ``data`` names, once; fail if it lacks a split in
+    ``needs``, if an output's directory is missing, an output is a directory,
+    two outputs are one file, or an output is a file this command reads: one
+    in ``reads``, the manifest, its schema, or a frames file it lists."""
+    manifest, schema_path, schema, splits = read_manifest(data)
+    for name in needs:
+        pick_split(splits, name)
     listed = [frames for tracklets in splits.values() for frames, _ in tracklets]
     paths = [Path(p) for p in paths if p]
-    inputs = {Path(p).resolve() for p in (*reads, manifest, schema, *listed) if p}
+    inputs = {Path(p).resolve() for p in (*reads, manifest, schema_path, *listed) if p}
     for path in paths:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
@@ -145,7 +146,7 @@ def _check_output_dirs(*paths, data, reads=()) -> dict:
             raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):
         raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")
-    return splits
+    return schema, splits
 
 
 def cmd_gen_data(args) -> int:
@@ -166,9 +167,9 @@ def cmd_train(args) -> int:
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed, frames=args.frames,
         freeze_encoders=not args.no_freeze)
-    _check_output_dirs(args.checkpoint, args.log, data=args.data, reads=(args.config,))
-    dataset = load_dataset(args.data)
-    model = VideoAttributeModel(config, dataset.schema, seed=cfg.seed)
+    schema, splits = _prelude(args.data, args.checkpoint, args.log, reads=(args.config,))
+    model = VideoAttributeModel(config, schema, seed=cfg.seed)
+    dataset = load_frames(schema, splits)
     logs = train(model, dataset.split("train"), dataset.split("test"), cfg,
                  checkpoint_path=args.checkpoint)
     write_log(logs, args.log)
@@ -182,15 +183,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.frames < 1:
         raise UsageError(f"bad --frames {args.frames}: need at least 1")
-    splits = _check_output_dirs(args.out, data=args.data,
-                                reads=(args.checkpoint, args.config))
-    pick_split(splits, args.split)  # a bad --split stops before any file loads
-    dataset = load_dataset(args.data)
+    schema, splits = _prelude(args.data, args.out, reads=(args.checkpoint, args.config),
+                              needs=(args.split,))
     # a checkpoint without fusion.* names is of the no-fusion variant
     arrays = read_checkpoint_arrays(args.checkpoint)
     no_fusion = not any(n.startswith("fusion.") for n in arrays)
-    model = VideoAttributeModel(_model_config(args, no_fusion), dataset.schema, seed=0)
+    model = VideoAttributeModel(_model_config(args, no_fusion), schema, seed=0)
     load_checkpoint(model.params, arrays, args.checkpoint)
+    dataset = load_frames(schema, splits)
     report = evaluate(model, dataset.split(args.split), args.frames)
     tsv = report_tsv(report)
     print(tsv, end="")
@@ -208,8 +208,7 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}")
     config = _model_config(args, args.no_fusion)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
-    _check_output_dirs(args.out, data=args.data, reads=(args.config,))
-    dataset = load_dataset(args.data)
+    dataset = load_frames(*_prelude(args.data, args.out, reads=(args.config,)))
     lines = ["frames\tprecision\trecall\tf1"]
     for cfg in cfgs:
         report = run_arm(config, dataset, cfg)

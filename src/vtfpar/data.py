@@ -9,11 +9,11 @@ relative to the root, then its ``n_classes`` 0/1 labels. A tracklet is
 its frames file, identified by the file's ``(st_dev, st_ino)``, so no
 spelling lists it twice. Files the manifest does not list are ignored.
 ``read_manifest`` is the one reader and checker of a dataset's layout;
-``load_dataset`` only reads the frames files it returns, and the CLI's
-output guard reads it too. ``generate`` writes ``<root>/<split>/tNNNNN.vtf``
-files and the manifest; generating into an existing tree overwrites each
-frames file whole and leaves files it does not write, such as an older
-tree's tracklet directories, in place.
+``load_frames`` only reads the frames files it returns; ``load_dataset``
+runs the two, and the CLI runs its own checks between them. ``generate``
+writes ``<root>/<split>/tNNNNN.vtf`` files and the manifest; generating
+into an existing tree overwrites each frames file whole and leaves files
+it does not write, such as an older tree's tracklet directories, in place.
 
 Frames file: a tracklet's frame records back to back, in frame order. A
 record ("VTFIMG01") is the magic, int32 LE height and width, then
@@ -357,9 +357,14 @@ def read_manifest(path) -> tuple[Path, Path, AttributeSchema,
 
 
 def load_dataset(path) -> Dataset:
-    """Load every tracklet that ``read_manifest(path)`` lists; batches stack
-    clips, so every frame has the shape of the dataset's first frame."""
+    """The dataset ``read_manifest(path)`` lists, frames and all."""
     _, _, schema, splits = read_manifest(path)
+    return load_frames(schema, splits)
+
+
+def load_frames(schema: AttributeSchema, splits: dict) -> Dataset:
+    """Read the frames files of ``read_manifest``'s ``splits``; batches stack
+    clips, so every frame has the shape of the dataset's first frame."""
     loaded: dict[str, list[Tracklet]] = {}
     shape = None
     for split, tracklets in splits.items():

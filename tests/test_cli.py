@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import vtfpar.cli as cli_mod
+import vtfpar.data as data_mod
 import vtfpar.tensor as tensor_mod
 from vtfpar.cli import build_parser, main
-from vtfpar.data import SyntheticSpec, load_dataset, write_frames
+from vtfpar.data import SyntheticSpec, load_dataset, read_manifest, write_frames
 from vtfpar.gradcheck import MODEL_COORDS, OP_TRIALS, SEED
 from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.params import ParameterSet, read_checkpoint_arrays, save_checkpoint
@@ -41,6 +42,13 @@ def tiny_dataset(tmp_path_factory):
                "--width", "10", "--split-fraction", "0.5", "--seed", "3"])
     assert rc == 0
     return out
+
+
+@pytest.fixture
+def no_frames_read(monkeypatch):
+    """Fail the test if a frames file is read: ``_read_frames`` opens each one."""
+    monkeypatch.setattr(data_mod, "_read_frames",
+                        lambda *a, **k: pytest.fail("frames file read"))
 
 
 def test_unknown_flag_rejected():
@@ -175,9 +183,7 @@ def test_train_non_finite_rate_exits_1_before_loading_data(flag, value, tmp_path
 
 @pytest.mark.parametrize("frames", ["0", "-1"])
 def test_eval_frames_below_1_exits_1_before_loading_data(frames, tmp_path, capsys,
-                                                         monkeypatch):
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
+                                                         no_frames_read):
     rc = main(["eval", "--data", str(tmp_path / "missing"), "--checkpoint",
                str(tmp_path / "m.ckpt"), "--frames", frames])
     assert rc == 1
@@ -186,16 +192,77 @@ def test_eval_frames_below_1_exits_1_before_loading_data(frames, tmp_path, capsy
 
 
 def test_eval_unknown_split_exits_2_before_loading(tiny_dataset, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   no_frames_read):
     # the checkpoint does not exist: reading it would fail with another message
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
     rc = main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(tmp_path / "m.ckpt"),
                "--split", "val", "--out", str(tmp_path / "r.tsv")])
     assert rc == 2
     assert capsys.readouterr().err == (
         "data error: dataset has no split 'val' (have ['test', 'train'])\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# each dataset command, run clean or on one defect that does not need the
+# frames: argv (in a directory holding these inputs), exit code, stderr
+_ONE_PARSE = {
+    "train": ("train --data data --epochs 1 --checkpoint m.ckpt --log l.tsv", 0, ""),
+    "eval": ("eval --data data --checkpoint good.ckpt", 0, ""),
+    "ablate-frames": ("ablate-frames --data data --frames 1 --epochs 1", 0, ""),
+    "train-no-test-split": (
+        "train --data val --epochs 1 --checkpoint m.ckpt --log l.tsv", 2,
+        "data error: dataset has no split 'test' (have ['train', 'val'])\n"),
+    "ablate-frames-no-test-split": (
+        "ablate-frames --data val --frames 1 --epochs 1", 2,
+        "data error: dataset has no split 'test' (have ['train', 'val'])\n"),
+    "eval-missing-checkpoint": (
+        "eval --data data --checkpoint absent.ckpt", 2,
+        "data error: cannot read checkpoint absent.ckpt: [Errno 2] "
+        "No such file or directory: 'absent.ckpt'\n"),
+    "eval-truncated-checkpoint": (
+        "eval --data data --checkpoint cut.ckpt", 2,
+        "data error: checkpoint cut.ckpt: CRC32 mismatch\n"),
+    "eval-non-integer-config": (
+        "eval --data data --checkpoint good.ckpt --config abc.txt", 1,
+        "error: abc.txt:2: bad value for fusion.heads\n"),
+    "eval-heads-5": (
+        "eval --data data --checkpoint good.ckpt --config heads5.txt", 1,
+        "error: fusion dim 96 must be a positive multiple of heads 5\n"),
+    "train-model-too-large": (
+        "train --data data --config huge.txt --checkpoint m.ckpt --log l.tsv", 1,
+        "error: parameter fusion.block145.mlp.fc2.weight: the model would exceed "
+        "16777216 values\n"),
+}
+
+
+@pytest.mark.parametrize("case", _ONE_PARSE)
+def test_dataset_command_parses_its_manifest_once_and_checks_before_the_frames(
+        case, tiny_dataset, tmp_path, capsys, monkeypatch, request):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(tiny_dataset, "data")
+    shutil.copytree(tiny_dataset, "val")
+    manifest = Path("val/manifest.txt")
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+        "[split test]", "[split val]"), encoding="utf-8")
+    save_checkpoint(VideoAttributeModel(ModelConfig(), small_schema(), seed=0).params,
+                    "good.ckpt")
+    Path("cut.ckpt").write_bytes(Path("good.ckpt").read_bytes()[:100])
+    Path("abc.txt").write_text("[fusion]\nheads = abc\n", encoding="utf-8")
+    Path("heads5.txt").write_text("[fusion]\nheads = 5\n", encoding="utf-8")
+    Path("huge.txt").write_text(f"[fusion]\nblocks = {10 ** 19}\n", encoding="utf-8")
+    parses = []
+
+    def counting_read_manifest(path):
+        parses.append(path)
+        return read_manifest(path)
+
+    for module in (cli_mod, data_mod):
+        monkeypatch.setattr(module, "read_manifest", counting_read_manifest)
+    argv, code, err = _ONE_PARSE[case]
+    if code:
+        request.getfixturevalue("no_frames_read")
+    assert main(argv.split()) == code
+    assert capsys.readouterr().err == err
+    assert len(parses) == 1
 
 
 @pytest.mark.parametrize("command", [
@@ -312,11 +379,9 @@ def test_gen_data_non_finite_noise_exits_1_before_writing(value, tmp_path, capsy
     ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", ""],
 ], ids=["gen-data-out", "train-checkpoint", "train-log", "eval-out", "ablate-frames-out"])
 def test_empty_output_path_exits_1_before_any_work(command, tiny_dataset, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, no_frames_read):
     # read as the flag not given, an empty path saved no checkpoint, or wrote the
     # dataset into the working directory
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
     monkeypatch.chdir(tmp_path)
     data = [] if command[0] == "gen-data" else ["--data", str(tiny_dataset)]
     assert main([*command, *data]) == 1
@@ -326,10 +391,7 @@ def test_empty_output_path_exits_1_before_any_work(command, tiny_dataset, tmp_pa
 
 @pytest.mark.parametrize("defect", ["missing", "directory"])
 def test_manifest_listing_a_tracklet_that_is_not_a_file_exits_2(
-        defect, tiny_dataset, tmp_path, capsys, monkeypatch):
-    # refused by the output guard, before any data is read
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
+        defect, tiny_dataset, tmp_path, capsys, no_frames_read):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
     manifest = data / "manifest.txt"
@@ -370,9 +432,7 @@ def test_train_missing_output_dir_exits_2_before_training(
     ["ablate-frames", "--epochs", "1", "--out", "OUT"],
 ], ids=["train", "eval", "ablate-frames"])
 def test_output_path_that_is_a_directory_exits_2_before_any_work(
-        command, tiny_dataset, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
+        command, tiny_dataset, tmp_path, capsys, monkeypatch, no_frames_read):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "OUT").mkdir()
     assert main([*command, "--data", str(tiny_dataset)]) == 2
@@ -396,10 +456,8 @@ def test_train_checkpoint_and_log_on_one_file_exits_1_before_training(
     assert not same.exists()
 
 
-def _assert_refused_and_unchanged(argv, read, capsys, monkeypatch):
+def _assert_refused_and_unchanged(argv, read, capsys):
     """``argv`` names ``read`` as an input and an output: exit 1, file kept."""
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
     before = read.read_bytes()
     capsys.readouterr()
     assert main(argv) == 1
@@ -409,37 +467,36 @@ def _assert_refused_and_unchanged(argv, read, capsys, monkeypatch):
     assert read.read_bytes() == before
 
 
-def test_train_log_on_the_manifest_exits_1(tiny_dataset, tmp_path, capsys, monkeypatch):
+def test_train_log_on_the_manifest_exits_1(tiny_dataset, tmp_path, capsys, no_frames_read):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
     manifest = data / "manifest.txt"
     _assert_refused_and_unchanged(
         ["train", "--data", str(data), "--epochs", "1",
          "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(manifest)],
-        manifest, capsys, monkeypatch)
+        manifest, capsys)
 
 
-def test_eval_out_on_its_checkpoint_exits_1(tiny_dataset, tmp_path, capsys, monkeypatch):
+def test_eval_out_on_its_checkpoint_exits_1(tiny_dataset, tmp_path, capsys, no_frames_read):
     ckpt = tmp_path / "m.ckpt"
-    assert main(["train", "--data", str(tiny_dataset), "--epochs", "1",
-                 "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.tsv")]) == 0
+    save_checkpoint(VideoAttributeModel(ModelConfig(), small_schema(), seed=0).params, ckpt)
     _assert_refused_and_unchanged(
         ["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
-         "--out", str(ckpt)], ckpt, capsys, monkeypatch)
+         "--out", str(ckpt)], ckpt, capsys)
 
 
 def test_ablate_frames_out_on_its_config_exits_1(tiny_dataset, tmp_path, capsys,
-                                                monkeypatch):
+                                                no_frames_read):
     config = tmp_path / "model.txt"
     config.write_text("[fusion]\nblocks = 1\n", encoding="utf-8")
     _assert_refused_and_unchanged(
         ["ablate-frames", "--data", str(tiny_dataset), "--frames", "1", "--epochs", "1",
-         "--config", str(config), "--out", str(config)], config, capsys, monkeypatch)
+         "--config", str(config), "--out", str(config)], config, capsys)
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ablate-frames"])
 def test_output_on_the_manifests_schema_exits_1(command, tiny_dataset, tmp_path, capsys,
-                                                 monkeypatch):
+                                                 no_frames_read):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
     schema = data / "schema.txt"
@@ -449,7 +506,7 @@ def test_output_on_the_manifests_schema_exits_1(command, tiny_dataset, tmp_path,
                      "--out", str(schema)],
             "ablate-frames": ["ablate-frames", "--data", str(data), "--frames", "1",
                               "--epochs", "1", "--out", str(schema)]}[command]
-    _assert_refused_and_unchanged(argv, schema, capsys, monkeypatch)
+    _assert_refused_and_unchanged(argv, schema, capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["data"]
     assert sorted(p.name for p in data.iterdir()) == sorted(p.name for p in tiny_dataset.iterdir())
 
@@ -465,10 +522,8 @@ _FRAMES_DOTDOT = "data/test/../train/t00000.vtf"
     ["ablate-frames", "--frames", "1", "--epochs", "1", "--out", _FRAMES_DOTDOT],
 ], ids=["train-log", "train-checkpoint-dotdot", "eval", "ablate-frames-dotdot"])
 def test_output_on_a_listed_frames_file_exits_1(command, tiny_dataset, tmp_path, capsys,
-                                                monkeypatch):
+                                                monkeypatch, no_frames_read):
     # a log or a checkpoint over a frames file would break the next load
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
     monkeypatch.chdir(tmp_path)
     shutil.copytree(tiny_dataset, "data")
     before = {p.name: p.read_bytes() for p in Path("data/train").iterdir()}
@@ -735,10 +790,7 @@ _BAD_LABELS = {
 
 @pytest.mark.parametrize("defect", _BAD_LABELS)
 def test_bad_labels_on_a_manifest_line_exit_2(defect, tiny_dataset, tmp_path, capsys,
-                                              monkeypatch):
-    # refused by the output guard, before any data is read
-    monkeypatch.setattr(cli_mod, "load_dataset",
-                        lambda *a, **k: pytest.fail("data loaded"))
+                                              no_frames_read):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset, data)
     manifest = data / "manifest.txt"

@@ -95,17 +95,19 @@ def test_seeded_mutations_keep_the_exit_code_contract(tree, capsys):
                       str(out / "m.ckpt"), "--log", str(out / "log.tsv")],
             "eval": ["eval", "--data", str(data), "--config", str(config),
                      "--checkpoint", str(ckpt), "--frames", "2"],
+            "ablate-frames": ["ablate-frames", "--data", str(data), "--config",
+                              str(config), "--frames", "2", "--epochs", "1"],
             "gen-data": ["gen-data", "--out", str(out / "new"), "--schema",
                          str(data / "schema.txt"), "--tracklets", "2",
                          "--frames", "1", "--height", "8", "--width", "8"],
         }
 
     # each file, with the commands that read it
-    readers = [(data / "schema.txt", ("gen-data", "train", "eval")),
-               (data / "manifest.txt", ("train", "eval")),
-               (config, ("train", "eval")),
+    readers = [(data / "schema.txt", ("gen-data", "train", "eval", "ablate-frames")),
+               (data / "manifest.txt", ("train", "eval", "ablate-frames")),
+               (config, ("train", "eval", "ablate-frames")),
                (ckpt, ("eval",))]
-    readers += [(path, ("train", "eval"))
+    readers += [(path, ("train", "eval", "ablate-frames"))
                 for path in (frames[0], frames[-1])]
 
     rng = np.random.default_rng(SEED)
