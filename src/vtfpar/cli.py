@@ -3,8 +3,9 @@ dump-prompts. Exit codes: 0 success, 1 usage error or a request too large
 to allocate, 2 data error, 3 numeric-verification failure. A dataset command
 checks, in order: flags (and the ``--config`` of train and ablate-frames);
 in ``_prelude``, the manifest, its splits and the output paths; eval's
-checkpoint, then its ``--config``; the model's size (train and eval). Only
-then does ``load_frames`` read the frames. Numbers print in fixed formats.
+checkpoint, then its ``--config``; the model's size. Only then does
+``load_frames`` read the frames of the splits the command uses. It prints
+one TSV in fixed number formats and writes it to its output flag (``_emit``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .parallel import worker_count
 from .params import load_checkpoint, read_checkpoint_arrays
 from .schema import default_schema, load_schema
 from .text import attribute_sentences, split_expand
-from .train import TrainConfig, evaluate, run_arm, train, write_log
+from .train import TrainConfig, evaluate, log_tsv, run_arm, train
 
 # Flag defaults come from the dataclasses and modules they feed.
 _SPEC = SyntheticSpec()
@@ -127,10 +128,10 @@ def _model_config(args, no_fusion: bool) -> ModelConfig:
 
 
 def _prelude(data, *paths, reads=(), needs=("train", "test")) -> tuple:
-    """Read the manifest ``data`` names, once; fail if it lacks a split in
-    ``needs``, if an output's directory is missing, an output is a directory,
-    two outputs are one file, or an output is a file this command reads: one
-    in ``reads``, the manifest, its schema, or a frames file it lists."""
+    """Read the manifest ``data`` names, once; return its schema and the
+    splits in ``needs``. Fail if one is missing, an output's directory is
+    missing, an output is a directory, two outputs are one file, or an
+    output is a file this command reads: one in ``reads`` or the dataset's."""
     manifest, schema_path, schema, splits = read_manifest(data)
     for name in needs:
         pick_split(splits, name)
@@ -146,7 +147,14 @@ def _prelude(data, *paths, reads=(), needs=("train", "test")) -> tuple:
             raise UsageError(f"output path {path} names a file this command reads")
     if len({p.resolve() for p in paths}) < len(paths):
         raise UsageError(f"output paths name one file: {' and '.join(map(str, paths))}")
-    return schema, splits
+    return schema, {name: splits[name] for name in splits if name in needs}
+
+
+def _emit(tsv: str, path) -> None:
+    """Print a command's TSV, and write the same text to ``path`` if given."""
+    print(tsv, end="")
+    if path:
+        Path(path).write_text(tsv, encoding="utf-8")
 
 
 def cmd_gen_data(args) -> int:
@@ -172,11 +180,7 @@ def cmd_train(args) -> int:
     dataset = load_frames(schema, splits)
     logs = train(model, dataset.split("train"), dataset.split("test"), cfg,
                  checkpoint_path=args.checkpoint)
-    write_log(logs, args.log)
-    for row in logs:
-        print(f"epoch {row.epoch}\tloss {row.mean_loss:.4f}\tf1 {row.heldout_f1:.4f}")
-    print(f"checkpoint {args.checkpoint}")
-    print(f"log {args.log}")
+    _emit(log_tsv(logs), args.log)
     return 0
 
 
@@ -192,10 +196,7 @@ def cmd_eval(args) -> int:
     load_checkpoint(model.params, arrays, args.checkpoint)
     dataset = load_frames(schema, splits)
     report = evaluate(model, dataset.split(args.split), args.frames)
-    tsv = report_tsv(report)
-    print(tsv, end="")
-    if args.out:
-        Path(args.out).write_text(tsv, encoding="utf-8")
+    _emit(report_tsv(report), args.out)
     return 0
 
 
@@ -208,16 +209,15 @@ def cmd_ablate_frames(args) -> int:
         raise UsageError(f"bad --frames list {args.frames!r}")
     config = _model_config(args, args.no_fusion)
     cfgs = [TrainConfig(epochs=args.epochs, seed=args.seed, frames=k) for k in counts]
-    dataset = load_frames(*_prelude(args.data, args.out, reads=(args.config,)))
+    schema, splits = _prelude(args.data, args.out, reads=(args.config,))
+    VideoAttributeModel(config, schema, seed=args.seed)  # its size, before the frames
+    dataset = load_frames(schema, splits)
     lines = ["frames\tprecision\trecall\tf1"]
     for cfg in cfgs:
         report = run_arm(config, dataset, cfg)
         lines.append(f"{cfg.frames}\t{report.macro_precision:.4f}"
                      f"\t{report.macro_recall:.4f}\t{report.macro_f1:.4f}")
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -9,8 +9,8 @@ relative to the root, then its ``n_classes`` 0/1 labels. A tracklet is
 its frames file, identified by the file's ``(st_dev, st_ino)``, so no
 spelling lists it twice. Files the manifest does not list are ignored.
 ``read_manifest`` is the one reader and checker of a dataset's layout;
-``load_frames`` only reads the frames files it returns; ``load_dataset``
-runs the two, and the CLI runs its own checks between them. ``generate``
+``load_frames`` reads the frames files of the splits it is given, which
+the CLI checks first; ``load_dataset`` reads every split's. ``generate``
 writes ``<root>/<split>/tNNNNN.vtf`` files and the manifest; generating
 into an existing tree overwrites each frames file whole and leaves files
 it does not write, such as an older tree's tracklet directories, in place.
@@ -20,9 +20,9 @@ record ("VTFIMG01") is the magic, int32 LE height and width, then
 row-major RGB float32 LE pixels in [0, 1]. Errors name the record,
 counting from 0, as in ``frame 2 of .../t00004.vtf: truncated pixels``.
 ``read_frame`` parses one record, and the loader calls it once per frame.
-Every frame of a dataset must have the shape of its first frame (the
-first record of the first listed tracklet), since batches stack clips of
-several tracklets.
+Batches stack clips of several tracklets, so every frame a command reads
+must have the shape of the first one it reads: the first record of the
+first listed tracklet of the splits it uses.
 
 The generator plants one fixed low-frequency spatial prototype per
 attribute class: a frame is the sum of its tracklet's active prototypes
@@ -58,7 +58,6 @@ _BASE_LEVEL = 0.5
 
 @dataclass(frozen=True)
 class Tracklet:
-    id: str
     frames: np.ndarray  # (t, h, w, 3) float32 in [0, 1]
     labels: np.ndarray  # (n_classes,) int8 in {0, 1}
 
@@ -209,8 +208,8 @@ def sample_labels(spec: SyntheticSpec, schema: AttributeSchema,
 
 def render_tracklet(spec: SyntheticSpec, schema: AttributeSchema, index: int,
                     prototypes: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic tracklet ``index``: (frames, labels, occluded mask).
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic tracklet ``index``: (frames, labels).
 
     Seeds derive from (master seed, tracklet index, frame index), so the
     output is independent of generation order, and the clean signal of a
@@ -222,18 +221,16 @@ def render_tracklet(spec: SyntheticSpec, schema: AttributeSchema, index: int,
     clean = _BASE_LEVEL + prototypes[labels.astype(bool)].sum(axis=0)
     shape = (spec.height, spec.width, 3)
     frames = np.empty((spec.frames_per_tracklet,) + shape, dtype=np.float32)
-    occluded = np.zeros(spec.frames_per_tracklet, dtype=bool)
     for f in range(spec.frames_per_tracklet):
         rng = np.random.default_rng([spec.seed, index, 1 + f])
         if rng.random() < spec.occlusion_p:
-            occluded[f] = True
             frames[f] = rng.random(shape, dtype=np.float32)
         else:
             # clean + noise, clipped in place; the frame's dtype rounds it
             noise = rng.normal(0.0, spec.noise_sigma, shape)
             noise += clean
             frames[f] = np.clip(noise, 0.0, 1.0, out=noise)
-    return frames, labels, occluded
+    return frames, labels
 
 
 def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
@@ -251,7 +248,7 @@ def generate(spec: SyntheticSpec, schema: AttributeSchema, out_dir) -> Path:
             for i in range(spec.n_tracklets)]
 
     def build(i: int) -> np.ndarray:
-        frames, labels, _ = render_tracklet(spec, schema, i, prototypes)
+        frames, labels = render_tracklet(spec, schema, i, prototypes)
         write_frames(os.path.join(out, rels[i]), frames)  # str: cheaper than a Path
         return labels
 
@@ -363,8 +360,8 @@ def load_dataset(path) -> Dataset:
 
 
 def load_frames(schema: AttributeSchema, splits: dict) -> Dataset:
-    """Read the frames files of ``read_manifest``'s ``splits``; batches stack
-    clips, so every frame has the shape of the dataset's first frame."""
+    """Read the frames files of ``splits``, some or all of ``read_manifest``'s;
+    every frame has the shape of the first one read."""
     loaded: dict[str, list[Tracklet]] = {}
     shape = None
     for split, tracklets in splits.items():
@@ -372,5 +369,5 @@ def load_frames(schema: AttributeSchema, splits: dict) -> Dataset:
         for frames_path, labels in tracklets:
             frames = _read_frames(frames_path, shape)
             shape = frames.shape[1:]
-            loaded[split].append(Tracklet(frames_path.stem, frames, labels))
+            loaded[split].append(Tracklet(frames, labels))
     return Dataset(schema=schema, splits=loaded)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .layers import check_stack_geometry
 from .params import ParameterSet
 from .tensor import Tensor, add, mul, tensor_sum
@@ -38,15 +37,10 @@ class ClassificationHeads:
 
     def __init__(self, params: ParameterSet, n_classes: int, dim: int,
                  rng: np.random.Generator):
-        self.n_classes = n_classes
         self.weight = params.normal("heads.weight", (n_classes, dim), dim ** -0.5, rng)
         self.bias = params.add("heads.bias", np.zeros(n_classes))
 
     def __call__(self, text_tokens: Tensor) -> Tensor:
         """(..., n_classes, dim) -> logits (..., n_classes)."""
-        if text_tokens.shape[-2] != self.n_classes:
-            raise DataError(
-                f"{text_tokens.shape[-2]} text tokens but {self.n_classes} heads; "
-                "schema and model disagree")
         per_class = tensor_sum(mul(text_tokens, self.weight), axis=-1)
         return add(per_class, self.bias)

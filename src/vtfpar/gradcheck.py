@@ -144,8 +144,8 @@ def check_model(n_coords: int, seed: int = SEED) -> CheckResult:
     spec = SyntheticSpec(n_tracklets=2, frames_per_tracklet=2, height=12,
                          width=9, noise_sigma=0.05, occlusion_p=0.0, seed=seed)
     rendered = [render_tracklet(spec, model.schema, i) for i in range(2)]
-    clips = np.stack([frames for frames, _, _ in rendered])
-    targets = np.stack([labels for _, labels, _ in rendered])
+    clips = np.stack([frames for frames, _ in rendered])
+    targets = np.stack([labels for _, labels in rendered])
     # one encoder per ENCODER_PREFIXES entry, in its order
     encoders = (partial(model.visual_features_batch, clips), model.text.encode)
 

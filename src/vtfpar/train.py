@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -263,7 +262,7 @@ def run_arm(config: ModelConfig, dataset: Dataset, cfg: TrainConfig) -> MetricRe
     return evaluate(model, dataset.split("test"), cfg.frames)
 
 
-def write_log(logs: list[EpochLog], path) -> None:
+def log_tsv(logs: list[EpochLog]) -> str:
     lines = ["epoch\tmean_loss\theldout_macro_f1"]
     lines += [f"{l.epoch}\t{l.mean_loss:.6f}\t{l.heldout_f1:.4f}" for l in logs]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"

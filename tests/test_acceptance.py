@@ -152,7 +152,7 @@ def _freeze_fixture_model_and_data():
     )
     spec = SyntheticSpec(n_tracklets=10, frames_per_tracklet=2, height=12,
                          width=9, noise_sigma=0.05, occlusion_p=0.0, seed=4)
-    data = [Tracklet(f"t{i}", *render_tracklet(spec, schema, i)[:2]) for i in range(10)]
+    data = [Tracklet(*render_tracklet(spec, schema, i)) for i in range(10)]
     return schema, config, data
 
 

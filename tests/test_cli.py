@@ -51,6 +51,19 @@ def no_frames_read(monkeypatch):
                         lambda *a, **k: pytest.fail("frames file read"))
 
 
+@pytest.fixture
+def frames_read(monkeypatch):
+    """The frames files read, in order of reading."""
+    paths, read = [], data_mod._read_frames
+
+    def counting(path, shape):
+        paths.append(path)
+        return read(path, shape)
+
+    monkeypatch.setattr(data_mod, "_read_frames", counting)
+    return paths
+
+
 def test_unknown_flag_rejected():
     assert main(["gen-data", "--bogus"]) == 1
 
@@ -231,6 +244,10 @@ _ONE_PARSE = {
         "train --data data --config huge.txt --checkpoint m.ckpt --log l.tsv", 1,
         "error: parameter fusion.block145.mlp.fc2.weight: the model would exceed "
         "16777216 values\n"),
+    "ablate-frames-model-too-large": (
+        "ablate-frames --data data --config huge.txt --frames 1 --epochs 1", 1,
+        "error: parameter fusion.block145.mlp.fc2.weight: the model would exceed "
+        "16777216 values\n"),
 }
 
 
@@ -263,6 +280,37 @@ def test_dataset_command_parses_its_manifest_once_and_checks_before_the_frames(
     assert main(argv.split()) == code
     assert capsys.readouterr().err == err
     assert len(parses) == 1
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_eval_reads_the_frames_of_its_split_alone(split, tiny_dataset, tmp_path,
+                                                  frames_read):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(VideoAttributeModel(ModelConfig(), small_schema(), seed=0).params, ckpt)
+    assert main(["eval", "--data", str(tiny_dataset), "--checkpoint", str(ckpt),
+                 "--split", split]) == 0
+    assert frames_read == [path for path, _ in read_manifest(tiny_dataset)[3][split]]
+
+
+@pytest.mark.parametrize("argv", [
+    "train --data data --epochs 1 --checkpoint m.ckpt --log l.tsv",
+    "ablate-frames --data data --frames 1 --epochs 1",
+], ids=["train", "ablate-frames"])
+def test_train_and_ablate_frames_read_no_frames_of_another_split(
+        argv, tiny_dataset, tmp_path, monkeypatch, frames_read):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(tiny_dataset, "data")
+    Path("data/val").mkdir()
+    shutil.copy("data/train/t00000.vtf", "data/val/v0.vtf")
+    manifest = Path("data/manifest.txt")
+    text = manifest.read_text(encoding="utf-8")
+    line = next(line for line in text.splitlines() if line.startswith("tracklet = train/"))
+    manifest.write_text(text + "[split val]\n" + line.replace("train/t00000", "val/v0") + "\n",
+                        encoding="utf-8")
+    assert main(argv.split()) == 0
+    splits = read_manifest("data")[3]
+    assert set(splits) == {"train", "test", "val"}
+    assert frames_read == [path for name in ("train", "test") for path, _ in splits[name]]
 
 
 @pytest.mark.parametrize("command", [
@@ -807,7 +855,8 @@ def test_bad_labels_on_a_manifest_line_exit_2(defect, tiny_dataset, tmp_path, ca
                                        f"{message.format(rel=rel)}\n")
 
 
-def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsys):
+def test_train_one_epoch_writes_a_checkpoint_and_prints_the_log_it_writes(
+        tiny_dataset, tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     log = tmp_path / "log.tsv"
     rc = main(["train", "--data", str(tiny_dataset), "--epochs", "1",
@@ -817,6 +866,7 @@ def test_train_one_epoch_writes_log_and_checkpoint(tiny_dataset, tmp_path, capsy
     assert rows[0] == "epoch\tmean_loss\theldout_macro_f1"
     assert len(rows) == 2
     assert ckpt.exists()
+    assert capsys.readouterr().out.encode("utf-8") == log.read_bytes()
 
 
 def test_no_fusion_checkpoint_lacks_fusion_names(tiny_dataset, tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,8 +222,7 @@ class TestRenderTracklet:
     def test_zero_noise_zero_occlusion_identical_frames(self):
         schema = small_schema()
         spec = small_spec(noise_sigma=0.0, occlusion_p=0.0)
-        frames, _, occluded = render_tracklet(spec, schema, 0)
-        assert not occluded.any()
+        frames, _ = render_tracklet(spec, schema, 0)
         for f in range(1, frames.shape[0]):
             npt.assert_array_equal(frames[f], frames[0])
 
@@ -239,24 +239,33 @@ class TestRenderTracklet:
         spec = small_spec(n_tracklets=1000, frames_per_tracklet=6,
                           occlusion_p=0.5, height=6, width=5)
         protos = class_prototypes(spec, schema)
-        counts = [render_tracklet(spec, schema, i, protos)[2].sum()
-                  for i in range(1000)]
+        # an occluded frame is one that differs from the occlusion_p=0 render
+        counts = [(render_tracklet(spec, schema, i, protos)[0]
+                   != render_tracklet(replace(spec, occlusion_p=0.0), schema, i, protos)[0]
+                   ).any(axis=(1, 2, 3)).sum() for i in range(1000)]
         mean = np.mean(counts)
         # binomial(6, 0.5): mean 3, se of the sample mean over 1000 draws
         se = np.sqrt(6 * 0.25 / 1000)
         assert abs(mean - 3.0) < 3 * se
 
     def test_signal_independent_of_occlusion_probability(self):
+        # a frame that is not occluded is bitwise the clean render's frame; one
+        # that differs is uniform noise, far from it, not other pixel noise
         schema = small_schema()
-        clean = render_tracklet(small_spec(occlusion_p=0.0), schema, 2)
-        mixed = render_tracklet(small_spec(occlusion_p=0.6), schema, 2)
-        occluded = mixed[2]
-        npt.assert_array_equal(mixed[0][~occluded], clean[0][~occluded])
+        spec = small_spec(occlusion_p=0.6, frames_per_tracklet=8)
+        kept = 0
+        for i in range(4):
+            mixed = render_tracklet(spec, schema, i)[0]
+            clean = render_tracklet(replace(spec, occlusion_p=0.0), schema, i)[0]
+            gap = np.abs(mixed - clean).mean(axis=(1, 2, 3))
+            assert ((gap == 0) | (gap > 0.15)).all(), gap
+            kept += int((gap == 0).sum())
+        assert 0 < kept < 32
 
     def test_frames_in_unit_range(self):
         schema = default_schema()
         spec = small_spec(noise_sigma=0.3, occlusion_p=0.4)
-        frames, _, _ = render_tracklet(spec, schema, 0)
+        frames, _ = render_tracklet(spec, schema, 0)
         assert frames.min() >= 0.0 and frames.max() <= 1.0
 
 
@@ -270,7 +279,7 @@ class TestGenerateLoad:
         assert len(ds.split("test")) == 3
         protos = class_prototypes(spec, schema)
         for i, t in enumerate(ds.split("train")):
-            frames, labels, _ = render_tracklet(spec, schema, i, protos)
+            frames, labels = render_tracklet(spec, schema, i, protos)
             npt.assert_array_equal(t.frames, frames)
             npt.assert_array_equal(t.labels, labels)
 
@@ -326,8 +335,6 @@ class TestGenerateLoad:
         assert files == ["manifest.txt", "schema.txt",
                          *(f"test/t{i:05d}.vtf" for i in range(3, 6)),
                          *(f"train/t{i:05d}.vtf" for i in range(3))]
-        ids = [t.id for t in load_dataset(root).split("train")]
-        assert ids == ["t00000", "t00001", "t00002"]
 
     def test_load_parses_each_frame_once_with_read_frame(self, tmp_path, monkeypatch):
         # perfbench's data.frames_read counts these calls by this name
@@ -395,7 +402,7 @@ class TestGenerateLoad:
         (tmp_path / "data" / "test" / "t00004.vtf").rename(tmp_path / "data" / "test" / "t 4 .vtf")
         manifest.write_text(text.replace("test/t00004.vtf", "test/t 4 .vtf"))
         tracklet = load_dataset(manifest).split("test")[1]
-        assert tracklet.id == "t 4 "
+        npt.assert_array_equal(tracklet.frames, render_tracklet(small_spec(), small_schema(), 4)[0])
         npt.assert_array_equal(tracklet.labels, sample_labels(small_spec(), small_schema(), 4))
 
     @pytest.mark.parametrize("split", ["train", "test"])

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vtfpar.errors import DataError, UsageError
+from vtfpar.errors import UsageError
 from vtfpar.fusion import ClassificationHeads, FusionConfig
 from vtfpar.layers import MultiHeadAttention, TransformerStack
 from vtfpar.metrics import decide
@@ -295,7 +295,7 @@ class TestClassify:
 
     def test_schema_model_mismatch_error(self):
         heads = self._heads(4, 8)
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError, match="mul: shape"):
             heads(Tensor(np.zeros((1, 5, 8))))
 
 

@@ -247,8 +247,7 @@ def _tiny_tracklets(schema, n=8, frames=2, seed=0):
                          seed=seed)
     out = []
     for i in range(n):
-        fr, labels, _ = render_tracklet(spec, schema, i)
-        out.append(Tracklet(f"t{i:03d}", fr, labels))
+        out.append(Tracklet(*render_tracklet(spec, schema, i)))
     return out
 
 
@@ -448,8 +447,7 @@ class TestTrainLoop:
 def _default_clips(schema):
     """8 default-size synthetic clips: one batch, so one ``train`` step."""
     spec = SyntheticSpec(n_tracklets=8)
-    return [Tracklet(f"t{i}", *render_tracklet(spec, schema, i)[:2])
-            for i in range(8)]
+    return [Tracklet(*render_tracklet(spec, schema, i)) for i in range(8)]
 
 
 def _first_step_gradients(model, freeze, monkeypatch):
@@ -529,7 +527,7 @@ from vtfpar.model import ModelConfig, VideoAttributeModel
 from vtfpar.schema import default_schema
 from vtfpar.train import _visual_features
 spec, schema = SyntheticSpec(), default_schema()
-clips = [Tracklet(f"t{i}", *render_tracklet(spec, schema, i)[:2]) for i in range(32)]
+clips = [Tracklet(*render_tracklet(spec, schema, i)) for i in range(32)]
 model = VideoAttributeModel(ModelConfig(), schema, seed=0)
 _visual_features(model, clips, 6)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -562,8 +560,7 @@ class TestChanceLevel:
         schema = AttributeSchema(groups)
         spec = SyntheticSpec(n_tracklets=200, frames_per_tracklet=2, height=12,
                              width=9, noise_sigma=0.1, occlusion_p=0.0, seed=2)
-        data = [Tracklet(f"t{i}", *render_tracklet(spec, schema, i)[:2])
-                for i in range(200)]
+        data = [Tracklet(*render_tracklet(spec, schema, i)) for i in range(200)]
         scores = []
         for seed in range(1, 6):
             model = VideoAttributeModel(ModelConfig(), schema, seed=seed)
